@@ -21,13 +21,9 @@ from .graph import (
     paper_id,
 )
 from .walk import (
-    CitationChoice,
-    ChoiceKind,
     ScoreTable,
     WalkMode,
     WalkParams,
-    choose_citation,
-    choose_paper_of_author,
     normalize,
     pira_rank,
 )
@@ -46,13 +42,9 @@ __all__ = [
     "neighborhood",
     "p_weight",
     "paper_id",
-    "CitationChoice",
-    "ChoiceKind",
     "ScoreTable",
     "WalkMode",
     "WalkParams",
-    "choose_citation",
-    "choose_paper_of_author",
     "normalize",
     "pira_rank",
 ]

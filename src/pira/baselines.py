@@ -6,22 +6,32 @@ whose edge weights are the exact one-citation-hop path probabilities of the
 bipartite walk: leave the author through a p-weight-proportional paper pick,
 follow one uniformly chosen reference, land on a uniformly chosen author of
 the cited paper.
+
+Both are sparse algebra on the graph's incidence matrices: the paper graph is
+``CitationGraph.cite``, the author graph is the sparse product of the oracle's
+three one-hop matrices, and PageRank runs on the oracle's stationary solver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConvergenceError
 from .graph import CitationGraph
+from .oracle import (
+    DEFAULT_TOL,
+    MAX_ITERATIONS,
+    hop_matrices,
+    row_stochastic,
+    stationary_distribution,
+)
 
 DEFAULT_DAMPING = 0.15
-DEFAULT_TOL = 1e-12
-MAX_ITERATIONS = 10**6
 
 
 def pub_count(graph: CitationGraph) -> np.ndarray:
@@ -60,58 +70,32 @@ def h_index(graph: CitationGraph) -> np.ndarray:
 
 
 def pagerank(
-    n_nodes: int,
-    edges: Iterable[tuple[int, int, float]],
+    weights,
     damping: float = DEFAULT_DAMPING,
     tol: float = DEFAULT_TOL,
     max_iterations: int = MAX_ITERATIONS,
 ) -> np.ndarray:
-    """PageRank with uniform teleport over weighted directed edges.
+    """PageRank with uniform teleport over a weighted directed graph.
 
-    ``damping`` is the restart probability at each step (links are followed
-    with probability 1 - damping).  Transitions from a node are proportional
-    to its outgoing edge weights; nodes without outgoing weight spread their
-    mass uniformly.  The result sums to 1.
+    ``weights`` is a square non-negative matrix, sparse or dense: entry
+    (i, j) is the weight of the edge i -> j.  ``damping`` is the restart
+    probability at each step (links are followed with probability
+    1 - damping).  Transitions from a node are proportional to its outgoing
+    edge weights; nodes without outgoing weight spread their mass
+    uniformly.  The result sums to 1.
     """
     if not 0.0 < damping < 1.0:
         raise ValueError(f"damping must be in (0, 1), got {damping}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if n_nodes <= 0:
-        raise ValueError("n_nodes must be positive")
-
-    rows, cols, vals = [], [], []
-    out_weight = np.zeros(n_nodes)
-    for src, dst, w in edges:
-        if w < 0:
-            raise ValueError(f"negative edge weight on ({src}, {dst})")
-        if w == 0:
-            continue
-        rows.append(src)
-        cols.append(dst)
-        vals.append(w)
-        out_weight[src] += w
-    m = sp.csr_matrix((vals, (rows, cols)), shape=(n_nodes, n_nodes))
-    nonzero = out_weight > 0
-    scale = np.zeros(n_nodes)
-    scale[nonzero] = 1.0 / out_weight[nonzero]
-    m = sp.diags(scale) @ m
-    dangling = ~nonzero
-
-    follow = 1.0 - damping
-    uniform = np.full(n_nodes, 1.0 / n_nodes)
-    pi = uniform.copy()
-    residual = float("inf")
-    for _ in range(max_iterations):
-        nxt = damping * uniform + follow * (pi @ m + pi[dangling].sum() * uniform)
-        residual = float(np.abs(nxt - pi).sum())
-        pi = nxt
-        if residual < tol:
-            return pi
-    raise ConvergenceError(
-        f"pagerank did not reach tol={tol} after {max_iterations} iterations "
-        f"(final residual {residual:.3e})",
-        residual=residual,
+    m = sp.csr_matrix(weights, dtype=float)
+    n = m.shape[0]
+    if n == 0 or m.shape[1] != n:
+        raise ValueError(f"weights must be a non-empty square matrix, got shape {m.shape}")
+    if (m.data < 0).any():
+        raise ValueError("negative edge weight")
+    dangling = np.asarray(m.sum(axis=1)).ravel() == 0
+    teleport = (damping + (1.0 - damping) * dangling, np.full(n, 1.0 / n))
+    return stationary_distribution(
+        (1.0 - damping) * row_stochastic(m), (teleport,), tol=tol, max_iterations=max_iterations
     )
 
 
@@ -119,38 +103,34 @@ def paper_pagerank(
     graph: CitationGraph, damping: float = DEFAULT_DAMPING, tol: float = DEFAULT_TOL
 ) -> np.ndarray:
     """PageRank over the paper citation graph (every cite edge weight 1)."""
-    edges = (
-        (src, dst, 1.0)
-        for src, refs in enumerate(graph.refs_of)
-        for dst in refs
-    )
-    return pagerank(graph.n_papers, edges, damping=damping, tol=tol)
+    return pagerank(graph.cite, damping=damping, tol=tol)
 
 
 def pr_p(
     graph: CitationGraph, damping: float = DEFAULT_DAMPING, tol: float = DEFAULT_TOL
 ) -> np.ndarray:
     """Author scores from paper-graph PageRank, split evenly among co-authors."""
-    scores = paper_pagerank(graph, damping=damping, tol=tol)
-    out = np.zeros(graph.n_authors)
-    for p, authors in enumerate(graph.authors_of):
-        if not authors:
-            continue
-        share = scores[p] / len(authors)
-        for a in authors:
-            out[a] += share
-    return out
+    _, _, to_author = hop_matrices(graph)
+    return to_author.T @ paper_pagerank(graph, damping=damping, tol=tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds a matrix; compare by identity
 class AuthorGraph:
     """Weighted directed author graph; self-loops record author self-citation."""
 
-    n_authors: int
-    edges: dict[tuple[int, int], float]
+    matrix: sp.csr_matrix  # entry (a, b) is the weight of a -> b
 
-    def out_weight(self, author: int) -> float:
-        return sum(w for (a, _), w in self.edges.items() if a == author)
+    @property
+    def n_authors(self) -> int:
+        return self.matrix.shape[0]
+
+    @cached_property
+    def edges(self) -> Mapping[tuple[int, int], float]:
+        """Read-only ``{(a, b): weight}`` view of the matrix's entries."""
+        coo = self.matrix.tocoo()
+        return MappingProxyType(
+            {(int(a), int(b)): float(w) for a, b, w in zip(coo.row, coo.col, coo.data)}
+        )
 
 
 def build_author_graph(graph: CitationGraph) -> AuthorGraph:
@@ -158,36 +138,17 @@ def build_author_graph(graph: CitationGraph) -> AuthorGraph:
 
     w(A -> B) sums, over A's papers p and p's references r, the probability
     of the path A -> p -> r -> B: normalized p-weight of p among A's papers,
-    times 1/|refs(p)|, times 1/|authors(r)|.  Row sums stay at or below one;
-    the gap is the probability of stalling at a paper without references or
-    a cited paper without authors.
+    times 1/|refs(p)|, times 1/|authors(r)|, i.e. the product of the walk's
+    three one-hop matrices.  Row sums stay at or below one; the gap is the
+    probability of stalling at a paper without references or a cited paper
+    without authors.
     """
-    edges: dict[tuple[int, int], float] = {}
-    for a, papers in enumerate(graph.papers_of):
-        if not papers:
-            continue
-        pw = np.array([1.0 / len(graph.authors_of[p]) for p in papers])
-        pw /= pw.sum()
-        for p, w_leave in zip(papers, pw):
-            refs = graph.refs_of[p]
-            if not refs:
-                continue
-            per_ref = w_leave / len(refs)
-            for r in refs:
-                cited_authors = graph.authors_of[r]
-                if not cited_authors:
-                    continue
-                per_author = per_ref / len(cited_authors)
-                for b in cited_authors:
-                    key = (a, b)
-                    edges[key] = edges.get(key, 0.0) + per_author
-    return AuthorGraph(n_authors=graph.n_authors, edges=edges)
+    to_paper, to_ref, to_author = hop_matrices(graph)
+    return AuthorGraph(sp.csr_matrix(to_paper @ to_ref @ to_author))
 
 
 def pr_a(
     graph: CitationGraph, damping: float = DEFAULT_DAMPING, tol: float = DEFAULT_TOL
 ) -> np.ndarray:
     """PageRank of each author on the derived author graph."""
-    ag = build_author_graph(graph)
-    edges = ((a, b, w) for (a, b), w in ag.edges.items())
-    return pagerank(ag.n_authors, edges, damping=damping, tol=tol)
+    return pagerank(build_author_graph(graph).matrix, damping=damping, tol=tol)

@@ -8,6 +8,10 @@ inverse adjacency, so the two views cannot drift apart.
 Nodes carry a dense integer index per kind (fast array-based walkers) plus a
 stable external string id (``ext_id``) used by every file format and by
 subgraph extraction, where dense indices are reassigned.
+
+The tuple adjacency is the stored form.  The exact measures read it as two
+sparse incidence matrices, ``wrote`` and ``cite``, built from it once per
+graph on first use.
 """
 
 from __future__ import annotations
@@ -16,7 +20,11 @@ import enum
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence, Union
+
+import numpy as np
+import scipy.sparse as sp
 
 from .errors import GraphBuildError
 
@@ -113,6 +121,16 @@ class CitationGraph:
         return sum(len(rs) for rs in self.refs_of)
 
     @cached_property
+    def wrote(self) -> sp.csr_matrix:
+        """Read-only authors x papers incidence matrix: 1 where the author wrote the paper."""
+        return _incidence(self.papers_of, self.n_papers)
+
+    @cached_property
+    def cite(self) -> sp.csr_matrix:
+        """Read-only papers x papers incidence matrix: 1 where the row paper cites the column."""
+        return _incidence(self.refs_of, self.n_papers)
+
+    @cached_property
     def author_index(self) -> dict[str, int]:
         return {a.ext_id: a.id.index for a in self.authors}
 
@@ -143,6 +161,16 @@ class CitationGraph:
             yield p.id
 
 
+def _incidence(rows: tuple[tuple[int, ...], ...], n_cols: int) -> sp.csr_matrix:
+    counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    indices = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(indptr[-1]))
+    m = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(len(rows), n_cols))
+    for a in (m.data, m.indices, m.indptr):
+        a.flags.writeable = False  # shared by every reader of the cached property
+    return m
+
+
 def _normalize_specs(specs: Sequence[NodeSpec], kind: str) -> list[tuple[str, str, bool]]:
     out = []
     seen: set[str] = set()
@@ -156,6 +184,12 @@ def _normalize_specs(specs: Sequence[NodeSpec], kind: str) -> list[tuple[str, st
             raise GraphBuildError(f"{kind} with empty id")
         if not label:
             raise GraphBuildError(f"{kind} {ext!r} has an empty name")
+        # the TSV format's separators; text mode reads a bare \r as a line break
+        text = ext + label
+        if "\t" in text or "\n" in text or "\r" in text:
+            raise GraphBuildError(
+                f"{kind} {ext!r} ({label!r}): ids and names may not contain tabs or line breaks"
+            )
         if ext in seen:
             raise GraphBuildError(f"duplicate {kind} id {ext!r}")
         seen.add(ext)
@@ -172,8 +206,10 @@ def build_graph(
     """Construct a CitationGraph from node specs and string-id edge lists.
 
     Duplicate edges and self-citations are dropped (counted in the report);
-    an edge endpoint that names no node raises GraphBuildError.  Authors
-    without papers and papers without authors are permitted and flagged.
+    an edge endpoint that names no node raises GraphBuildError, as does an
+    id, name or title containing a tab or line break (the TSV separators).
+    Authors without papers and papers without authors are permitted and
+    flagged.
     """
     author_rows = _normalize_specs(authors, "author")
     paper_rows = _normalize_specs(papers, "paper")

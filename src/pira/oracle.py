@@ -11,12 +11,19 @@ budget grows.
 The transition matrix is held as three sparse class matrices (wrote, cite,
 isWrittenBy) plus two rank-1 restart components: reinitialization mass times
 the restart distribution, and fake-citation mass times the uniform paper
-distribution.  Rows sum to one exactly.
+distribution.  Rows sum to one exactly.  The class matrices are scaled copies
+of the graph's incidence matrices (``CitationGraph.wrote`` and ``cite``), so
+no dense matrix is built.
+
+``stationary_distribution`` is the package's one power-iteration solver:
+the PageRank baselines run through it too, with teleport and dangling mass
+as a rank-1 jump.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -53,26 +60,28 @@ class TransitionSystem:
     def n(self) -> int:
         return self.n_authors + self.n_papers
 
+    @property
+    def link(self) -> sp.csr_matrix:
+        """Sum of the three class matrices."""
+        return self.wrote_m + self.cite_m + self.iswb_m
+
+    @property
+    def jumps(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Rank-one terms (per-row mass, landing distribution) of the chain."""
+        return ((self.init_mass, self.restart_dist), (self.fake_mass, self.paper_dist))
+
     def step(self, pi: np.ndarray) -> np.ndarray:
         """One application of the chain: returns pi @ M."""
-        out = pi @ self.wrote_m + pi @ self.cite_m + pi @ self.iswb_m
-        out += (pi @ self.init_mass) * self.restart_dist
-        out += (pi @ self.fake_mass) * self.paper_dist
-        return out
+        return _apply(pi, self.link.T, self.jumps)
 
     def row_sums(self) -> np.ndarray:
-        link = (
-            np.asarray(self.wrote_m.sum(axis=1)).ravel()
-            + np.asarray(self.cite_m.sum(axis=1)).ravel()
-            + np.asarray(self.iswb_m.sum(axis=1)).ravel()
-        )
-        return link + self.init_mass + self.fake_mass
+        return np.asarray(self.link.sum(axis=1)).ravel() + self.init_mass + self.fake_mass
 
     def to_dense(self) -> np.ndarray:
         """Materialized transition matrix; intended for small test systems."""
-        m = (self.wrote_m + self.cite_m + self.iswb_m).toarray()
-        m += np.outer(self.init_mass, self.restart_dist)
-        m += np.outer(self.fake_mass, self.paper_dist)
+        m = self.link.toarray()
+        for mass, dist in self.jumps:
+            m += np.outer(mass, dist)
         return m
 
 
@@ -93,6 +102,38 @@ def _restart_distribution(graph: CitationGraph, params: WalkParams) -> np.ndarra
     return dist
 
 
+def row_stochastic(weights) -> sp.csr_matrix:
+    """Scale each row of a non-negative sparse matrix to sum to one.
+
+    Rows without weight stay empty.
+    """
+    sums = np.asarray(weights.sum(axis=1)).ravel()
+    scale = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums > 0)
+    return sp.csr_matrix(sp.diags(scale) @ weights)
+
+
+def hop_matrices(graph: CitationGraph) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
+    """Row-stochastic one-hop matrices of the walk's three link classes.
+
+    Returns (author -> paper, proportional to p-weight; paper -> cited
+    paper, uniform; paper -> author, uniform).  A node without a link of the
+    class has an empty row.
+    """
+    coauthors = np.asarray(graph.wrote.sum(axis=0)).ravel()
+    p_weight = np.divide(1.0, coauthors, out=np.zeros_like(coauthors), where=coauthors > 0)
+    return (
+        row_stochastic(graph.wrote @ sp.diags(p_weight)),
+        row_stochastic(graph.cite),
+        row_stochastic(graph.wrote.T),
+    )
+
+
+def _embed(block, row0: int, col0: int, n: int) -> sp.csr_matrix:
+    """`block` placed at (row0, col0) of an n x n zero matrix."""
+    coo = sp.coo_matrix(block)
+    return sp.csr_matrix((coo.data, (coo.row + row0, coo.col + col0)), shape=(n, n))
+
+
 def build_transition_system(
     graph: CitationGraph,
     params: WalkParams,
@@ -111,68 +152,31 @@ def build_transition_system(
 
     n_a, n_p = graph.n_authors, graph.n_papers
     n = n_a + n_p
-    df = params.damping_df
+    keep = 1.0 - params.damping_df
     theta = params.theta
-    keep = 1.0 - df
-    k_min = params.min_citation_count
+    to_paper, _, to_author = hop_matrices(graph)
 
-    init_mass = np.full(n, df)
+    # a citation pick is uniform over max(|refs|, K) slots; the slots beyond
+    # the real references are fake picks
+    n_refs = np.diff(graph.cite.indptr)
+    slots = np.maximum(n_refs, params.min_citation_count)
+    per_slot = np.divide(keep * theta, slots, out=np.zeros(n_p), where=n_refs > 0)
+    has_papers = np.diff(graph.wrote.indptr) > 0
+    has_authors = np.diff(to_author.indptr) > 0
+
+    # the mass of a move the node cannot make reinitializes the walk
+    init_mass = np.full(n, params.damping_df)
+    init_mass[:n_a] += keep * ~has_papers
+    init_mass[n_a:] += keep * theta * (n_refs == 0) + keep * (1.0 - theta) * ~has_authors
     fake_mass = np.zeros(n)
-
-    wrote_rows: list[int] = []
-    wrote_cols: list[int] = []
-    wrote_vals: list[float] = []
-    for a in range(n_a):
-        papers = graph.papers_of[a]
-        if not papers:
-            init_mass[a] += keep
-            continue
-        weights = np.array([1.0 / len(graph.authors_of[p]) for p in papers])
-        weights *= keep / weights.sum()
-        for p, w in zip(papers, weights):
-            wrote_rows.append(a)
-            wrote_cols.append(n_a + p)
-            wrote_vals.append(w)
-
-    cite_rows: list[int] = []
-    cite_cols: list[int] = []
-    cite_vals: list[float] = []
-    iswb_rows: list[int] = []
-    iswb_cols: list[int] = []
-    iswb_vals: list[float] = []
-    for p in range(n_p):
-        row = n_a + p
-        refs = graph.refs_of[p]
-        n_refs = len(refs)
-        if n_refs == 0:
-            init_mass[row] += keep * theta
-        else:
-            slots = max(n_refs, k_min)
-            per_ref = keep * theta / slots
-            for r in refs:
-                cite_rows.append(row)
-                cite_cols.append(n_a + r)
-                cite_vals.append(per_ref)
-            fake_mass[row] += keep * theta * (slots - n_refs) / slots
-        authors = graph.authors_of[p]
-        if not authors:
-            init_mass[row] += keep * (1.0 - theta)
-        else:
-            per_author = keep * (1.0 - theta) / len(authors)
-            for a in authors:
-                iswb_rows.append(row)
-                iswb_cols.append(a)
-                iswb_vals.append(per_author)
-
-    def _csr(rows, cols, vals):
-        return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    fake_mass[n_a:] = per_slot * (slots - n_refs)
 
     return TransitionSystem(
         n_authors=n_a,
         n_papers=n_p,
-        wrote_m=_csr(wrote_rows, wrote_cols, wrote_vals),
-        cite_m=_csr(cite_rows, cite_cols, cite_vals),
-        iswb_m=_csr(iswb_rows, iswb_cols, iswb_vals),
+        wrote_m=_embed(keep * to_paper, 0, n_a, n),
+        cite_m=_embed(sp.diags(per_slot) @ graph.cite, n_a, n_a, n),
+        iswb_m=_embed(keep * (1.0 - theta) * to_author, n_a, 0, n),
         init_mass=init_mass,
         fake_mass=fake_mass,
         restart_dist=_restart_distribution(graph, params),
@@ -181,25 +185,32 @@ def build_transition_system(
 
 
 def stationary_distribution(
-    ts, tol: float = DEFAULT_TOL, max_iterations: int = MAX_ITERATIONS
+    link,
+    jumps: Sequence[tuple[np.ndarray, np.ndarray]] = (),
+    tol: float = DEFAULT_TOL,
+    max_iterations: int = MAX_ITERATIONS,
 ) -> np.ndarray:
-    """Power-iterate from the uniform vector until the L1 residual drops below tol.
+    """Stationary distribution of the chain pi -> pi @ link + sum((pi @ mass) * dist).
 
-    Accepts a TransitionSystem or a plain row-stochastic ndarray.
+    ``link`` is a square non-negative matrix (sparse or dense) or a
+    TransitionSystem, which supplies its own link matrix and jumps.  Each
+    jump is a rank-one term: the row-wise ``mass`` that leaves through it
+    and the ``dist`` it lands on.  Power-iterates from the uniform vector,
+    renormalizing to sum 1, until the L1 change drops below tol.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if isinstance(ts, TransitionSystem):
-        n = ts.n
-        step = ts.step
-    else:
-        matrix = np.asarray(ts, dtype=float)
-        n = matrix.shape[0]
-        step = lambda pi: pi @ matrix
+    if isinstance(link, TransitionSystem):
+        link, jumps = link.link, link.jumps + tuple(jumps)
+    link = sp.csr_matrix(link, dtype=float)
+    n = link.shape[0]
+    if n == 0 or link.shape[1] != n:
+        raise ValueError(f"link must be a non-empty square matrix, got shape {link.shape}")
+    link_t = link.T.tocsr()
     pi = np.full(n, 1.0 / n)
     residual = float("inf")
     for _ in range(max_iterations):
-        nxt = step(pi)
+        nxt = _apply(pi, link_t, jumps)
         nxt /= nxt.sum()
         residual = float(np.abs(nxt - pi).sum())
         pi = nxt
@@ -210,6 +221,14 @@ def stationary_distribution(
         f"(final residual {residual:.3e})",
         residual=residual,
     )
+
+
+def _apply(pi: np.ndarray, link_t, jumps) -> np.ndarray:
+    """pi @ M for M = link + sum of outer(mass, dist), given link transposed."""
+    out = link_t @ pi
+    for mass, dist in jumps:
+        out += (pi @ mass) * dist
+    return out
 
 
 def expected_scores(
@@ -230,7 +249,8 @@ def expected_scores(
         params.wrote_weight * (pi @ ts.wrote_m)
         + params.cite_weight * (pi @ ts.cite_m)
         + params.iswb_weight * (pi @ ts.iswb_m)
-        + params.restarting_weight
-        * ((pi @ ts.init_mass) * ts.restart_dist + (pi @ ts.fake_mass) * ts.paper_dist)
+        + params.restarting_weight * sum((pi @ mass) * dist for mass, dist in ts.jumps)
     )
+    if rate.sum() <= 0:
+        raise ValueError("the walk accumulates no score mass (all c-weights on unused edges?)")
     return ScoreTable.over_all(graph, rate)

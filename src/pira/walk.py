@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import CitationGraph, NodeId, NodeKind
+from .graph import CitationGraph, NodeId
 
 _MASK64 = (1 << 64) - 1
 
@@ -145,9 +145,18 @@ class ScoreTable:
         return float(self.normalized[self._pos(node)])
 
     def by_ext_id(self) -> dict[str, float]:
-        """Normalized score per external id (author and paper ids may collide
-        only across kinds; callers ranking one kind are unaffected)."""
-        return {e: float(s) for e, s in zip(self.ext_ids, self.normalized)}
+        """Normalized score per external id.
+
+        Raises ValueError when two nodes share an id (an author and a
+        paper); filter to one node kind first.
+        """
+        out: dict[str, float] = {}
+        for e, s in zip(self.ext_ids, self.normalized):
+            if e in out:
+                raise ValueError(f"external id {e!r} names more than one node; "
+                                 "filter to a single node kind")
+            out[e] = float(s)
+        return out
 
     def to_tsv(self) -> str:
         """`node_id<TAB>raw<TAB>normalized` lines, sorted by node id."""
@@ -167,43 +176,35 @@ class ScoreTable:
         raw: np.ndarray,
         total_arrivals: int = 0,
     ) -> "ScoreTable":
+        """Table with ``normalize``d scores; all-zero raw scores stay zero."""
         raw = np.asarray(raw, dtype=float)
-        total = raw.sum()
-        if total > 0:
-            normalized = raw * (len(nodes) / total)
-        else:
-            normalized = raw.copy()
+        normalized = normalize(raw, len(nodes)) if raw.sum() > 0 else raw.copy()
         return cls(nodes, ext_ids, in_dblp, raw, normalized, total_arrivals)
 
     @classmethod
-    def over_authors(cls, graph: CitationGraph, values) -> "ScoreTable":
+    def _over(cls, records, values, total_arrivals: int = 0) -> "ScoreTable":
         return cls.from_raw(
-            tuple(a.id for a in graph.authors),
-            tuple(a.ext_id for a in graph.authors),
-            tuple(a.in_dblp for a in graph.authors),
-            np.asarray(values, dtype=float),
+            tuple(r.id for r in records),
+            tuple(r.ext_id for r in records),
+            tuple(r.in_dblp for r in records),
+            values,
+            total_arrivals,
         )
 
     @classmethod
+    def over_authors(cls, graph: CitationGraph, values) -> "ScoreTable":
+        return cls._over(graph.authors, values)
+
+    @classmethod
     def over_papers(cls, graph: CitationGraph, values) -> "ScoreTable":
-        return cls.from_raw(
-            tuple(p.id for p in graph.papers),
-            tuple(p.ext_id for p in graph.papers),
-            tuple(p.in_dblp for p in graph.papers),
-            np.asarray(values, dtype=float),
-        )
+        return cls._over(graph.papers, values)
 
     @classmethod
     def over_all(
         cls, graph: CitationGraph, raw: np.ndarray, total_arrivals: int = 0
     ) -> "ScoreTable":
         """Scores over authors followed by papers, in index order."""
-        nodes = tuple(a.id for a in graph.authors) + tuple(p.id for p in graph.papers)
-        ext = tuple(a.ext_id for a in graph.authors) + tuple(p.ext_id for p in graph.papers)
-        dblp = tuple(a.in_dblp for a in graph.authors) + tuple(p.in_dblp for p in graph.papers)
-        raw = np.asarray(raw, dtype=float)
-        normalized = normalize(raw, len(nodes))
-        return cls(nodes, ext, dblp, raw, normalized, total_arrivals)
+        return cls._over(graph.authors + graph.papers, raw, total_arrivals)
 
 
 def normalize(raw, n_nodes: int | None = None) -> np.ndarray:
@@ -215,73 +216,6 @@ def normalize(raw, n_nodes: int | None = None) -> np.ndarray:
     if total <= 0:
         raise ValueError("cannot normalize all-zero counters")
     return raw * (n_nodes / total)
-
-
-class ChoiceKind(enum.Enum):
-    REAL = "real"
-    FAKE = "fake"
-    NO_REFS = "no_refs"
-
-
-@dataclass(frozen=True)
-class CitationChoice:
-    kind: ChoiceKind
-    paper: Optional[int] = None  # paper index, set only for REAL
-
-    @classmethod
-    def real(cls, paper: int) -> "CitationChoice":
-        return cls(ChoiceKind.REAL, paper)
-
-
-FAKE = CitationChoice(ChoiceKind.FAKE)
-NO_REFS = CitationChoice(ChoiceKind.NO_REFS)
-
-
-def choose_paper_of_author(
-    rng: random.Random, graph: CitationGraph, author: NodeId
-) -> Optional[NodeId]:
-    """Sample one of the author's papers proportionally to its p-weight.
-
-    Returns None when the author has no papers.
-    """
-    if author.kind != NodeKind.AUTHOR:
-        raise ValueError("choose_paper_of_author expects an author node")
-    graph.node(author)
-    papers = graph.papers_of[author.index]
-    if not papers:
-        return None
-    cumulative = []
-    total = 0.0
-    for p in papers:
-        total += 1.0 / len(graph.authors_of[p])
-        cumulative.append(total)
-    u = rng.random() * total
-    for p, bound in zip(papers, cumulative):
-        if u < bound:
-            return NodeId(NodeKind.PAPER, p)
-    return NodeId(NodeKind.PAPER, papers[-1])
-
-
-def choose_citation(
-    rng: random.Random, graph: CitationGraph, paper: NodeId, k: int
-) -> CitationChoice:
-    """Pick a cited paper uniformly over max(|refs|, k) slots.
-
-    Slots beyond the real reference list yield FAKE; a paper without
-    references yields NO_REFS.  k=0 reduces to a uniform pick over refs.
-    """
-    if paper.kind != NodeKind.PAPER:
-        raise ValueError("choose_citation expects a paper node")
-    graph.node(paper)
-    refs = graph.refs_of[paper.index]
-    n = len(refs)
-    if n == 0:
-        return NO_REFS
-    slots = n if n >= k else k
-    s = int(rng.random() * slots)
-    if s >= n:
-        return FAKE
-    return CitationChoice.real(refs[s])
 
 
 def _splitmix64(x: int) -> int:

@@ -126,16 +126,16 @@ def test_criterion_6_dilution_degrades_chain_rank():
 
 def test_criterion_7_pagerank_correctness():
     """Uniform scores on symmetric fixtures; the star matches a direct solve."""
-    ring = pagerank(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
+    ring = pagerank(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]))
     assert np.abs(ring - 1 / 3).max() <= 1e-9
-    cycle = pagerank(2, [(0, 1, 1.0), (1, 0, 1.0)])
+    cycle = pagerank(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert np.abs(cycle - 0.5).max() <= 1e-9
 
     edges = [(1, 0, 1.0), (2, 0, 1.0), (3, 0, 1.0)]
-    pi = pagerank(4, edges, damping=0.15)
     m = np.zeros((4, 4))
     for s, d, w in edges:
         m[s, d] = w
+    pi = pagerank(m, damping=0.15)
     m[0] = 0.25  # dangling hub spreads uniformly
     for s in (1, 2, 3):
         m[s] /= m[s].sum()

@@ -99,6 +99,14 @@ def test_h_index_bounds():
 
 # --- pagerank ---------------------------------------------------------------
 
+def _weights(n, edges):
+    """Dense weight matrix of a (src, dst, w) edge list."""
+    m = np.zeros((n, n))
+    for s, d, w in edges:
+        m[s, d] += w
+    return m
+
+
 def _solve_pagerank_directly(n, edges, damping):
     """Independent route: solve the linear system instead of iterating."""
     m = np.zeros((n, n))
@@ -117,16 +125,16 @@ def _solve_pagerank_directly(n, edges, damping):
 
 def test_pagerank_three_ring_uniform():
     edges = [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)]
-    assert pagerank(3, edges) == pytest.approx([1 / 3] * 3, abs=1e-9)
+    assert pagerank(_weights(3, edges)) == pytest.approx([1 / 3] * 3, abs=1e-9)
 
 
 def test_pagerank_two_cycle_uniform():
-    assert pagerank(2, [(0, 1, 1.0), (1, 0, 1.0)]) == pytest.approx([0.5, 0.5], abs=1e-9)
+    assert pagerank(_weights(2, [(0, 1, 1.0), (1, 0, 1.0)])) == pytest.approx([0.5, 0.5], abs=1e-9)
 
 
 def test_pagerank_star_matches_linear_solve():
     edges = [(1, 0, 1.0), (2, 0, 1.0), (3, 0, 1.0)]
-    pi = pagerank(4, edges, damping=0.15)
+    pi = pagerank(_weights(4, edges), damping=0.15)
     direct = _solve_pagerank_directly(4, edges, 0.15)
     assert pi == pytest.approx(direct, abs=1e-9)
     assert pi[0] > max(pi[1:])
@@ -135,19 +143,19 @@ def test_pagerank_star_matches_linear_solve():
 
 def test_pagerank_validation_and_convergence_cap():
     with pytest.raises(ValueError):
-        pagerank(3, [], damping=0.0)
+        pagerank(_weights(3, []), damping=0.0)
     with pytest.raises(ValueError):
-        pagerank(0, [])
+        pagerank(_weights(0, []))
     with pytest.raises(ValueError):
-        pagerank(2, [(0, 1, -1.0)])
+        pagerank(_weights(2, [(0, 1, -1.0)]))
     with pytest.raises(ConvergenceError):
-        pagerank(3, [(0, 1, 1.0), (1, 0, 1.0)], tol=1e-15, max_iterations=3)
+        pagerank(_weights(3, [(0, 1, 1.0), (1, 0, 1.0)]), tol=1e-15, max_iterations=3)
 
 
 def test_pagerank_weighted_edges_respected():
     # node 0 sends 3/4 of its mass to 1 and 1/4 to 2
     edges = [(0, 1, 3.0), (0, 2, 1.0), (1, 0, 1.0), (2, 0, 1.0)]
-    pi = pagerank(4, edges)  # node 3 is isolated (dangling)
+    pi = pagerank(_weights(4, edges))  # node 3 is isolated (dangling)
     direct = _solve_pagerank_directly(4, edges, 0.15)
     assert pi == pytest.approx(direct, abs=1e-9)
     assert pi[1] > pi[2]

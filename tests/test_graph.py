@@ -218,3 +218,16 @@ def test_node_ordering():
     assert NodeId(NodeKind.PAPER, 1) < NodeId(NodeKind.PAPER, 2)
     assert str(author_id(3)) == "a3"
     assert str(paper_id(4)) == "p4"
+
+
+@pytest.mark.parametrize("sep", ["\t", "\n", "\r"], ids=["tab", "newline", "carriage_return"])
+def test_tsv_separators_in_ids_and_names_rejected(sep):
+    bad = f"x{sep}y"
+    for authors, papers in (
+        ([(bad, "Name")], []),
+        ([("a0", bad)], []),
+        ([], [(bad, "Title")]),
+        ([], [("p0", bad)]),
+    ):
+        with pytest.raises(GraphBuildError, match="tabs or line breaks"):
+            build_graph(authors, papers)

@@ -274,3 +274,24 @@ def test_suggestions_only_for_compatible_names_never_mutate():
             g.authors[s.author_a.index].name, g.authors[s.author_b.index].name
         )
     assert (g.papers_of, g.authors_of, g.refs_of, g.cited_by) == before
+
+
+def test_library_graph_with_unusual_text_is_a_save_load_fixed_point(tmp_path):
+    # everything build_graph accepts must survive the TSV format
+    g = build_graph(
+        authors=[(" a 1 ", 'O\'Brien "Bob"', True), ("ä\\t", "Zoë Œ\x85", False)],
+        papers=[("p#1", "Title\\n with a literal backslash", True), ("p 2", "\x0b\x0c", True)],
+        wrote=[(" a 1 ", "p#1"), ("ä\\t", "p 2")],
+        cites=[("p 2", "p#1")],
+    )
+    first, second = tmp_path / "first", tmp_path / "second"
+    save_graph(g, first)
+    reloaded, _ = load_graph(first)
+    save_graph(reloaded, second)
+    for name in ("authors.tsv", "papers.tsv", "wrote.tsv", "cites.tsv"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+    assert {(a.ext_id, a.name, a.in_dblp) for a in reloaded.authors} == {
+        (a.ext_id, a.name, a.in_dblp) for a in g.authors
+    }
+    titles = lambda gr: {(p.ext_id, p.title) for p in gr.papers}
+    assert titles(reloaded) == titles(g)

@@ -147,6 +147,16 @@ def test_zero_wrote_weight_starves_papers():
     assert by_ext["a0"] > 0
 
 
+def test_zero_score_mass_rejected():
+    # theta=1 on a graph without citations: every arrival is a restart or a
+    # wrote move, and both carry zero weight
+    g = build_graph(authors=[("a0", "A", True)], papers=[("p0", "P", True)],
+                    wrote=[("a0", "p0")])
+    params = WalkParams(theta=1.0, wrote_weight=0.0, restarting_weight=0.0)
+    with pytest.raises(ValueError, match="no score mass"):
+        expected_scores(g, params)
+
+
 def test_expected_scores_scale_invariant_in_weights():
     g = star_graph()
     base = WalkParams(cite_weight=2, wrote_weight=0.5, iswb_weight=1,
@@ -170,3 +180,63 @@ def test_fake_mass_with_min_citation_count():
     assert ts.fake_mass[src] == pytest.approx(0.9)
     m = ts.to_dense()
     assert np.allclose(m.sum(axis=1), 1.0)
+
+
+# --- exact transition rows ------------------------------------------------
+
+def _authors_with_two_one_and_no_papers():
+    # a0 wrote p1 solo (p-weight 1) and p2 with a1 (p-weight 1/2); a2 wrote
+    # nothing; no paper has references
+    return build_graph(
+        authors=[("a0", "Main", True), ("a1", "Co", True), ("a2", "Idle", True)],
+        papers=[("p1", "Solo", True), ("p2", "Joint", True)],
+        wrote=[("a0", "p1"), ("a0", "p2"), ("a1", "p2")],
+    )
+
+
+def _source_with_three_refs():
+    papers = [("src", "Source", True)] + [(f"r{i}", f"Ref {i}", True) for i in range(3)]
+    return build_graph(authors=[], papers=papers,
+                       cites=[("src", f"r{i}") for i in range(3)])
+
+
+_DF, _THETA = 0.15, 0.7
+_KEEP = 1 - _DF
+
+# (graph, params, row node, {class: {target: probability}}, init_mass, fake_mass)
+ROW_CASES = {
+    "p_weight_split": (
+        _authors_with_two_one_and_no_papers, WalkParams(), "a0",
+        {"wrote": {"p1": _KEEP * 2 / 3, "p2": _KEEP / 3}}, _DF, 0.0),
+    "one_paper": (
+        _authors_with_two_one_and_no_papers, WalkParams(), "a1",
+        {"wrote": {"p2": _KEEP}}, _DF, 0.0),
+    "no_papers": (
+        _authors_with_two_one_and_no_papers, WalkParams(), "a2", {}, 1.0, 0.0),
+    "k0_uniform_refs": (
+        _source_with_three_refs, WalkParams(min_citation_count=0), "src",
+        {"cite": {f"r{i}": _KEEP * _THETA / 3 for i in range(3)}},
+        _DF + _KEEP * (1 - _THETA), 0.0),
+    "no_refs": (
+        _authors_with_two_one_and_no_papers, WalkParams(min_citation_count=50), "p1",
+        {"iswb": {"a0": _KEEP * (1 - _THETA)}}, _DF + _KEEP * _THETA, 0.0),
+}
+
+
+@pytest.mark.parametrize("case", list(ROW_CASES))
+def test_transition_rows_exact(case):
+    build, params, node, expected, init_mass, fake_mass = ROW_CASES[case]
+    g = build()
+    ts = build_transition_system(g, params)
+    state = lambda ext: (g.author_index[ext] if ext in g.author_index
+                         else g.n_authors + g.paper_index[ext])
+    row = state(node)
+    classes = {"wrote": ts.wrote_m, "cite": ts.cite_m, "iswb": ts.iswb_m}
+    for name, matrix in classes.items():
+        want = np.zeros(ts.n)
+        for target, p in expected.get(name, {}).items():
+            want[state(target)] = p
+        assert matrix[row].toarray().ravel() == pytest.approx(want, abs=1e-15), name
+    assert ts.init_mass[row] == pytest.approx(init_mass, abs=1e-15)
+    assert ts.fake_mass[row] == pytest.approx(fake_mass, abs=1e-15)
+    assert ts.row_sums()[row] == pytest.approx(1.0, abs=1e-15)

@@ -1,24 +1,19 @@
 import math
-import random
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pira import (
-    ChoiceKind,
     WalkMode,
     WalkParams,
     build_graph,
-    choose_citation,
-    choose_paper_of_author,
     normalize,
     pira_rank,
 )
-from pira.graph import author_id, paper_id
+from pira.baselines import h_index
 from pira.oracle import expected_scores
-from pira.walk import walker_seed
+from pira.walk import ScoreTable, walker_seed
 
 from conftest import FIXTURE_BUILDERS, pair_graph, ring_graph
 
@@ -42,86 +37,6 @@ def test_params_validation():
         WalkParams(min_citation_count=-1).validate()
 
 
-# --- choose_paper_of_author ---------------------------------------------
-
-def _two_paper_author():
-    # p1 solo (p-weight 1), p2 with two authors (p-weight 1/2)
-    return build_graph(
-        authors=[("a0", "Main", True), ("a1", "Co", True)],
-        papers=[("p1", "Solo", True), ("p2", "Joint", True)],
-        wrote=[("a0", "p1"), ("a0", "p2"), ("a1", "p2")],
-    )
-
-
-def test_choose_paper_weighted_frequencies():
-    g = _two_paper_author()
-    rng = random.Random(123)
-    n = 1_000_000
-    counts = Counter(
-        choose_paper_of_author(rng, g, author_id(0)).index for _ in range(n)
-    )
-    # normalized weights: 1 and 1/2 -> probabilities 2/3 and 1/3
-    p1 = g.paper_index["p1"]
-    freq = counts[p1] / n
-    sigma = math.sqrt((2 / 3) * (1 / 3) / n)
-    assert abs(freq - 2 / 3) < 3 * sigma
-
-
-def test_choose_paper_single_and_empty():
-    g = build_graph(
-        authors=[("a0", "One", True), ("a1", "None", True)],
-        papers=[("p0", "P", True)],
-        wrote=[("a0", "p0")],
-    )
-    rng = random.Random(0)
-    for _ in range(50):
-        assert choose_paper_of_author(rng, g, author_id(0)) == paper_id(0)
-    assert choose_paper_of_author(rng, g, author_id(1)) is None
-
-
-# --- choose_citation ------------------------------------------------------
-
-def _ref_graph(n_refs: int):
-    papers = [("src", "Source", True)] + [
-        (f"r{i}", f"Ref {i}", True) for i in range(n_refs)
-    ]
-    cites = [("src", f"r{i}") for i in range(n_refs)]
-    return build_graph(authors=[], papers=papers, cites=cites)
-
-
-def test_choose_citation_dilution_frequency():
-    g = _ref_graph(1)
-    rng = random.Random(5)
-    n = 200_000
-    real = sum(
-        choose_citation(rng, g, paper_id(0), 10).kind == ChoiceKind.REAL
-        for _ in range(n)
-    )
-    sigma = math.sqrt(0.1 * 0.9 / n)
-    assert abs(real / n - 0.1) < 3 * sigma
-
-
-def test_choose_citation_k_zero_uniform():
-    g = _ref_graph(3)
-    rng = random.Random(9)
-    n = 90_000
-    counts = Counter()
-    for _ in range(n):
-        choice = choose_citation(rng, g, paper_id(0), 0)
-        assert choice.kind == ChoiceKind.REAL
-        counts[choice.paper] += 1
-    for c in counts.values():
-        sigma = math.sqrt((1 / 3) * (2 / 3) / n)
-        assert abs(c / n - 1 / 3) < 4 * sigma
-
-
-def test_choose_citation_no_refs():
-    g = _ref_graph(0)
-    rng = random.Random(1)
-    assert choose_citation(rng, g, paper_id(0), 0).kind == ChoiceKind.NO_REFS
-    assert choose_citation(rng, g, paper_id(0), 50).kind == ChoiceKind.NO_REFS
-
-
 # --- normalize ------------------------------------------------------------
 
 def test_normalize_cases():
@@ -130,6 +45,19 @@ def test_normalize_cases():
     assert normalize([0, 4, 4]).tolist() == [0.0, 1.5, 1.5]
     with pytest.raises(ValueError):
         normalize([0.0, 0.0])
+
+
+def test_score_table_normalization_and_ext_id_lookup():
+    # an author and a paper may share an external id
+    g = build_graph(authors=[("x", "Author X", True)], papers=[("x", "Paper X", True)],
+                    wrote=[("x", "x")])
+    table = ScoreTable.over_all(g, [1.0, 3.0])
+    assert table.normalized.tolist() == normalize([1.0, 3.0]).tolist()
+    with pytest.raises(ValueError, match="'x'"):
+        table.by_ext_id()
+    assert ScoreTable.over_papers(g, [2.0]).by_ext_id() == {"x": 1.0}
+    # all-zero baseline vectors give all-zero tables instead of raising
+    assert ScoreTable.over_authors(g, h_index(g)).normalized.tolist() == [0.0]
 
 
 # --- pira_rank ------------------------------------------------------------
