@@ -36,37 +36,30 @@ DEFAULT_DAMPING = 0.15
 
 def pub_count(graph: CitationGraph) -> np.ndarray:
     """Publications per author."""
-    return np.array([len(ps) for ps in graph.papers_of], dtype=float)
+    return np.diff(graph.wrote.indptr).astype(float)
 
 
 def paper_citation_counts(graph: CitationGraph) -> np.ndarray:
     """Incoming citations per paper."""
-    return np.array([len(cs) for cs in graph.cited_by], dtype=float)
+    return np.bincount(graph.cite.indices, minlength=graph.n_papers).astype(float)
 
 
 def cit_count(graph: CitationGraph) -> np.ndarray:
     """Citations per author; a citation to a co-authored paper counts fully
     for every co-author."""
-    per_paper = paper_citation_counts(graph)
-    return np.array(
-        [sum(per_paper[p] for p in ps) for ps in graph.papers_of], dtype=float
-    )
+    return graph.wrote @ paper_citation_counts(graph)
 
 
 def h_index(graph: CitationGraph) -> np.ndarray:
     """Largest h such that the author has >= h papers with >= h citations each."""
-    per_paper = paper_citation_counts(graph)
-    out = np.zeros(graph.n_authors)
-    for a, papers in enumerate(graph.papers_of):
-        counts = sorted((int(per_paper[p]) for p in papers), reverse=True)
-        h = 0
-        for i, c in enumerate(counts, start=1):
-            if c >= i:
-                h = i
-            else:
-                break
-        out[a] = h
-    return out
+    wrote = graph.wrote
+    rows = np.repeat(np.arange(graph.n_authors), np.diff(wrote.indptr))
+    cited = paper_citation_counts(graph)[wrote.indices]
+    # each author's papers by descending citations; rank 1, 2, ... within the row
+    cited = cited[np.lexsort((-cited, rows))]
+    rank = np.arange(1, len(rows) + 1) - wrote.indptr[rows]
+    # the papers with at least their rank's citations form a prefix of each row
+    return np.bincount(rows[cited >= rank], minlength=graph.n_authors).astype(float)
 
 
 def pagerank(

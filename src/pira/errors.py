@@ -9,6 +9,22 @@ class GraphBuildError(PiraError):
     """Raised when a graph cannot be constructed (dangling edge, bad node spec)."""
 
 
+class DanglingEdgeError(GraphBuildError):
+    """An edge endpoint names no node.
+
+    Carries the edge kind (``"wrote"`` or ``"cite"``), the edge's 0-based
+    position in its edge list, and the kind (``"author"`` or ``"paper"``) and
+    id of the unknown endpoint.
+    """
+
+    def __init__(self, message: str, edges: str, position: int, kind: str, ext_id: str):
+        super().__init__(message)
+        self.edges = edges
+        self.position = position
+        self.kind = kind
+        self.ext_id = ext_id
+
+
 class DatasetError(PiraError):
     """Raised for dataset file problems. Carries the offending path and line."""
 

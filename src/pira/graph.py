@@ -9,9 +9,11 @@ Nodes carry a dense integer index per kind (fast array-based walkers) plus a
 stable external string id (``ext_id``) used by every file format and by
 subgraph extraction, where dense indices are reassigned.
 
-The tuple adjacency is the stored form.  The exact measures read it as two
-sparse incidence matrices, ``wrote`` and ``cite``, built from it once per
-graph on first use.
+The tuple adjacency is the stored form.  ``build_graph`` looks every edge id
+up once and makes each of the four views from one numpy sort of the edge
+keys ``source * n_targets + target``, which also finds the duplicates.  The
+exact measures read the adjacency as two sparse incidence matrices,
+``wrote`` and ``cite``, built from it once per graph on first use.
 """
 
 from __future__ import annotations
@@ -21,12 +23,12 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import GraphBuildError
+from .errors import DanglingEdgeError, GraphBuildError
 
 
 class NodeKind(enum.IntEnum):
@@ -197,67 +199,95 @@ def _normalize_specs(specs: Sequence[NodeSpec], kind: str) -> list[tuple[str, st
     return out
 
 
+class EdgeColumns(NamedTuple):
+    """Edges as two parallel id columns: ``sources[i] -> targets[i]``."""
+
+    sources: Sequence[str]
+    targets: Sequence[str]
+
+
+def _edge_indices(
+    edges: Iterable[tuple[str, str]] | EdgeColumns,
+    label: str,
+    src_kind: str,
+    src_index: dict[str, int],
+    dst_index: dict[str, int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dense indices of both endpoint columns, each id looked up once.
+
+    An unknown id raises DanglingEdgeError for the first edge that has one,
+    naming its source before its target.
+    """
+    if not isinstance(edges, EdgeColumns):
+        pairs = list(edges)
+        edges = EdgeColumns([s for s, _ in pairs], [d for _, d in pairs])
+    src = list(map(src_index.get, edges.sources))
+    dst = list(map(dst_index.get, edges.targets))
+    if None in src or None in dst:
+        pos = min(col.index(None) if None in col else len(col) for col in (src, dst))
+        s_ext, d_ext = edges.sources[pos], edges.targets[pos]
+        kind, ext = (src_kind, s_ext) if src[pos] is None else ("paper", d_ext)
+        raise DanglingEdgeError(
+            f"{label} edge ({s_ext!r}, {d_ext!r}): unknown {kind} {ext!r}",
+            edges=label, position=pos, kind=kind, ext_id=ext,
+        )
+    return np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
+
+
+def _adjacency(
+    src: np.ndarray, dst: np.ndarray, n_src: int, n_dst: int
+) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """One sorted tuple of distinct targets per source, plus the number of
+    duplicate edges dropped."""
+    keys = np.sort(src * n_dst + dst)  # by source, then target
+    if len(keys):
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    starts = np.searchsorted(keys, np.arange(n_src + 1) * n_dst).tolist()
+    # plain ints, not numpy scalars; slicing a tuple gives the row tuples
+    targets = tuple((keys % n_dst if n_dst else keys).tolist())
+    rows = tuple([targets[a:b] for a, b in zip(starts, starts[1:])])
+    return rows, len(src) - len(keys)
+
+
 def build_graph(
     authors: Sequence[NodeSpec],
     papers: Sequence[NodeSpec],
-    wrote: Iterable[tuple[str, str]] = (),
-    cites: Iterable[tuple[str, str]] = (),
+    wrote: Iterable[tuple[str, str]] | EdgeColumns = (),
+    cites: Iterable[tuple[str, str]] | EdgeColumns = (),
 ) -> CitationGraph:
     """Construct a CitationGraph from node specs and string-id edge lists.
 
-    Duplicate edges and self-citations are dropped (counted in the report);
-    an edge endpoint that names no node raises GraphBuildError, as does an
-    id, name or title containing a tab or line break (the TSV separators).
-    Authors without papers and papers without authors are permitted and
-    flagged.
+    Edges are (source, target) pairs or one EdgeColumns.  Duplicate edges and
+    self-citations are dropped (counted in the report); an edge endpoint
+    that names no node raises DanglingEdgeError, a GraphBuildError, as does
+    an id, name or title containing a tab or line break (the TSV
+    separators).  Authors without papers and papers without authors are
+    permitted and flagged.
     """
     author_rows = _normalize_specs(authors, "author")
     paper_rows = _normalize_specs(papers, "paper")
+    n_a, n_p = len(author_rows), len(paper_rows)
     a_index = {ext: i for i, (ext, _, _) in enumerate(author_rows)}
     p_index = {ext: i for i, (ext, _, _) in enumerate(paper_rows)}
 
-    papers_of: list[set[int]] = [set() for _ in author_rows]
-    authors_of: list[set[int]] = [set() for _ in paper_rows]
-    dup_wrote = 0
-    for a_ext, p_ext in wrote:
-        ai = a_index.get(a_ext)
-        if ai is None:
-            raise GraphBuildError(f"wrote edge ({a_ext!r}, {p_ext!r}): unknown author {a_ext!r}")
-        pi = p_index.get(p_ext)
-        if pi is None:
-            raise GraphBuildError(f"wrote edge ({a_ext!r}, {p_ext!r}): unknown paper {p_ext!r}")
-        if pi in papers_of[ai]:
-            dup_wrote += 1
-            continue
-        papers_of[ai].add(pi)
-        authors_of[pi].add(ai)
+    w_src, w_dst = _edge_indices(wrote, "wrote", "author", a_index, p_index)
+    c_src, c_dst = _edge_indices(cites, "cite", "paper", p_index, p_index)
+    loops = c_src == c_dst
+    self_cites = int(loops.sum())
+    if self_cites:
+        c_src, c_dst = c_src[~loops], c_dst[~loops]
 
-    refs_of: list[set[int]] = [set() for _ in paper_rows]
-    cited_by: list[set[int]] = [set() for _ in paper_rows]
-    dup_cites = 0
-    self_cites = 0
-    for src_ext, dst_ext in cites:
-        si = p_index.get(src_ext)
-        if si is None:
-            raise GraphBuildError(f"cite edge ({src_ext!r}, {dst_ext!r}): unknown paper {src_ext!r}")
-        di = p_index.get(dst_ext)
-        if di is None:
-            raise GraphBuildError(f"cite edge ({src_ext!r}, {dst_ext!r}): unknown paper {dst_ext!r}")
-        if si == di:
-            self_cites += 1
-            continue
-        if di in refs_of[si]:
-            dup_cites += 1
-            continue
-        refs_of[si].add(di)
-        cited_by[di].add(si)
+    papers_of, dup_wrote = _adjacency(w_src, w_dst, n_a, n_p)
+    authors_of, _ = _adjacency(w_dst, w_src, n_p, n_a)
+    refs_of, dup_cites = _adjacency(c_src, c_dst, n_p, n_p)
+    cited_by, _ = _adjacency(c_dst, c_src, n_p, n_p)
 
     report = BuildReport(
         dropped_duplicate_wrote=dup_wrote,
         dropped_duplicate_cites=dup_cites,
         dropped_self_citations=self_cites,
-        authors_without_papers=sum(1 for s in papers_of if not s),
-        papers_without_authors=sum(1 for s in authors_of if not s),
+        authors_without_papers=papers_of.count(()),
+        papers_without_authors=authors_of.count(()),
     )
     return CitationGraph(
         authors=tuple(
@@ -268,10 +298,10 @@ def build_graph(
             Paper(paper_id(i), ext, title, flag)
             for i, (ext, title, flag) in enumerate(paper_rows)
         ),
-        papers_of=tuple(tuple(sorted(s)) for s in papers_of),
-        authors_of=tuple(tuple(sorted(s)) for s in authors_of),
-        refs_of=tuple(tuple(sorted(s)) for s in refs_of),
-        cited_by=tuple(tuple(sorted(s)) for s in cited_by),
+        papers_of=papers_of,
+        authors_of=authors_of,
+        refs_of=refs_of,
+        cited_by=cited_by,
         report=report,
     )
 

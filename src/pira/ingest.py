@@ -7,8 +7,13 @@ A dataset directory holds four UTF-8 tab-separated files without headers:
 * ``wrote.tsv``:   author_id, paper_id
 * ``cites.tsv``:   citing_paper_id, cited_paper_id
 
-Ids are arbitrary non-empty strings without tabs or newlines.  Saving sorts
-every file, so load -> save is a fixed point of the serialization.
+Ids are arbitrary non-empty strings without tabs or newlines.  Blank lines
+are skipped (they still count in error line numbers), and ``\r\n`` and a
+bare ``\r`` end a line like ``\n``.  Each file is read once and split into
+columns; the field checks run on whole columns.  Edge ids are checked once,
+by ``build_graph``'s index lookup, and an unknown one becomes a ParseError
+naming its file and line.  Saving sorts every file, so load -> save is a
+fixed point of the serialization.
 
 Merge suggestions flag author pairs whose names are initial-compatible
 (same last token, every leading token of the shorter name a prefix of its
@@ -21,10 +26,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import islice, repeat
 from pathlib import Path
 
-from .errors import MissingFileError, ParseError
-from .graph import CitationGraph, NodeId, build_graph
+from .errors import DanglingEdgeError, MissingFileError, ParseError
+from .graph import CitationGraph, EdgeColumns, NodeId, build_graph
 
 AUTHORS_FILE = "authors.tsv"
 PAPERS_FILE = "papers.tsv"
@@ -65,99 +71,85 @@ class LoadReport:
         return "".join(f"{k}={v}\n" for k, v in fields)
 
 
-def _read_rows(path: Path, n_cols: int) -> list[tuple[int, list[str]]]:
+@dataclass(frozen=True)
+class _Table:
+    """The non-blank lines of one dataset file, split into columns."""
+
+    path: Path
+    text: str  # the whole file, kept only to number lines in error messages
+    columns: list[list[str]]
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def error(self, row: int, message: str) -> ParseError:
+        """ParseError at the `row`-th non-blank line; blank lines count in
+        the line number."""
+        lines = (i for i, line in enumerate(self.text.split("\n"), start=1) if line)
+        lineno = next(islice(lines, row, None))
+        return ParseError(f"{self.path.name}:{lineno}: {message}", path=str(self.path), line=lineno)
+
+
+def _first_bad_row(rows: list[str], n_cols: int) -> tuple[int, str]:
+    for i, row in enumerate(rows):
+        cols = row.split("\t")
+        if len(cols) != n_cols:
+            return i, f"expected {n_cols} tab-separated fields, got {len(cols)}"
+        if "" in cols[:2]:
+            return i, "empty field"
+    raise AssertionError("no bad row")
+
+
+def _read_table(path: Path, n_cols: int) -> _Table:
+    """Read a file once and split it into `n_cols` columns.
+
+    Every non-blank line must have `n_cols` fields and non-empty first two
+    fields (the ids; a node's name).  The checks run on whole columns; the
+    first failing line is only looked for when one fails.
+    """
     if not path.is_file():
         raise MissingFileError(f"missing dataset file {path.name} in {path.parent}",
                                path=str(path))
-    rows = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != n_cols:
-                raise ParseError(
-                    f"{path.name}:{lineno}: expected {n_cols} tab-separated fields, "
-                    f"got {len(cols)}",
-                    path=str(path), line=lineno,
-                )
-            if any(not c for c in cols[: min(n_cols, 2)]):
-                raise ParseError(
-                    f"{path.name}:{lineno}: empty field", path=str(path), line=lineno
-                )
-            rows.append((lineno, cols))
-    return rows
+        text = fh.read()  # text mode reads \r\n and a bare \r as \n
+    rows = list(filter(None, text.split("\n")))
+    fields = "\t".join(rows).split("\t") if rows else []
+    table = _Table(path, text, [fields[i::n_cols] for i in range(n_cols)])
+    tabs = list(map(str.count, rows, repeat("\t")))
+    if tabs.count(n_cols - 1) != len(rows) or any("" in col for col in table.columns[:2]):
+        raise table.error(*_first_bad_row(rows, n_cols))
+    return table
 
 
-def _parse_flag(value: str, path: Path, lineno: int) -> bool:
-    if value == "1":
-        return True
-    if value == "0":
-        return False
-    raise ParseError(
-        f"{path.name}:{lineno}: in_dblp flag must be 0 or 1, got {value!r}",
-        path=str(path), line=lineno,
-    )
+def _flags(table: _Table) -> list[bool]:
+    """The in_dblp column (the third) as booleans."""
+    col = table.columns[2]
+    if col.count("1") + col.count("0") != len(col):
+        row = next(i for i, v in enumerate(col) if v not in ("0", "1"))
+        raise table.error(row, f"in_dblp flag must be 0 or 1, got {col[row]!r}")
+    return list(map("1".__eq__, col))
 
 
 def load_graph(directory: str | Path) -> tuple[CitationGraph, LoadReport]:
     """Load a dataset directory into a CitationGraph plus its load report."""
     directory = Path(directory)
-    a_path = directory / AUTHORS_FILE
-    p_path = directory / PAPERS_FILE
-    w_path = directory / WROTE_FILE
-    c_path = directory / CITES_FILE
-
-    author_rows = _read_rows(a_path, 3)
-    paper_rows = _read_rows(p_path, 3)
-    authors = [
-        (cols[0], cols[1], _parse_flag(cols[2], a_path, lineno))
-        for lineno, cols in author_rows
-    ]
-    papers = [
-        (cols[0], cols[1], _parse_flag(cols[2], p_path, lineno))
-        for lineno, cols in paper_rows
-    ]
-    author_ids = {ext for ext, _, _ in authors}
-    paper_ids = {ext for ext, _, _ in papers}
-
-    wrote_rows = _read_rows(w_path, 2)
-    wrote = []
-    for lineno, (a_ext, p_ext) in wrote_rows:
-        if a_ext not in author_ids:
-            raise ParseError(
-                f"{WROTE_FILE}:{lineno}: unknown author {a_ext!r}",
-                path=str(w_path), line=lineno,
-            )
-        if p_ext not in paper_ids:
-            raise ParseError(
-                f"{WROTE_FILE}:{lineno}: unknown paper {p_ext!r}",
-                path=str(w_path), line=lineno,
-            )
-        wrote.append((a_ext, p_ext))
-
-    cites_rows = _read_rows(c_path, 2)
-    cites = []
-    for lineno, (src, dst) in cites_rows:
-        if src not in paper_ids:
-            raise ParseError(
-                f"{CITES_FILE}:{lineno}: unknown paper {src!r}",
-                path=str(c_path), line=lineno,
-            )
-        if dst not in paper_ids:
-            raise ParseError(
-                f"{CITES_FILE}:{lineno}: unknown paper {dst!r}",
-                path=str(c_path), line=lineno,
-            )
-        cites.append((src, dst))
-
-    graph = build_graph(authors, papers, wrote, cites)
+    authors_t = _read_table(directory / AUTHORS_FILE, 3)
+    papers_t = _read_table(directory / PAPERS_FILE, 3)
+    authors = list(zip(*authors_t.columns[:2], _flags(authors_t)))
+    papers = list(zip(*papers_t.columns[:2], _flags(papers_t)))
+    wrote_t = _read_table(directory / WROTE_FILE, 2)
+    cites_t = _read_table(directory / CITES_FILE, 2)
+    try:
+        graph = build_graph(authors, papers, EdgeColumns(*wrote_t.columns),
+                            EdgeColumns(*cites_t.columns))
+    except DanglingEdgeError as exc:
+        table = wrote_t if exc.edges == "wrote" else cites_t
+        raise table.error(exc.position, f"unknown {exc.kind} {exc.ext_id!r}") from None
     report = LoadReport(
         authors=len(authors),
         papers=len(papers),
-        wrote_lines=len(wrote_rows),
-        cites_lines=len(cites_rows),
+        wrote_lines=len(wrote_t),
+        cites_lines=len(cites_t),
         wrote_edges=graph.n_wrote_edges,
         cite_edges=graph.n_cite_edges,
         dropped_duplicate_wrote=graph.report.dropped_duplicate_wrote,

@@ -30,7 +30,7 @@ import scipy.sparse as sp
 
 from .errors import ConvergenceError
 from .graph import CitationGraph
-from .walk import ScoreTable, WalkMode, WalkParams
+from .walk import ScoreTable, WalkMode, WalkParams, restart_author_share
 
 DEFAULT_ORACLE_LIMIT = 10_000
 DEFAULT_TOL = 1e-12
@@ -87,13 +87,7 @@ class TransitionSystem:
 
 def _restart_distribution(graph: CitationGraph, params: WalkParams) -> np.ndarray:
     n_a, n_p = graph.n_authors, graph.n_papers
-    p_author = params.restart_author_prob
-    if p_author is None:
-        p_author = n_a / (n_a + n_p)
-    if n_a == 0:
-        p_author = 0.0
-    elif n_p == 0:
-        p_author = 1.0
+    p_author = restart_author_share(graph, params)
     dist = np.zeros(n_a + n_p)
     if n_a:
         dist[:n_a] = p_author / n_a

@@ -374,16 +374,19 @@ def _run_walker(
             weight = w_iswb
 
 
-def _resolve_restart_author_prob(graph: CitationGraph, params: WalkParams) -> float:
-    p = params.restart_author_prob
-    if p is None:
-        p = graph.n_authors / graph.n_nodes
-    # a type with no nodes cannot be restarted into
+def restart_author_share(graph: CitationGraph, params: WalkParams) -> float:
+    """Probability that a restart lands on an author rather than a paper.
+
+    ``params.restart_author_prob``, or n_authors / n_nodes when it is None;
+    always 0 without authors and 1 without papers, since a node kind with no
+    nodes cannot be restarted into.
+    """
     if graph.n_authors == 0:
         return 0.0
     if graph.n_papers == 0:
         return 1.0
-    return p
+    p = params.restart_author_prob
+    return graph.n_authors / graph.n_nodes if p is None else p
 
 
 def pira_rank(graph: CitationGraph, params: WalkParams) -> ScoreTable:
@@ -403,7 +406,7 @@ def pira_rank(graph: CitationGraph, params: WalkParams) -> ScoreTable:
     if graph.n_nodes == 0:
         raise ValueError("cannot rank an empty graph")
     arr = _prepare(graph)
-    p_author = _resolve_restart_author_prob(graph, params)
+    p_author = restart_author_share(graph, params)
     counters = [0.0] * graph.n_nodes
     base, extra = divmod(params.step_budget, params.walkers)
     for w in range(params.walkers):

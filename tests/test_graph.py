@@ -3,8 +3,8 @@ import random
 import pytest
 
 from pira import build_graph, neighborhood, p_weight
-from pira.errors import GraphBuildError
-from pira.graph import NodeId, NodeKind, author_id, paper_id
+from pira.errors import DanglingEdgeError, GraphBuildError
+from pira.graph import EdgeColumns, NodeId, NodeKind, author_id, paper_id
 
 
 def test_minimal_graph():
@@ -231,3 +231,27 @@ def test_tsv_separators_in_ids_and_names_rejected(sep):
     ):
         with pytest.raises(GraphBuildError, match="tabs or line breaks"):
             build_graph(authors, papers)
+
+
+def test_edge_columns_build_like_pairs_and_dangling_edges_say_where():
+    authors = [("a0", "A", True), ("a1", "B", False)]
+    papers = [("p0", "P", True), ("p1", "Q", True), ("p2", "R", False)]
+    wrote = [("a0", "p0"), ("a1", "p1"), ("a0", "p0"), ("a1", "p2")]
+    cites = [("p1", "p0"), ("p2", "p2"), ("p2", "p0"), ("p1", "p0")]
+    columns = lambda edges: EdgeColumns([s for s, _ in edges], [d for _, d in edges])
+    g = build_graph(authors, papers, wrote, cites)
+    assert build_graph(authors, papers, columns(wrote), columns(cites)) == g
+    assert g.report.dropped_duplicate_wrote == 1
+    assert (g.report.dropped_self_citations, g.report.dropped_duplicate_cites) == (1, 1)
+    assert g.refs_of == ((), (0,), (0,)) and g.cited_by == ((1, 2), (), ())
+
+    # the first bad edge wins; on one edge the source is named first
+    bad_wrote = wrote[:2] + [("zz", "p9"), ("a0", "p8")]
+    with pytest.raises(DanglingEdgeError, match=r"unknown author 'zz'") as err:
+        build_graph(authors, papers, columns(bad_wrote))
+    assert (err.value.edges, err.value.position, err.value.kind, err.value.ext_id) == (
+        "wrote", 2, "author", "zz")
+    bad_cites = cites + [("p0", "p7"), ("p6", "p0")]
+    with pytest.raises(DanglingEdgeError, match=r"cite edge \('p0', 'p7'\): unknown paper 'p7'") as err:
+        build_graph(authors, papers, wrote, bad_cites)
+    assert (err.value.edges, err.value.position) == ("cite", 4)

@@ -1,10 +1,13 @@
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pira import build_graph
 from pira.analysis import dataset_stats
-from pira.errors import MissingFileError, ParseError
+from pira.errors import GraphBuildError, MissingFileError, ParseError
 from pira.ingest import (
     MergeRule,
     initial_compatible,
@@ -295,3 +298,141 @@ def test_library_graph_with_unusual_text_is_a_save_load_fixed_point(tmp_path):
     }
     titles = lambda gr: {(p.ext_id, p.title) for p in gr.papers}
     assert titles(reloaded) == titles(g)
+
+
+# --- loader edge cases ------------------------------------------------------
+
+def _small_dataset(directory: Path) -> Path:
+    return _write_dataset(
+        directory,
+        authors=[("a1", "Ann One", 1), ("a2", "Bo Two", 0)],
+        papers=[("p1", "First", 1), ("p2", "Second", 0), ("p3", "Third", 1)],
+        wrote=[("a1", "p1"), ("a2", "p2"), ("a2", "p3"), ("a1", "p3")],
+        cites=[("p2", "p1"), ("p3", "p1"), ("p3", "p2"), ("p3", "p2")],
+    )
+
+
+def _rewrite_line_ends(directory: Path, newline: str) -> None:
+    for path in directory.iterdir():
+        text = path.read_text(encoding="utf-8")
+        path.write_bytes(text.replace("\n", newline).encode("utf-8"))
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "bare_cr"])
+def test_crlf_and_bare_cr_load_like_lf(tmp_path, newline):
+    lf = _small_dataset(tmp_path / "lf")
+    other = _small_dataset(tmp_path / "other")
+    _rewrite_line_ends(other, newline)
+    assert b"\r" in (other / "cites.tsv").read_bytes()
+    assert load_graph(other) == load_graph(lf)
+
+
+def test_blank_lines_are_skipped(tmp_path):
+    plain = _small_dataset(tmp_path / "plain")
+    blanks = _small_dataset(tmp_path / "blanks")
+    for path in blanks.iterdir():
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        # leading, middle and trailing blank lines
+        path.write_text("\n\n" + lines[0] + "\n" + "".join(lines[1:]) + "\n\n", encoding="utf-8")
+    graph, report = load_graph(blanks)
+    assert (graph, report) == load_graph(plain)
+    assert report.cites_lines == 4
+
+
+@pytest.mark.parametrize(
+    "name, text, expected",
+    [
+        ("authors.tsv", "a1\tAnn One\t1\n\nbroken line\n", r"authors\.tsv:3: expected 3 tab-separated fields, got 1"),
+        ("papers.tsv", "\np1\tFirst\t1\np2\tSecond\t0\n\np3\tThird\tyes\n", r"papers\.tsv:5: in_dblp flag must be 0 or 1, got 'yes'"),
+        ("wrote.tsv", "a1\tp1\n\n\tp2\n", r"wrote\.tsv:3: empty field"),
+        ("cites.tsv", "p2\tp1\n\n\np3\tghost\n", r"cites\.tsv:4: unknown paper 'ghost'"),
+        ("wrote.tsv", "a1\tp1\n\r\nnobody\tp2\n", r"wrote\.tsv:3: unknown author 'nobody'"),
+    ],
+    ids=["malformed", "bad_flag", "empty_field", "unknown_id", "unknown_id_after_crlf_blank"],
+)
+def test_error_after_blank_lines_names_file_and_line(tmp_path, name, text, expected):
+    d = _small_dataset(tmp_path / "ds")
+    (d / name).write_text(text, encoding="utf-8", newline="")
+    with pytest.raises(ParseError, match=expected) as err:
+        load_graph(d)
+    assert err.value.path == str(d / name)
+    assert err.value.line == int(expected.split(":")[1])
+
+
+@pytest.mark.parametrize(
+    "name, text, expected",
+    [
+        ("authors.tsv", "a1\tAnn One\t1\na2\t\t0\nbroken\na3\tC\t2\n", r"authors\.tsv:2: empty field"),
+        ("authors.tsv", "a1\tAnn One\t1\nbroken\na2\t\t0\n", r"authors\.tsv:2: expected 3"),
+        ("papers.tsv", "p1\tFirst\tx\np2\tSecond\t0\np3\tThird\ty\n", r"papers\.tsv:1: .*got 'x'"),
+        ("wrote.tsv", "a1\tp1\na2\tp9\nzz\tp1\n", r"wrote\.tsv:2: unknown paper 'p9'"),
+        ("cites.tsv", "p2\tp1\np3\tp8\np9\tp1\n", r"cites\.tsv:2: unknown paper 'p8'"),
+    ],
+    ids=["empty_before_malformed", "malformed_before_empty", "flags", "wrote_ids", "cite_ids"],
+)
+def test_first_of_several_bad_lines_is_reported(tmp_path, name, text, expected):
+    d = _small_dataset(tmp_path / "ds")
+    (d / name).write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError, match=expected):
+        load_graph(d)
+
+
+def test_unknown_author_and_paper_on_one_line_names_the_author(tmp_path):
+    d = _small_dataset(tmp_path / "ds")
+    (d / "wrote.tsv").write_text("a1\tp1\nghost\tnowhere\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=r"wrote\.tsv:2: unknown author 'ghost'"):
+        load_graph(d)
+
+
+def test_duplicate_author_id_in_file_raises_graph_build_error(tmp_path):
+    d = _small_dataset(tmp_path / "ds")
+    (d / "authors.tsv").write_text("a1\tAnn One\t1\na2\tBo Two\t0\na1\tAnn Again\t1\n",
+                                   encoding="utf-8")
+    with pytest.raises(GraphBuildError, match="duplicate author id 'a1'"):
+        load_graph(d)
+
+
+# --- load_graph against build_graph on random datasets ------------------------
+
+_datasets = st.integers(0, 5).flatmap(
+    lambda n_a: st.integers(0 if n_a == 0 else 1, 6).flatmap(
+        lambda n_p: st.tuples(
+            st.just(n_a),
+            st.just(n_p),
+            st.lists(st.tuples(st.integers(0, n_a - 1), st.integers(0, n_p - 1)), max_size=12)
+            if n_a and n_p else st.just([]),
+            st.lists(st.tuples(st.integers(0, n_p - 1), st.integers(0, n_p - 1)), max_size=16)
+            if n_p else st.just([]),
+        )
+    )
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_datasets, st.sampled_from(["\n", "\r\n"]))
+def test_load_graph_equals_build_graph_on_random_datasets(dataset, newline):
+    n_a, n_p, wrote_idx, cites_idx = dataset
+    authors = [(f"a{i}", f"Author {i}", i % 2) for i in range(n_a)]
+    papers = [(f"p{i}", f"Paper {i}", (i + 1) % 2) for i in range(n_p)]
+    # duplicate lines and self-citations come from the index draws
+    wrote = [(f"a{a}", f"p{p}") for a, p in wrote_idx]
+    cites = [(f"p{s}", f"p{d}") for s, d in cites_idx]
+    with tempfile.TemporaryDirectory() as tmp:
+        d = _write_dataset(Path(tmp) / "ds", authors, papers, wrote, cites)
+        _rewrite_line_ends(d, newline)
+        graph, report = load_graph(d)
+    assert graph == build_graph(
+        [(e, n, bool(f)) for e, n, f in authors], [(e, t, bool(f)) for e, t, f in papers],
+        wrote, cites,
+    )
+
+    # the report's drop counts, recounted by hand
+    kept_cites = [c for c in cites if c[0] != c[1]]
+    assert report.dropped_self_citations == len(cites) - len(kept_cites)
+    assert report.dropped_duplicate_cites == len(kept_cites) - len(set(kept_cites))
+    assert report.dropped_duplicate_wrote == len(wrote) - len(set(wrote))
+    assert (report.wrote_lines, report.cites_lines) == (len(wrote), len(cites))
+    assert report.authors_without_papers == n_a - len({a for a, _ in wrote})
+    assert report.papers_without_authors == n_p - len({p for _, p in wrote})
+    for adjacency in (graph.papers_of, graph.authors_of, graph.refs_of, graph.cited_by):
+        assert all(type(i) is int for row in adjacency for i in row)
