@@ -8,11 +8,14 @@ node id; ranks are dense positions 1..N.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
-from .graph import CitationGraph, NodeKind
+import numpy as np
+
+from .errors import ParseError
+from .graph import CitationGraph, NodeKind, edge_ext_ids
 from .walk import ScoreTable, TableRow
 
 
@@ -33,11 +36,12 @@ class Ranking:
     def nodes(self) -> list[str]:
         return [e.node for e in self.entries]
 
+    @cached_property
+    def _rank_of(self) -> dict[str, int]:
+        return {e.node: e.rank for e in self.entries}
+
     def position_of(self, node: str) -> int:
-        for e in self.entries:
-            if e.node == node:
-                return e.rank
-        raise KeyError(node)
+        return self._rank_of[node]
 
     def to_tsv(self) -> str:
         """`rank<TAB>node_id<TAB>score` lines, scores at 6 decimal places."""
@@ -49,13 +53,20 @@ class Ranking:
         return cls(tuple(RankEntry(i, n, float(s)) for i, (n, s) in enumerate(ordered, 1)))
 
     @classmethod
-    def from_tsv(cls, text: str) -> "Ranking":
+    def from_tsv(cls, text: str, source: str = "<ranking>") -> "Ranking":
+        """Parse `rank<TAB>node_id<TAB>score` lines, skipping blank ones; a
+        malformed line raises ParseError naming `source` and the line."""
         entries = []
-        for line in text.splitlines():
+        for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
-            r, node, score = line.split("\t")
-            entries.append(RankEntry(int(r), node, float(score)))
+            fields = line.split("\t")
+            try:
+                if len(fields) != 3:
+                    raise ValueError(f"expected 3 tab-separated fields, got {len(fields)}")
+                entries.append(RankEntry(int(fields[0]), fields[1], float(fields[2])))
+            except ValueError as exc:
+                raise ParseError(f"{source}:{lineno}: {exc}", path=source, line=lineno) from None
         return cls(tuple(entries))
 
 
@@ -115,6 +126,8 @@ def topx_difference(
     if set1 != set2:
         raise ValueError("rankings cover different node sets")
     n = len(r1)
+    if n == 0:
+        raise ValueError("cannot compare empty rankings")
     nodes1, nodes2 = r1.nodes(), r2.nodes()
     points = []
     for x in cutoffs:
@@ -137,11 +150,10 @@ def rank_scatter(r_base: Ranking, r_other: Ranking, top_n: int) -> list[ScatterP
     """Rank differences for the first `top_n` nodes of the base ranking."""
     if set(r_base.nodes()) != set(r_other.nodes()):
         raise ValueError("rankings cover different node sets")
-    if top_n > len(r_base):
-        raise ValueError(f"top_n={top_n} exceeds ranking size {len(r_base)}")
-    other_pos = {e.node: e.rank for e in r_other.entries}
+    if not 0 <= top_n <= len(r_base):
+        raise ValueError(f"top_n={top_n} is outside [0, {len(r_base)}], the ranking size")
     return [
-        ScatterPoint(e.node, e.rank, e.rank - other_pos[e.node])
+        ScatterPoint(e.node, e.rank, e.rank - r_other.position_of(e.node))
         for e in r_base.entries[:top_n]
     ]
 
@@ -207,48 +219,45 @@ class StatsReport:
         }
 
 
-def _split_histogram(values_flags: Iterable[tuple[int, bool]]) -> dict[int, tuple[int, int]]:
-    dblp: Counter = Counter()
-    ext: Counter = Counter()
-    for value, flag in values_flags:
-        (dblp if flag else ext)[value] += 1
-    return {b: (dblp.get(b, 0), ext.get(b, 0)) for b in sorted(set(dblp) | set(ext))}
+def _split_histogram(values: np.ndarray, flags: np.ndarray) -> dict[int, tuple[int, int]]:
+    """Bucket -> (DBLP count, external count) over the buckets that occur."""
+    size = int(values.max()) + 1 if len(values) else 0
+    dblp = np.bincount(values[flags], minlength=size).tolist()
+    ext = np.bincount(values[~flags], minlength=size).tolist()
+    return {b: (d, e) for b, (d, e) in enumerate(zip(dblp, ext)) if d or e}
 
 
-def _mean(values: list[int]) -> float:
-    return sum(values) / len(values) if values else 0.0
+def _mean(values: np.ndarray) -> float:
+    return int(values.sum()) / len(values) if len(values) else 0.0
 
 
 def dataset_stats(graph: CitationGraph) -> StatsReport:
     """Degree statistics and histograms for a loaded dataset."""
-    pubs = [(len(graph.papers_of[a.id.index]), a.in_dblp) for a in graph.authors]
-    coauthors = [(len(graph.authors_of[p.id.index]), p.in_dblp) for p in graph.papers]
-    out_cits = [(len(graph.refs_of[p.id.index]), p.in_dblp) for p in graph.papers]
-    in_cits_dblp = Counter(
-        len(graph.cited_by[p.id.index]) for p in graph.papers if p.in_dblp
-    )
-    dblp_to_dblp = sum(
-        1
-        for p in graph.papers
-        if p.in_dblp
-        for r in graph.refs_of[p.id.index]
-        if graph.papers[r].in_dblp
-    )
+    a_dblp = np.array([a.in_dblp for a in graph.authors], dtype=bool)
+    p_dblp = np.array([p.in_dblp for p in graph.papers], dtype=bool)
+    pubs = np.diff(graph.wrote.indptr)
+    coauthors = np.bincount(graph.wrote.indices, minlength=graph.n_papers)
+    out_cits = np.diff(graph.cite.indptr)
+    in_cits_dblp = np.bincount(graph.cite.indices, minlength=graph.n_papers)[p_dblp]
+    # an edge is DBLP -> DBLP when its source (repeated per reference) and target both are
+    dblp_to_dblp = int(np.count_nonzero(np.repeat(p_dblp, out_cits) & p_dblp[graph.cite.indices]))
     return StatsReport(
         n_authors=graph.n_authors,
-        n_authors_dblp=sum(1 for a in graph.authors if a.in_dblp),
+        n_authors_dblp=int(a_dblp.sum()),
         n_papers=graph.n_papers,
-        n_papers_dblp=sum(1 for p in graph.papers if p.in_dblp),
-        mean_pubs_dblp=_mean([v for v, f in pubs if f]),
-        mean_pubs_external=_mean([v for v, f in pubs if not f]),
-        mean_coauthors_dblp=_mean([v for v, f in coauthors if f]),
-        mean_coauthors_external=_mean([v for v, f in coauthors if not f]),
+        n_papers_dblp=int(p_dblp.sum()),
+        mean_pubs_dblp=_mean(pubs[a_dblp]),
+        mean_pubs_external=_mean(pubs[~a_dblp]),
+        mean_coauthors_dblp=_mean(coauthors[p_dblp]),
+        mean_coauthors_external=_mean(coauthors[~p_dblp]),
         citation_edges=graph.n_cite_edges,
         citation_edges_dblp_to_dblp=dblp_to_dblp,
-        pubs_per_author=_split_histogram(pubs),
-        coauthors_per_paper=_split_histogram(coauthors),
-        out_citations_per_paper=_split_histogram(out_cits),
-        in_citations_per_paper_dblp=dict(sorted(in_cits_dblp.items())),
+        pubs_per_author=_split_histogram(pubs, a_dblp),
+        coauthors_per_paper=_split_histogram(coauthors, p_dblp),
+        out_citations_per_paper=_split_histogram(out_cits, p_dblp),
+        in_citations_per_paper_dblp={
+            b: n for b, n in enumerate(np.bincount(in_cits_dblp).tolist()) if n
+        },
     )
 
 
@@ -284,18 +293,9 @@ def export_dot(graph: CitationGraph, scores: Optional[ScoreTable] = None) -> str
             f'  "p:{_dot_escape(p.ext_id)}" [shape=box, '
             f'label="{label(NodeKind.PAPER, p.ext_id, p.title)}"];'
         )
-    wrote = sorted(
-        (graph.authors[a].ext_id, graph.papers[p].ext_id)
-        for a, papers in enumerate(graph.papers_of)
-        for p in papers
-    )
+    wrote, cites = edge_ext_ids(graph)
     for a_ext, p_ext in wrote:
         lines.append(f'  "a:{_dot_escape(a_ext)}" -> "p:{_dot_escape(p_ext)}" [dir=none];')
-    cites = sorted(
-        (graph.papers[s].ext_id, graph.papers[d].ext_id)
-        for s, refs in enumerate(graph.refs_of)
-        for d in refs
-    )
     for s_ext, d_ext in cites:
         lines.append(f'  "p:{_dot_escape(s_ext)}" -> "p:{_dot_escape(d_ext)}";')
     lines.append("}")

@@ -7,9 +7,11 @@ bipartite walk: leave the author through a p-weight-proportional paper pick,
 follow one uniformly chosen reference, land on a uniformly chosen author of
 the cited paper.
 
-Both are sparse algebra on the graph's incidence matrices: the paper graph is
-``CitationGraph.cite``, the author graph is the sparse product of the oracle's
-three one-hop matrices, and PageRank runs on the oracle's stationary solver.
+Every measure here is sparse algebra on the graph's stored incidence
+matrices, ``CitationGraph.wrote`` and ``cite``: the counts are their degree
+sums, PR-P's paper graph is ``cite`` itself, PR-A's author graph is the
+sparse product of the oracle's three one-hop matrices, and PageRank runs on
+the oracle's stationary solver.
 """
 
 from __future__ import annotations

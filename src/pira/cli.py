@@ -139,8 +139,8 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    r_a = Ranking.from_tsv(Path(args.rank_a).read_text(encoding="utf-8"))
-    r_b = Ranking.from_tsv(Path(args.rank_b).read_text(encoding="utf-8"))
+    r_a, r_b = (Ranking.from_tsv(Path(f).read_text(encoding="utf-8"), source=f)
+                for f in (args.rank_a, args.rank_b))
     if args.curve:
         try:
             cutoffs = [float(x) for x in args.curve.split(",") if x.strip()]

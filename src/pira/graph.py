@@ -9,11 +9,14 @@ Nodes carry a dense integer index per kind (fast array-based walkers) plus a
 stable external string id (``ext_id``) used by every file format and by
 subgraph extraction, where dense indices are reassigned.
 
-The tuple adjacency is the stored form.  ``build_graph`` looks every edge id
-up once and makes each of the four views from one numpy sort of the edge
-keys ``source * n_targets + target``, which also finds the duplicates.  The
-exact measures read the adjacency as two sparse incidence matrices,
-``wrote`` and ``cite``, built from it once per graph on first use.
+The adjacency is stored once, as two read-only CSR incidence matrices:
+``wrote`` (authors x papers) and ``cite`` (papers x papers).  ``build_graph``
+looks every edge id up once and makes each matrix from one numpy sort of the
+edge keys ``source * n_targets + target``, which also finds the duplicates.
+The exact measures, the counts and the edge listings read the matrices; the
+tuple views ``papers_of``, ``authors_of``, ``refs_of`` and ``cited_by`` are
+derived from them (the reverse two from the transposes) on first use, for
+callers that walk Python sequences.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import enum
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -86,21 +88,34 @@ class BuildReport:
 NodeSpec = Union[tuple[str, str], tuple[str, str, bool]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds matrices; __eq__ below, unhashable
 class CitationGraph:
     """Bipartite citation graph, immutable after construction.
 
-    Adjacency is kept as tuples of sorted index tuples; all four views are
-    mutually consistent by construction.  Safe for concurrent readers.
+    The edges are two read-only 0/1 CSR matrices with sorted, distinct
+    column indices per row; the four tuple views derive from them, so every
+    view is consistent by construction.  Safe for concurrent readers.
     """
 
     authors: tuple[Author, ...]
     papers: tuple[Paper, ...]
-    papers_of: tuple[tuple[int, ...], ...]   # author index -> paper indices
-    authors_of: tuple[tuple[int, ...], ...]  # paper index -> author indices
-    refs_of: tuple[tuple[int, ...], ...]     # paper index -> papers it cites
-    cited_by: tuple[tuple[int, ...], ...]    # paper index -> papers citing it
+    wrote: sp.csr_matrix  # authors x papers: 1 where the author wrote the paper
+    cite: sp.csr_matrix   # papers x papers: 1 where the row paper cites the column
     report: BuildReport
+
+    def __eq__(self, other: object) -> bool:
+        """Same records, same build report and the same edges."""
+        if not isinstance(other, CitationGraph):
+            return NotImplemented
+        return (
+            self.authors == other.authors
+            and self.papers == other.papers
+            and self.report == other.report
+            and all(
+                np.array_equal(m.indptr, o.indptr) and np.array_equal(m.indices, o.indices)
+                for m, o in ((self.wrote, other.wrote), (self.cite, other.cite))
+            )
+        )
 
     @property
     def n_authors(self) -> int:
@@ -116,21 +131,27 @@ class CitationGraph:
 
     @property
     def n_wrote_edges(self) -> int:
-        return sum(len(ps) for ps in self.papers_of)
+        return self.wrote.nnz
 
     @property
     def n_cite_edges(self) -> int:
-        return sum(len(rs) for rs in self.refs_of)
+        return self.cite.nnz
 
     @cached_property
-    def wrote(self) -> sp.csr_matrix:
-        """Read-only authors x papers incidence matrix: 1 where the author wrote the paper."""
-        return _incidence(self.papers_of, self.n_papers)
+    def papers_of(self) -> tuple[tuple[int, ...], ...]:  # author index -> paper indices
+        return _rows(self.wrote)
 
     @cached_property
-    def cite(self) -> sp.csr_matrix:
-        """Read-only papers x papers incidence matrix: 1 where the row paper cites the column."""
-        return _incidence(self.refs_of, self.n_papers)
+    def authors_of(self) -> tuple[tuple[int, ...], ...]:  # paper index -> author indices
+        return _rows(self.wrote.T.tocsr())
+
+    @cached_property
+    def refs_of(self) -> tuple[tuple[int, ...], ...]:  # paper index -> papers it cites
+        return _rows(self.cite)
+
+    @cached_property
+    def cited_by(self) -> tuple[tuple[int, ...], ...]:  # paper index -> papers citing it
+        return _rows(self.cite.T.tocsr())
 
     @cached_property
     def author_index(self) -> dict[str, int]:
@@ -153,24 +174,27 @@ class CitationGraph:
     def ext_id(self, node: NodeId) -> str:
         return self.node(node).ext_id
 
-    def in_dblp(self, node: NodeId) -> bool:
-        return self.node(node).in_dblp
 
-    def all_nodes(self) -> Iterable[NodeId]:
-        for a in self.authors:
-            yield a.id
-        for p in self.papers:
-            yield p.id
+def _rows(m: sp.csr_matrix) -> tuple[tuple[int, ...], ...]:
+    """The column indices of each row of `m`, as tuples of plain ints."""
+    cols = tuple(m.indices.tolist())  # slicing a tuple gives the row tuples
+    bounds = m.indptr.tolist()
+    return tuple([cols[a:b] for a, b in zip(bounds, bounds[1:])])
 
 
-def _incidence(rows: tuple[tuple[int, ...], ...], n_cols: int) -> sp.csr_matrix:
-    counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    indices = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(indptr[-1]))
-    m = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(len(rows), n_cols))
-    for a in (m.data, m.indices, m.indptr):
-        a.flags.writeable = False  # shared by every reader of the cached property
-    return m
+def edge_ext_ids(
+    graph: CitationGraph,
+) -> tuple[list[tuple[str, str]], list[tuple[str, str]]]:
+    """The wrote and the cite edges as sorted (source, target) external-id pairs."""
+    author_ext = [a.ext_id for a in graph.authors]
+    paper_ext = [p.ext_id for p in graph.papers]
+
+    def pairs(m: sp.csr_matrix, source_ext: list[str]) -> list[tuple[str, str]]:
+        rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)).tolist()
+        return sorted(zip(map(source_ext.__getitem__, rows),
+                          map(paper_ext.__getitem__, m.indices.tolist())))
+
+    return pairs(graph.wrote, author_ext), pairs(graph.cite, paper_ext)
 
 
 def _normalize_specs(specs: Sequence[NodeSpec], kind: str) -> list[tuple[str, str, bool]]:
@@ -234,19 +258,20 @@ def _edge_indices(
     return np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
 
 
-def _adjacency(
+def _edge_matrix(
     src: np.ndarray, dst: np.ndarray, n_src: int, n_dst: int
-) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """One sorted tuple of distinct targets per source, plus the number of
-    duplicate edges dropped."""
+) -> tuple[sp.csr_matrix, int]:
+    """Read-only n_src x n_dst 0/1 matrix of the distinct (src, dst) edges,
+    plus the number of duplicate edges dropped."""
     keys = np.sort(src * n_dst + dst)  # by source, then target
     if len(keys):
         keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    starts = np.searchsorted(keys, np.arange(n_src + 1) * n_dst).tolist()
-    # plain ints, not numpy scalars; slicing a tuple gives the row tuples
-    targets = tuple((keys % n_dst if n_dst else keys).tolist())
-    rows = tuple([targets[a:b] for a, b in zip(starts, starts[1:])])
-    return rows, len(src) - len(keys)
+    indptr = np.searchsorted(keys, np.arange(n_src + 1) * n_dst)
+    indices = keys % n_dst if n_dst else keys
+    m = sp.csr_matrix((np.ones(len(keys)), indices, indptr), shape=(n_src, n_dst))
+    for a in (m.data, m.indices, m.indptr):
+        a.flags.writeable = False  # shared by every reader of the graph
+    return m, len(src) - len(keys)
 
 
 def build_graph(
@@ -277,17 +302,16 @@ def build_graph(
     if self_cites:
         c_src, c_dst = c_src[~loops], c_dst[~loops]
 
-    papers_of, dup_wrote = _adjacency(w_src, w_dst, n_a, n_p)
-    authors_of, _ = _adjacency(w_dst, w_src, n_p, n_a)
-    refs_of, dup_cites = _adjacency(c_src, c_dst, n_p, n_p)
-    cited_by, _ = _adjacency(c_dst, c_src, n_p, n_p)
+    wrote_m, dup_wrote = _edge_matrix(w_src, w_dst, n_a, n_p)
+    cite_m, dup_cites = _edge_matrix(c_src, c_dst, n_p, n_p)
 
     report = BuildReport(
         dropped_duplicate_wrote=dup_wrote,
         dropped_duplicate_cites=dup_cites,
         dropped_self_citations=self_cites,
-        authors_without_papers=papers_of.count(()),
-        papers_without_authors=authors_of.count(()),
+        authors_without_papers=int(np.count_nonzero(np.diff(wrote_m.indptr) == 0)),
+        papers_without_authors=int(np.count_nonzero(
+            np.bincount(wrote_m.indices, minlength=n_p) == 0)),
     )
     return CitationGraph(
         authors=tuple(
@@ -298,10 +322,8 @@ def build_graph(
             Paper(paper_id(i), ext, title, flag)
             for i, (ext, title, flag) in enumerate(paper_rows)
         ),
-        papers_of=papers_of,
-        authors_of=authors_of,
-        refs_of=refs_of,
-        cited_by=cited_by,
+        wrote=wrote_m,
+        cite=cite_m,
         report=report,
     )
 
@@ -312,11 +334,12 @@ def p_weight(graph: CitationGraph, author: NodeId, paper: NodeId) -> float:
         raise ValueError("p_weight expects an (author, paper) pair")
     graph.node(author)
     graph.node(paper)
-    if author.index not in graph.authors_of[paper.index]:
+    w = graph.wrote
+    if paper.index not in w.indices[w.indptr[author.index]:w.indptr[author.index + 1]]:
         raise ValueError(
             f"no wrote edge between {graph.ext_id(author)!r} and {graph.ext_id(paper)!r}"
         )
-    return 1.0 / len(graph.authors_of[paper.index])
+    return 1.0 / int(np.count_nonzero(w.indices == paper.index))
 
 
 def neighborhood(graph: CitationGraph, center: NodeId, radius: int) -> CitationGraph:

@@ -30,7 +30,7 @@ from itertools import islice, repeat
 from pathlib import Path
 
 from .errors import DanglingEdgeError, MissingFileError, ParseError
-from .graph import CitationGraph, EdgeColumns, NodeId, build_graph
+from .graph import CitationGraph, EdgeColumns, NodeId, build_graph, edge_ext_ids
 
 AUTHORS_FILE = "authors.tsv"
 PAPERS_FILE = "papers.tsv"
@@ -167,16 +167,7 @@ def save_graph(graph: CitationGraph, directory: str | Path) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     authors = sorted(graph.authors, key=lambda a: a.ext_id)
     papers = sorted(graph.papers, key=lambda p: p.ext_id)
-    wrote = sorted(
-        (graph.authors[a].ext_id, graph.papers[p].ext_id)
-        for a, ps in enumerate(graph.papers_of)
-        for p in ps
-    )
-    cites = sorted(
-        (graph.papers[s].ext_id, graph.papers[d].ext_id)
-        for s, refs in enumerate(graph.refs_of)
-        for d in refs
-    )
+    wrote, cites = edge_ext_ids(graph)
     (directory / AUTHORS_FILE).write_text(
         "".join(f"{a.ext_id}\t{a.name}\t{int(a.in_dblp)}\n" for a in authors),
         encoding="utf-8",

@@ -12,8 +12,8 @@ The transition matrix is held as three sparse class matrices (wrote, cite,
 isWrittenBy) plus two rank-1 restart components: reinitialization mass times
 the restart distribution, and fake-citation mass times the uniform paper
 distribution.  Rows sum to one exactly.  The class matrices are scaled copies
-of the graph's incidence matrices (``CitationGraph.wrote`` and ``cite``), so
-no dense matrix is built.
+of the graph's stored incidence matrices (``CitationGraph.wrote`` and
+``cite``, the graph's one adjacency), so no dense matrix is built.
 
 ``stationary_distribution`` is the package's one power-iteration solver:
 the PageRank baselines run through it too, with teleport and dangling mass

@@ -29,6 +29,8 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -131,18 +133,15 @@ class ScoreTable:
                                      self.raw, self.normalized)
         ]
 
-    def _pos(self, node: NodeId) -> int:
-        try:
-            return self._index[node]  # type: ignore[attr-defined]
-        except AttributeError:
-            object.__setattr__(self, "_index", {n: i for i, n in enumerate(self.nodes)})
-            return self._index[node]  # type: ignore[attr-defined]
+    @cached_property
+    def _pos(self) -> dict[NodeId, int]:
+        return {n: i for i, n in enumerate(self.nodes)}
 
     def raw_of(self, node: NodeId) -> float:
-        return float(self.raw[self._pos(node)])
+        return float(self.raw[self._pos[node]])
 
     def normalized_of(self, node: NodeId) -> float:
-        return float(self.normalized[self._pos(node)])
+        return float(self.normalized[self._pos[node]])
 
     def by_ext_id(self) -> dict[str, float]:
         """Normalized score per external id.
@@ -230,31 +229,13 @@ def walker_seed(seed: int, walker: int) -> int:
     return _splitmix64(_splitmix64(seed & _MASK64) ^ (walker + 1))
 
 
-@dataclass
-class _Arrays:
-    """Flat per-node adjacency prepared once per ranking run."""
-
-    author_papers: list[tuple[int, ...]]
-    author_cumw: list[list[float]]
-    paper_authors: list[tuple[int, ...]]
-    paper_refs: list[tuple[int, ...]]
-
-
-def _prepare(graph: CitationGraph) -> _Arrays:
-    cumw: list[list[float]] = []
-    for papers in graph.papers_of:
-        acc: list[float] = []
-        total = 0.0
-        for p in papers:
-            total += 1.0 / len(graph.authors_of[p])
-            acc.append(total)
-        cumw.append(acc)
-    return _Arrays(
-        author_papers=list(graph.papers_of),
-        author_cumw=cumw,
-        paper_authors=list(graph.authors_of),
-        paper_refs=list(graph.refs_of),
-    )
+def _cumulative_p_weights(graph: CitationGraph) -> list[list[float]]:
+    """Per author, the running sums of the p-weights (1 / co-author count)
+    of the author's papers, in ``papers_of`` order."""
+    wrote = graph.wrote
+    per_edge = (1.0 / np.bincount(wrote.indices)[wrote.indices]).tolist()
+    bounds = wrote.indptr.tolist()
+    return [list(accumulate(per_edge[a:b])) for a, b in zip(bounds, bounds[1:])]
 
 
 # Walker states: the next arrival is encoded as (node, weight, phase).
@@ -265,7 +246,8 @@ _P2A = 1
 
 def _run_walker(
     counters: list[float],
-    arr: _Arrays,
+    graph: CitationGraph,
+    author_cumw: list[list[float]],
     params: WalkParams,
     rng: random.Random,
     budget: int,
@@ -277,10 +259,9 @@ def _run_walker(
     (authors in [0, A), papers offset by A).
     """
     rand = rng.random
-    author_papers = arr.author_papers
-    author_cumw = arr.author_cumw
-    paper_authors = arr.paper_authors
-    paper_refs = arr.paper_refs
+    author_papers = graph.papers_of
+    paper_authors = graph.authors_of
+    paper_refs = graph.refs_of
     n_authors = len(author_papers)
     n_papers = len(paper_authors)
     df = params.damping_df
@@ -405,7 +386,7 @@ def pira_rank(graph: CitationGraph, params: WalkParams) -> ScoreTable:
     params.validate()
     if graph.n_nodes == 0:
         raise ValueError("cannot rank an empty graph")
-    arr = _prepare(graph)
+    author_cumw = _cumulative_p_weights(graph)
     p_author = restart_author_share(graph, params)
     counters = [0.0] * graph.n_nodes
     base, extra = divmod(params.step_budget, params.walkers)
@@ -414,7 +395,7 @@ def pira_rank(graph: CitationGraph, params: WalkParams) -> ScoreTable:
         if budget == 0:
             continue
         rng = random.Random(walker_seed(params.seed, w))
-        _run_walker(counters, arr, params, rng, budget, p_author)
+        _run_walker(counters, graph, author_cumw, params, rng, budget, p_author)
     raw = np.array(counters, dtype=float)
     if raw.sum() <= 0:
         raise ValueError("walk accumulated no score mass (all c-weights on unused edges?)")

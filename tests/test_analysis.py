@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pira import build_graph
+from pira.errors import ParseError
 from pira.analysis import (
     RankEntry,
     Ranking,
@@ -79,6 +80,23 @@ def test_ranking_tsv_round_trip():
     assert Ranking.from_tsv(text).nodes() == ["a", "b"]
 
 
+def test_ranking_from_tsv_names_source_and_line_of_a_bad_line():
+    good = "1\ta\t1.500000\n\n2\tb\t0.500000\n"
+    r = Ranking.from_tsv(good, source="r.tsv")
+    assert [r.position_of(n) for n in ("a", "b")] == [1, 2]
+    with pytest.raises(KeyError):
+        r.position_of("c")
+    for bad, message in [
+        ("2\tb\n", r"r\.tsv:4: expected 3 tab-separated fields, got 2"),
+        ("2\tb\t0.5\textra\n", r"r\.tsv:4: expected 3 tab-separated fields, got 4"),
+        ("two\tb\t0.5\n", r"r\.tsv:4: invalid literal for int"),
+        ("2\tb\thigh\n", r"r\.tsv:4: could not convert string to float"),
+    ]:
+        with pytest.raises(ParseError, match=message) as err:
+            Ranking.from_tsv(good + bad, source="r.tsv")
+        assert (err.value.path, err.value.line) == ("r.tsv", 4)
+
+
 # --- topx_difference -------------------------------------------------------
 
 def _ranking(nodes):
@@ -133,6 +151,11 @@ def test_topx_rejects_mismatched_sets_and_bad_cutoffs():
         topx_difference(r1, r1, [101])
 
 
+def test_topx_rejects_empty_rankings():
+    with pytest.raises(ValueError, match="empty"):
+        topx_difference(Ranking(()), Ranking(()), [10])
+
+
 def test_diff_curve_csv():
     r = _ranking(["a", "b"])
     text = topx_difference(r, r, [50, 100]).to_csv()
@@ -169,6 +192,13 @@ def test_scatter_full_length_and_bounds():
         rank_scatter(r1, r2, 4)
     csv = scatter_to_csv(rank_scatter(r1, r2, 3))
     assert csv.splitlines()[0] == "node_id,base_rank,rank_difference"
+
+
+def test_scatter_rejects_negative_top_n():
+    r = _ranking(["a"])
+    assert rank_scatter(r, r, 0) == []
+    with pytest.raises(ValueError, match="top_n=-1"):
+        rank_scatter(r, r, -1)
 
 
 # --- dataset_stats ----------------------------------------------------------

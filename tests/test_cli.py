@@ -137,6 +137,31 @@ def test_compare_mismatched_sets(dataset, tmp_path, capsys):
     assert main(["compare", str(r1), str(r2), "--curve", "50"]) == 2
 
 
+def test_compare_empty_rankings_is_an_input_error(tmp_path, capsys):
+    r1, r2 = tmp_path / "e1.tsv", tmp_path / "e2.tsv"
+    r1.write_text("", encoding="utf-8")
+    r2.write_text("\n", encoding="utf-8")
+    assert main(["compare", str(r1), str(r2), "--curve", "10"]) == 2
+    assert "empty" in capsys.readouterr().err
+
+
+def test_compare_negative_scatter_is_an_input_error(tmp_path, capsys):
+    r = tmp_path / "one.tsv"
+    r.write_text("1\tx\t1.000000\n", encoding="utf-8")
+    assert main(["compare", str(r), str(r), "--scatter", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "top_n=-1" in captured.err
+
+
+def test_compare_malformed_ranking_line_names_file_and_line(tmp_path, capsys):
+    good, bad = tmp_path / "good.tsv", tmp_path / "bad.tsv"
+    good.write_text("1\tx\t1.000000\n2\ty\t0.500000\n", encoding="utf-8")
+    bad.write_text("1\tx\t1.000000\n2\ty\n", encoding="utf-8")
+    assert main(["compare", str(good), str(bad), "--curve", "50"]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}:2: expected 3 tab-separated fields, got 2" in err
+
+
 def test_inspect_radius_zero(dataset, capsys):
     assert main(["inspect", str(dataset), "a:alice", "--radius", "0"]) == 0
     out = capsys.readouterr().out

@@ -1,10 +1,18 @@
 import random
+import tempfile
+from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pira import build_graph, neighborhood, p_weight
+from pira.analysis import StatsReport, dataset_stats, export_dot
 from pira.errors import DanglingEdgeError, GraphBuildError
 from pira.graph import EdgeColumns, NodeId, NodeKind, author_id, paper_id
+from pira.ingest import save_graph
 
 
 def test_minimal_graph():
@@ -255,3 +263,108 @@ def test_edge_columns_build_like_pairs_and_dangling_edges_say_where():
     with pytest.raises(DanglingEdgeError, match=r"cite edge \('p0', 'p7'\): unknown paper 'p7'") as err:
         build_graph(authors, papers, wrote, bad_cites)
     assert (err.value.edges, err.value.position) == ("cite", 4)
+
+
+# --- the matrix-backed graph against a plain-Python recount --------------------
+
+_edge_lists = st.integers(0, 12).flatmap(
+    lambda n_a: st.integers(0, 12).flatmap(
+        lambda n_p: st.tuples(
+            st.lists(st.booleans(), min_size=n_a, max_size=n_a),
+            st.lists(st.booleans(), min_size=n_p, max_size=n_p),
+            st.lists(st.tuples(st.integers(0, n_a - 1), st.integers(0, n_p - 1)), max_size=30)
+            if n_a and n_p else st.just([]),
+            # small paper ranges make duplicates and self-citations common
+            st.lists(st.tuples(st.integers(0, n_p - 1), st.integers(0, n_p - 1)), max_size=40)
+            if n_p else st.just([]),
+        )
+    )
+)
+
+
+def _rows_of(dense) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(j) for j in np.flatnonzero(row)) for row in dense)
+
+
+def _histogram(values_flags) -> dict[int, tuple[int, int]]:
+    dblp = Counter(v for v, f in values_flags if f)
+    ext = Counter(v for v, f in values_flags if not f)
+    return {b: (dblp[b], ext[b]) for b in sorted(set(dblp) | set(ext))}
+
+
+def _mean(values) -> float:
+    return sum(values) / len(values) if values else 0.0
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_edge_lists)
+def test_matrix_graph_matches_a_plain_recount(draw):
+    a_flags, p_flags, wrote_idx, cites_idx = draw
+    # ids that do not sort like their indices ("a10" < "a2")
+    authors = [(f"a{i}", f"Author {i}", f) for i, f in enumerate(a_flags)]
+    papers = [(f"p{i}", f"Paper {i}", f) for i, f in enumerate(p_flags)]
+    g = build_graph(authors, papers,
+                    [(f"a{a}", f"p{p}") for a, p in wrote_idx],
+                    [(f"p{s}", f"p{d}") for s, d in cites_idx])
+    n_a, n_p = len(authors), len(papers)
+    wrote = sorted(set(wrote_idx))
+    cites = sorted({(s, d) for s, d in cites_idx if s != d})
+
+    # each view is the rows of its matrix or of the transpose, in plain ints
+    w, c = g.wrote.toarray(), g.cite.toarray()
+    assert g.papers_of == _rows_of(w) and g.authors_of == _rows_of(w.T)
+    assert g.refs_of == _rows_of(c) and g.cited_by == _rows_of(c.T)
+    for view in (g.papers_of, g.authors_of, g.refs_of, g.cited_by):
+        assert all(type(i) is int for row in view for i in row)
+    assert g.papers_of == tuple(tuple(p for x, p in wrote if x == a) for a in range(n_a))
+    assert g.cited_by == tuple(tuple(s for s, d in cites if d == p) for p in range(n_p))
+    assert (g.n_wrote_edges, g.n_cite_edges) == (len(wrote), len(cites))
+    assert g.report.authors_without_papers == n_a - len({a for a, _ in wrote})
+    assert g.report.papers_without_authors == n_p - len({p for _, p in wrote})
+
+    # the stored matrices cannot be written to
+    for array in (g.wrote.data, g.wrote.indices, g.cite.indptr):
+        with pytest.raises(ValueError):
+            array[...] = 0
+
+    pubs = [(sum(x == a for x, _ in wrote), a_flags[a]) for a in range(n_a)]
+    coauthors = [(sum(q == p for _, q in wrote), p_flags[p]) for p in range(n_p)]
+    out_cits = [(sum(s == p for s, _ in cites), p_flags[p]) for p in range(n_p)]
+    in_cits = Counter(sum(d == p for _, d in cites) for p in range(n_p) if p_flags[p])
+    expected = StatsReport(
+        n_authors=n_a,
+        n_authors_dblp=sum(a_flags),
+        n_papers=n_p,
+        n_papers_dblp=sum(p_flags),
+        mean_pubs_dblp=_mean([v for v, f in pubs if f]),
+        mean_pubs_external=_mean([v for v, f in pubs if not f]),
+        mean_coauthors_dblp=_mean([v for v, f in coauthors if f]),
+        mean_coauthors_external=_mean([v for v, f in coauthors if not f]),
+        citation_edges=len(cites),
+        citation_edges_dblp_to_dblp=sum(p_flags[s] and p_flags[d] for s, d in cites),
+        pubs_per_author=_histogram(pubs),
+        coauthors_per_paper=_histogram(coauthors),
+        out_citations_per_paper=_histogram(out_cits),
+        in_citations_per_paper_dblp=dict(sorted(in_cits.items())),
+    )
+    stats = dataset_stats(g)
+    assert stats == expected and stats.to_csvs() == expected.to_csvs()
+
+    wrote_ext = sorted((f"a{a}", f"p{p}") for a, p in wrote)
+    cites_ext = sorted((f"p{s}", f"p{d}") for s, d in cites)
+    files = {
+        "authors.tsv": "".join(f"{e}\t{n}\t{int(f)}\n" for e, n, f in sorted(authors)),
+        "papers.tsv": "".join(f"{e}\t{t}\t{int(f)}\n" for e, t, f in sorted(papers)),
+        "wrote.tsv": "".join(f"{a}\t{p}\n" for a, p in wrote_ext),
+        "cites.tsv": "".join(f"{s}\t{d}\n" for s, d in cites_ext),
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        save_graph(g, tmp)
+        assert {name: (Path(tmp) / name).read_text(encoding="utf-8") for name in files} == files
+
+    dot = ["digraph citations {"]
+    dot += [f'  "a:{e}" [shape=ellipse, label="{e}\\n{n}"];' for e, n, _ in sorted(authors)]
+    dot += [f'  "p:{e}" [shape=box, label="{e}\\n{t}"];' for e, t, _ in sorted(papers)]
+    dot += [f'  "a:{a}" -> "p:{p}" [dir=none];' for a, p in wrote_ext]
+    dot += [f'  "p:{s}" -> "p:{d}";' for s, d in cites_ext]
+    assert export_dot(g) == "\n".join(dot + ["}"]) + "\n"
