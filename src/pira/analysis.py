@@ -55,8 +55,10 @@ class Ranking:
     @classmethod
     def from_tsv(cls, text: str, source: str = "<ranking>") -> "Ranking":
         """Parse `rank<TAB>node_id<TAB>score` lines, skipping blank ones; a
-        malformed line raises ParseError naming `source` and the line."""
+        malformed line, or a node listed twice, raises ParseError naming
+        `source` and the line (both lines for a repeated node)."""
         entries = []
+        first_line: dict[str, int] = {}
         for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
@@ -64,7 +66,12 @@ class Ranking:
             try:
                 if len(fields) != 3:
                     raise ValueError(f"expected 3 tab-separated fields, got {len(fields)}")
-                entries.append(RankEntry(int(fields[0]), fields[1], float(fields[2])))
+                entry = RankEntry(int(fields[0]), fields[1], float(fields[2]))
+                if entry.node in first_line:
+                    raise ValueError(f"node {entry.node!r} already listed at line "
+                                     f"{first_line[entry.node]}")
+                first_line[entry.node] = lineno
+                entries.append(entry)
             except ValueError as exc:
                 raise ParseError(f"{source}:{lineno}: {exc}", path=source, line=lineno) from None
         return cls(tuple(entries))

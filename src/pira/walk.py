@@ -27,9 +27,10 @@ references sends the surfer to a uniformly random paper ("fake" pick).
 from __future__ import annotations
 
 import enum
+import os
 import random
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate
 from typing import Optional
 
@@ -56,6 +57,11 @@ class WalkParams:
     means proportional to the node counts, i.e. a uniform restart over all
     nodes.  ``step_budget`` counts arrivals (counter increments), so with all
     c-weights equal to one the counters sum to the budget exactly.
+    ``walkers`` splits the budget into that many independent walks, each
+    with its own RNG stream; they run in parallel processes, at most one
+    per usable CPU, and the scores depend on (seed, walkers, step_budget)
+    only, not on the machine.  Raw counters are the per-walker counter
+    arrays summed in walker order.
     """
 
     damping_df: float = 0.15
@@ -370,33 +376,83 @@ def restart_author_share(graph: CitationGraph, params: WalkParams) -> float:
     return graph.n_authors / graph.n_nodes if p is None else p
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity set where the platform
+    reports one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _walker_counters(
+    graph: CitationGraph,
+    author_cumw: list[list[float]],
+    params: WalkParams,
+    p_author: float,
+    task: tuple[int, int],
+) -> np.ndarray:
+    """Counters of walker `task[0]` after `task[1]` arrivals, drawn from its
+    own (seed, walker) RNG stream."""
+    walker, budget = task
+    counters = [0.0] * graph.n_nodes
+    rng = random.Random(walker_seed(params.seed, walker))
+    _run_walker(counters, graph, author_cumw, params, rng, budget, p_author)
+    return np.array(counters, dtype=float)
+
+
+# The per-walker function of the pool a worker process serves; set once in
+# each worker by the pool initializer, never in the parent.
+_worker_job = None
+
+
+def _adopt_job(job) -> None:
+    global _worker_job
+    _worker_job = job
+
+
+def _run_adopted_job(task: tuple[int, int]) -> np.ndarray:
+    return _worker_job(task)
+
+
 def pira_rank(graph: CitationGraph, params: WalkParams) -> ScoreTable:
     """Run the walk for `step_budget` arrivals and return normalized scores.
 
-    The budget is split evenly across walkers; walker i draws from an RNG
-    stream derived from (seed, i) and the counter arrays are merged by
-    addition, so results are reproducible for a fixed (seed, walkers,
-    step_budget) triple.
+    The budget is split evenly across walkers, and walker i draws from its
+    own RNG stream derived from (seed, i).  Walkers with a non-zero budget
+    run in parallel worker processes, at most one per CPU this process may
+    use (forked, so they share the graph instead of copying it; in this
+    process when there is one walker, one CPU or no ``fork``).  Each walker
+    fills its own counter array, and the raw counters are those arrays
+    summed in walker order, so the result depends on (seed, walkers,
+    step_budget) only, never on the machine or on the number of processes.
 
     Raw counters are accumulated in units of the largest c-weight (the walk
     itself never depends on the weights), so with unit weights they sum to
     the step budget exactly and rankings are invariant under rescaling all
     four weights.
     """
+    import multiprocessing  # here, so that importing pira does not load it
+
     params.validate()
     if graph.n_nodes == 0:
         raise ValueError("cannot rank an empty graph")
-    author_cumw = _cumulative_p_weights(graph)
-    p_author = restart_author_share(graph, params)
-    counters = [0.0] * graph.n_nodes
+    # build the tuple views and the p-weights once, before any fork
+    graph.papers_of, graph.authors_of, graph.refs_of
+    job = partial(_walker_counters, graph, _cumulative_p_weights(graph), params,
+                  restart_author_share(graph, params))
     base, extra = divmod(params.step_budget, params.walkers)
-    for w in range(params.walkers):
-        budget = base + (1 if w < extra else 0)
-        if budget == 0:
-            continue
-        rng = random.Random(walker_seed(params.seed, w))
-        _run_walker(counters, graph, author_cumw, params, rng, budget, p_author)
-    raw = np.array(counters, dtype=float)
+    tasks = [(w, base + (1 if w < extra else 0))
+             for w in range(min(params.walkers, params.step_budget))]
+    processes = min(len(tasks), _usable_cpus())
+    start = np.zeros(graph.n_nodes)
+    # fork: the workers inherit the graph and p-weights instead of
+    # unpickling them, and run only the pure-Python walk on them
+    if processes > 1 and "fork" in multiprocessing.get_all_start_methods():
+        with multiprocessing.get_context("fork").Pool(processes, _adopt_job, (job,)) as pool:
+            raw = sum(pool.imap(_run_adopted_job, tasks), start)
+    else:
+        raw = sum(map(job, tasks), start)
     if raw.sum() <= 0:
         raise ValueError("walk accumulated no score mass (all c-weights on unused edges?)")
     return ScoreTable.over_all(graph, raw, total_arrivals=params.step_budget)

@@ -97,6 +97,13 @@ def test_ranking_from_tsv_names_source_and_line_of_a_bad_line():
         assert (err.value.path, err.value.line) == ("r.tsv", 4)
 
 
+def test_ranking_from_tsv_rejects_a_node_listed_twice():
+    # a blank line still counts in the line numbers
+    with pytest.raises(ParseError, match=r"r\.tsv:4: node 'a' already listed at line 1") as err:
+        Ranking.from_tsv("1\ta\t3.0\n2\tb\t2.0\n\n3\ta\t1.0\n", source="r.tsv")
+    assert (err.value.path, err.value.line) == ("r.tsv", 4)
+
+
 # --- topx_difference -------------------------------------------------------
 
 def _ranking(nodes):

@@ -162,6 +162,19 @@ def test_compare_malformed_ranking_line_names_file_and_line(tmp_path, capsys):
     assert f"{bad}:2: expected 3 tab-separated fields, got 2" in err
 
 
+def test_compare_ranking_listing_a_node_twice_is_an_input_error(tmp_path, capsys):
+    # before this was checked, both modes exited 0: the curve read 0 % at
+    # every cutoff and the scatter listed `a` twice
+    dup, other = tmp_path / "dup.tsv", tmp_path / "other.tsv"
+    dup.write_text("1\ta\t3.000000\n2\ta\t2.000000\n3\tb\t1.000000\n", encoding="utf-8")
+    other.write_text("1\tb\t3.000000\n2\ta\t2.000000\n3\tb\t1.000000\n", encoding="utf-8")
+    for mode in (["--curve", "34,67,100"], ["--scatter", "3"]):
+        assert main(["compare", str(dup), str(other), *mode]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{dup}:2: node 'a' already listed at line 1" in captured.err
+
+
 def test_inspect_radius_zero(dataset, capsys):
     assert main(["inspect", str(dataset), "a:alice", "--radius", "0"]) == 0
     out = capsys.readouterr().out

@@ -1,8 +1,13 @@
 import math
+import multiprocessing
+import random
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pira import (
     WalkMode,
@@ -13,9 +18,10 @@ from pira import (
 )
 from pira.baselines import h_index
 from pira.oracle import expected_scores
+import pira.walk as walk
 from pira.walk import ScoreTable, walker_seed
 
-from conftest import FIXTURE_BUILDERS, pair_graph, ring_graph
+from conftest import FIXTURE_BUILDERS, communities_graph, pair_graph, ring_graph
 
 
 def test_params_validation():
@@ -116,6 +122,103 @@ def test_walker_split_changes_path_not_scale():
     many = pira_rank(g, WalkParams(step_budget=300_000, seed=5, walkers=7))
     assert one.raw.sum() == pytest.approx(many.raw.sum(), rel=0.05)
     assert walker_seed(5, 0) != walker_seed(5, 1)
+
+
+# --- parallel walkers and their merge ----------------------------------------
+
+def _sequential_raw(graph, params):
+    """All walkers run one after another into one counter list."""
+    counters = [0.0] * graph.n_nodes
+    author_cumw = walk._cumulative_p_weights(graph)
+    p_author = walk.restart_author_share(graph, params)
+    base, extra = divmod(params.step_budget, params.walkers)
+    for w in range(params.walkers):
+        rng = random.Random(walker_seed(params.seed, w))
+        budget = base + (1 if w < extra else 0)
+        walk._run_walker(counters, graph, author_cumw, params, rng, budget, p_author)
+    return np.array(counters)
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("mode", list(WalkMode))
+def test_walker_merge_matches_sequential_reference_with_unit_weights(monkeypatch, mode, cpus):
+    # integer counters make the per-walker sum exact, so no float add differs
+    monkeypatch.setattr(walk, "_usable_cpus", lambda: cpus)
+    g = communities_graph()
+    for walkers in (2, 3, 7):
+        params = WalkParams(step_budget=100_003, seed=9, walkers=walkers, mode=mode,
+                            min_citation_count=3 if mode == WalkMode.LITERAL else 0)
+        raw = pira_rank(g, params).raw
+        assert raw.tobytes() == _sequential_raw(g, params).tobytes(), walkers
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="worker processes are forked")
+@pytest.mark.parametrize("mode", list(WalkMode))
+def test_pool_and_single_process_give_the_same_bits(monkeypatch, mode):
+    g = communities_graph()
+    params = WalkParams(restarting_weight=0.1, wrote_weight=0.3, iswb_weight=0.7,
+                        step_budget=60_000, seed=31, walkers=5, mode=mode)
+    monkeypatch.setattr(walk, "_usable_cpus", lambda: 3)
+    pooled = pira_rank(g, params).raw
+    monkeypatch.setattr(walk, "_usable_cpus", lambda: 1)
+    single = pira_rank(g, params).raw
+    assert pooled.tobytes() == single.tobytes()
+
+
+_small_graphs = st.integers(1, 6).flatmap(
+    lambda n_a: st.integers(1, 6).flatmap(
+        lambda n_p: st.tuples(
+            st.just((n_a, n_p)),
+            st.lists(st.tuples(st.integers(0, n_a - 1), st.integers(0, n_p - 1)), max_size=12),
+            st.lists(st.tuples(st.integers(0, n_p - 1), st.integers(0, n_p - 1)), max_size=15),
+        )
+    )
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_small_graphs, st.integers(1, 4), st.integers(1, 3_000), st.sampled_from(list(WalkMode)))
+def test_unit_weight_counters_conserve_the_budget_across_walkers(draw, walkers, budget, mode):
+    (n_a, n_p), wrote, cites = draw
+    g = build_graph([(f"a{i}", "A", True) for i in range(n_a)],
+                    [(f"p{i}", "P", True) for i in range(n_p)],
+                    [(f"a{a}", f"p{p}") for a, p in wrote],
+                    [(f"p{s}", f"p{d}") for s, d in cites])
+    params = WalkParams(cite_weight=1, wrote_weight=1, iswb_weight=1, restarting_weight=1,
+                        step_budget=budget, seed=budget, walkers=walkers, mode=mode)
+    assert pira_rank(g, params).raw.sum() == budget
+
+
+def test_only_walkers_with_steps_are_dispatched(monkeypatch):
+    dispatched, pool_sizes = [], []
+    counters = walk._walker_counters
+
+    def record_task(*args):
+        dispatched.append(args[-1])
+        return counters(*args)
+
+    pool = multiprocessing.context.BaseContext.Pool
+
+    def record_pool(self, processes=None, *args, **kwargs):
+        pool_sizes.append(processes)
+        return pool(self, processes, *args, **kwargs)
+
+    monkeypatch.setattr(walk, "_walker_counters", record_task)
+    monkeypatch.setattr(multiprocessing.context.BaseContext, "Pool", record_pool)
+    params = WalkParams(cite_weight=1, wrote_weight=1, iswb_weight=1, restarting_weight=1,
+                        step_budget=5, walkers=1000)
+    monkeypatch.setattr(walk, "_usable_cpus", lambda: 1)
+    assert pira_rank(ring_graph(), params).raw.sum() == 5
+    assert dispatched == [(w, 1) for w in range(5)] and pool_sizes == []
+    # with spare CPUs the pool never gets more processes than walkers or CPUs
+    monkeypatch.setattr(walk, "_usable_cpus", lambda: 3)
+    started = time.perf_counter()
+    assert pira_rank(ring_graph(), params).raw.sum() == 5
+    assert time.perf_counter() - started < 10
+    pira_rank(ring_graph(), replace(params, step_budget=100, walkers=2))
+    forks = "fork" in multiprocessing.get_all_start_methods()
+    assert pool_sizes == ([3, 2] if forks else [])
 
 
 def test_weight_scaling_leaves_normalized_scores():
