@@ -4,17 +4,18 @@ The surfer alternates between author and paper nodes.  Leaving an author, it
 picks one of the author's papers with probability proportional to that
 paper's p-weight (1 / co-author count).  At a paper it follows a citation
 with probability ``theta``, otherwise it jumps to a uniformly random author
-of the paper.  Every arrival increments the destination's counter by the
-c-weight of the edge class used (restart / wrote / cite / isWrittenBy) and
-consumes one unit of the step budget.  A damping test at each arrival
-reinitializes the walk from a random node.
+of the paper.  Every arrival is counted per node and per edge class (restart,
+fake pick, wrote, cite, isWrittenBy) and consumes one unit of the step
+budget; the raw score is those counts weighted by the c-weights of the
+classes.  A damping test at each arrival reinitializes the walk from a
+random node.
 
 Two execution modes are provided:
 
 * ``INTERPRETED`` (default): the flow described above.
 * ``LITERAL``: the four-procedure control flow (init/a2p/p2p/p2a) kept
   exactly, with its two quirks: the citation target is drawn before the
-  theta test, so the 1-theta branch re-increments the current paper with
+  theta test, so the 1-theta branch re-arrives at the current paper with
   ``cite_weight`` before jumping to one of its authors, and a paper with
   no outgoing references always reinitializes instead of taking an
   isWrittenBy jump.
@@ -22,16 +23,24 @@ Two execution modes are provided:
 ``minimum_citation_count`` (K) dilutes thin reference lists: the citation
 pick is uniform over max(|refs|, K) slots, and a slot beyond the real
 references sends the surfer to a uniformly random paper ("fake" pick).
+
+The engine samples one ``OutcomeTable`` built per call: a row per walk
+state listing each move as (next state, edge class, probability).  The
+states are the authors, the papers and, in literal mode, one "pending
+isWrittenBy" copy per paper, the state after the 1-theta re-arrival; the
+two modes differ only in how the table is built.  Restart and fake moves
+are sentinel outcomes whose landing node is drawn by arithmetic.  Each
+walker splits its budget into lanes that start at a restart, one lane per
+``_CYCLES_PER_LANE`` expected restart cycles, and draws for them from one
+numpy RNG stream; the lanes of consecutive walkers step in lockstep, and
+the copies' arrivals are folded back onto their papers at the end.
 """
 
 from __future__ import annotations
 
 import enum
-import os
-import random
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
-from itertools import accumulate
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -55,13 +64,12 @@ class WalkParams:
     probability of following a citation link when leaving a paper.
     ``restart_author_prob`` chooses the node type on reinitialization; None
     means proportional to the node counts, i.e. a uniform restart over all
-    nodes.  ``step_budget`` counts arrivals (counter increments), so with all
-    c-weights equal to one the counters sum to the budget exactly.
+    nodes.  ``step_budget`` counts arrivals, so the arrival counts sum to
+    the budget exactly, and so do the raw scores when all c-weights are one.
     ``walkers`` splits the budget into that many independent walks, each
-    with its own RNG stream; they run in parallel processes, at most one
-    per usable CPU, and the scores depend on (seed, walkers, step_budget)
-    only, not on the machine.  Raw counters are the per-walker counter
-    arrays summed in walker order.
+    with its own RNG stream (streams, not processes: all walkers run in the
+    calling process), and the scores depend on the params only, not on the
+    machine.
     """
 
     damping_df: float = 0.15
@@ -235,132 +243,6 @@ def walker_seed(seed: int, walker: int) -> int:
     return _splitmix64(_splitmix64(seed & _MASK64) ^ (walker + 1))
 
 
-def _cumulative_p_weights(graph: CitationGraph) -> list[list[float]]:
-    """Per author, the running sums of the p-weights (1 / co-author count)
-    of the author's papers, in ``papers_of`` order."""
-    wrote = graph.wrote
-    per_edge = (1.0 / np.bincount(wrote.indices)[wrote.indices]).tolist()
-    bounds = wrote.indptr.tolist()
-    return [list(accumulate(per_edge[a:b])) for a, b in zip(bounds, bounds[1:])]
-
-
-# Walker states: the next arrival is encoded as (node, weight, phase).
-# phase distinguishes the literal mode's p2p and p2a procedures.
-_P2P = 0
-_P2A = 1
-
-
-def _run_walker(
-    counters: list[float],
-    graph: CitationGraph,
-    author_cumw: list[list[float]],
-    params: WalkParams,
-    rng: random.Random,
-    budget: int,
-    restart_author_prob: float,
-) -> None:
-    """Advance one walker by `budget` arrivals, accumulating into counters.
-
-    Hot loop: everything is bound to locals, node state is a single integer
-    (authors in [0, A), papers offset by A).
-    """
-    rand = rng.random
-    author_papers = graph.papers_of
-    paper_authors = graph.authors_of
-    paper_refs = graph.refs_of
-    n_authors = len(author_papers)
-    n_papers = len(paper_authors)
-    df = params.damping_df
-    theta = params.theta
-    k_min = params.min_citation_count
-    # accumulate in units of the largest c-weight: proportional weight sets
-    # then produce bit-identical counters, making rankings exactly scale-free
-    w_max = max(params.restarting_weight, params.cite_weight,
-                params.wrote_weight, params.iswb_weight)
-    w_restart = params.restarting_weight / w_max
-    w_cite = params.cite_weight / w_max
-    w_wrote = params.wrote_weight / w_max
-    w_iswb = params.iswb_weight / w_max
-    literal = params.mode == WalkMode.LITERAL
-    p_author = restart_author_prob
-
-    def restart() -> tuple[int, float, int]:
-        if rand() < p_author:
-            return int(rand() * n_authors), w_restart, _P2P
-        return n_authors + int(rand() * n_papers), w_restart, _P2P
-
-    node, weight, phase = restart()
-    for _ in range(budget):
-        counters[node] += weight
-        if rand() < df:
-            node, weight, phase = restart()
-            continue
-        if node < n_authors:
-            # author -> paper, p-weight proportional
-            papers = author_papers[node]
-            if not papers:
-                node, weight, phase = restart()
-                continue
-            cw = author_cumw[node]
-            u = rand() * cw[-1]
-            lo, hi = 0, len(cw) - 1
-            while lo < hi:
-                mid = (lo + hi) >> 1
-                if u < cw[mid]:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            node, weight, phase = n_authors + papers[lo], w_wrote, _P2P
-            continue
-        pi = node - n_authors
-        if literal:
-            if phase == _P2A:
-                authors = paper_authors[pi]
-                if not authors:
-                    node, weight, phase = restart()
-                else:
-                    node = authors[int(rand() * len(authors))]
-                    weight, phase = w_iswb, _P2P
-                continue
-            refs = paper_refs[pi]
-            n_refs = len(refs)
-            if n_refs == 0:
-                node, weight, phase = restart()
-                continue
-            slots = n_refs if n_refs >= k_min else k_min
-            s = int(rand() * slots)
-            if s >= n_refs:  # fake pick: restart from any paper
-                node = n_authors + int(rand() * n_papers)
-                weight, phase = w_restart, _P2P
-            elif rand() < theta:
-                node, weight, phase = n_authors + refs[s], w_cite, _P2P
-            else:
-                # quirk: re-arrive at the current paper, then jump to an author
-                node, weight, phase = n_authors + pi, w_cite, _P2A
-            continue
-        # interpreted mode
-        if rand() < theta:
-            refs = paper_refs[pi]
-            n_refs = len(refs)
-            if n_refs == 0:
-                node, weight, phase = restart()
-                continue
-            slots = n_refs if n_refs >= k_min else k_min
-            s = int(rand() * slots)
-            if s >= n_refs:
-                node = n_authors + int(rand() * n_papers)
-                weight = w_restart
-            else:
-                node, weight = n_authors + refs[s], w_cite
-        else:
-            authors = paper_authors[pi]
-            if not authors:
-                node, weight, phase = restart()
-                continue
-            node = authors[int(rand() * len(authors))]
-            weight = w_iswb
-
-
 def restart_author_share(graph: CitationGraph, params: WalkParams) -> float:
     """Probability that a restart lands on an author rather than a paper.
 
@@ -376,83 +258,294 @@ def restart_author_share(graph: CitationGraph, params: WalkParams) -> float:
     return graph.n_authors / graph.n_nodes if p is None else p
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity set where the platform
-    reports one)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
+# Edge classes of an arrival: the columns of the per-node arrival counts.
+RESTART, FAKE, WROTE, CITE, ISWB = range(5)
+N_CLASSES = 5
+# Sentinel next states of the restart and fake outcomes: their landing node
+# is drawn by arithmetic, never listed in the table.
+TO_RESTART = -1
+TO_FAKE = -2
+
+# Each lane starts at a restart, a regeneration point of the chain, so only
+# its unfinished last restart cycle adds bias, of order 1 / (df * steps per
+# lane).  A walker therefore gets one lane per _CYCLES_PER_LANE expected
+# restart cycles (of 1 / df steps each), at most _MAX_LANES and at least one;
+# that keeps the bias below the Monte Carlo noise (bias table in CHANGES.md).
+_MAX_LANES = 1024
+_CYCLES_PER_LANE = 200
+_GROUP_LANES = 4096  # lanes of consecutive walkers stepped together
+_BLOCK_STEPS = 16  # lockstep steps whose uniforms are drawn in one call
+_MIN_BUFFER = 1 << 14
 
 
-def _walker_counters(
-    graph: CitationGraph,
-    author_cumw: list[list[float]],
-    params: WalkParams,
-    p_author: float,
-    task: tuple[int, int],
-) -> np.ndarray:
-    """Counters of walker `task[0]` after `task[1]` arrivals, drawn from its
-    own (seed, walker) RNG stream."""
-    walker, budget = task
-    counters = [0.0] * graph.n_nodes
-    rng = random.Random(walker_seed(params.seed, walker))
-    _run_walker(counters, graph, author_cumw, params, rng, budget, p_author)
-    return np.array(counters, dtype=float)
+@dataclass(frozen=True, eq=False)  # holds arrays; compare by identity
+class OutcomeTable:
+    """Every move of the walk as (next state, edge class, probability).
+
+    States are authors [0, A), papers [A, A+P) and, in literal mode only,
+    one "pending isWrittenBy" copy per paper [A+P, A+2P): the state between
+    the literal 1-theta branch's re-arrival at its paper (counted on the
+    paper) and the jump to one of the paper's authors.  One more row, the
+    entry row ``n_states``, restarts with probability one; lanes start there,
+    so their first arrival is a restart.  Row r lists its outcomes in
+    ``[indptr[r], indptr[r + 1])``: restart, fake pick, then the row's links.
+    Restart and fake outcomes have the sentinel targets ``TO_RESTART`` and
+    ``TO_FAKE``.  Outcomes of probability zero are left out, so every row's
+    probabilities are positive and sum to one.
+    """
+
+    n_authors: int
+    n_papers: int
+    n_states: int
+    indptr: np.ndarray
+    target: np.ndarray
+    cls: np.ndarray
+    prob: np.ndarray
 
 
-# The per-walker function of the pool a worker process serves; set once in
-# each worker by the pool initializer, never in the parent.
-_worker_job = None
+def _stack_rows(n_rows: int, blocks) -> tuple[np.ndarray, ...]:
+    """(indptr, target, cls, prob) of rows made of per-row segments.
+
+    Each block is (sizes, target, cls, prob): row r takes the block's next
+    ``sizes[r]`` entries, after the segments of the blocks before it.
+    Entries of probability zero are dropped.
+    """
+    sizes = [np.broadcast_to(size, n_rows) for size, *_ in blocks]
+    total = np.zeros(n_rows + 1, np.intp)
+    np.cumsum(sum(sizes), out=total[1:])
+    target = np.empty(total[-1], np.intp)
+    cls = np.empty(total[-1], np.int8)
+    prob = np.empty(total[-1])
+    offset = total[:-1].copy()
+    for size, (_, t, c, p) in zip(sizes, blocks):
+        first = np.cumsum(size) - size  # each row's first entry in the block
+        pos = np.repeat(offset - first, size) + np.arange(size.sum())
+        target[pos], cls[pos], prob[pos] = t, c, p
+        offset += size
+    kept = prob > 0
+    indptr = np.concatenate(([0], np.cumsum(kept)))[total]
+    return indptr, target[kept], cls[kept], prob[kept]
 
 
-def _adopt_job(job) -> None:
-    global _worker_job
-    _worker_job = job
+def _outcome_table(graph: CitationGraph, params: WalkParams) -> OutcomeTable:
+    """The walk's outcome table, in row order, in O(nodes + edges)."""
+    n_a, n_p = graph.n_authors, graph.n_papers
+    n = n_a + n_p
+    literal = params.mode == WalkMode.LITERAL
+    n_states = n + n_p if literal else n
+    df, theta = params.damping_df, params.theta
+    keep = 1.0 - df
+    wrote, cite = graph.wrote, graph.cite
+    by_paper = wrote.T.tocsr()
+    n_pubs = np.diff(wrote.indptr)
+    n_auth = np.diff(by_paper.indptr)
+    n_refs = np.diff(cite.indptr)
+    slots = np.maximum(n_refs, params.min_citation_count)
+
+    # author -> paper, proportional to the p-weight 1 / co-author count
+    p_weight = 1.0 / n_auth[wrote.indices]
+    per_author = np.bincount(np.repeat(np.arange(n_a), n_pubs), p_weight, minlength=n_a)
+    wrote_p = keep * p_weight / np.repeat(per_author, n_pubs)
+    # a citation pick is uniform over max(|refs|, K) slots, and a slot
+    # beyond the real references is a fake pick (a uniform paper)
+    per_slot = np.divide(1.0, slots, out=np.zeros(n_p), where=n_refs > 0)
+    fake = keep * per_slot * (slots - n_refs)
+    no_refs, no_authors = n_refs == 0, n_auth == 0
+    if literal:
+        # the slot is drawn before the theta test, so the 1-theta share of
+        # the real slots re-arrives at the paper (as its copy), and a paper
+        # without references always restarts
+        paper_restart = df + keep * no_refs
+        paper_fake = fake
+        copy_restart = df + keep * no_authors
+        iswb_share = keep
+    else:
+        paper_restart = df + keep * (theta * no_refs + (1.0 - theta) * no_authors)
+        paper_fake = theta * fake
+        copy_restart = 0.0
+        iswb_share = keep * (1.0 - theta)
+
+    def rows(author, paper, copy, entry=0):
+        """Per-row values over the author, paper, copy and entry rows."""
+        return np.concatenate((np.broadcast_to(author, n_a), np.broadcast_to(paper, n_p),
+                               np.broadcast_to(copy, n_states - n), [entry]))
+
+    blocks = [
+        (1, TO_RESTART, RESTART, rows(df + keep * (n_pubs == 0), paper_restart, copy_restart, 1.0)),
+        (1, TO_FAKE, FAKE, rows(0.0, paper_fake, 0.0)),
+        (rows(n_pubs, 0, 0), n_a + wrote.indices, WROTE, wrote_p),
+        (rows(0, n_refs, 0), n_a + cite.indices, CITE, np.repeat(keep * theta * per_slot, n_refs)),
+        (rows(0, 0, n_auth) if literal else rows(0, n_auth, 0), by_paper.indices, ISWB,
+         np.repeat(iswb_share / np.maximum(n_auth, 1), n_auth)),
+    ]
+    if literal:
+        blocks.append((rows(0, 1, 0), np.arange(n, n_states), CITE,
+                       keep * (1.0 - theta) * per_slot * n_refs))
+    indptr, target, cls, prob = _stack_rows(n_states + 1, blocks)
+    return OutcomeTable(n_a, n_p, n_states, indptr, target, cls, prob)
 
 
-def _run_adopted_job(task: tuple[int, int]) -> np.ndarray:
-    return _worker_job(task)
+def _guide(table: OutcomeTable) -> tuple[np.ndarray, np.ndarray]:
+    """(upper, guide): each outcome's row-local running probability, and a
+    guide table with one bin per outcome.
+
+    A row with k outcomes splits [0, 1) into k equal bins; the guide entry of
+    bin j is the row's first outcome whose ``upper`` exceeds j / k.  Drawing
+    u, start at the guide entry of bin floor(u * k) and advance while
+    ``upper[e] <= u``: O(1) steps expected.  The last outcome of each row
+    gets ``upper = 1``, so the advance never leaves its row.
+    """
+    indptr, prob = table.indptr, table.prob
+    size = np.diff(indptr)
+    running = np.cumsum(prob)
+    before = np.concatenate(([0.0], running))[indptr[:-1]]
+    # threshold error <= rows * eps from the shared running sum, far below
+    # any Monte Carlo resolution
+    upper = running - np.repeat(before, size)
+    upper[indptr[1:] - 1] = 1.0
+    # covered[e]: how many of its row's bins start below upper[e]
+    k = np.repeat(size, size)
+    covered = np.minimum(np.ceil(upper * k), k).astype(np.intp)
+    bins = np.diff(covered, prepend=0)
+    bins[indptr[:-1]] = covered[indptr[:-1]]
+    return upper, np.repeat(np.arange(len(prob)), bins)
+
+
+def _lanes(budget: int, df: float) -> int:
+    """Lanes of a walker with `budget` steps at damping `df`: one per
+    ``_CYCLES_PER_LANE`` expected restart cycles, so at df = 0, where no lane
+    ever regenerates, each walker is a single lane."""
+    return min(_MAX_LANES, max(1, int(budget * df // _CYCLES_PER_LANE)))
+
+
+def _walker_groups(params: WalkParams):
+    """Consecutive walkers with steps, as lists of (walker, budget, lanes),
+    grouped so that each group has at most ``_GROUP_LANES`` lanes (and at
+    least one walker)."""
+    base, extra = divmod(params.step_budget, params.walkers)
+    group, group_lanes = [], 0
+    for w in range(min(params.walkers, params.step_budget)):
+        budget = base + (w < extra)
+        lanes = _lanes(budget, params.damping_df)
+        if group and group_lanes + lanes > _GROUP_LANES:
+            yield group
+            group, group_lanes = [], 0
+        group.append((w, budget, lanes))
+        group_lanes += lanes
+    yield group
+
+
+def _arrival_counts(graph: CitationGraph, params: WalkParams) -> np.ndarray:
+    """Arrivals per node and edge class, int64 (nodes x ``N_CLASSES``).
+
+    Walker w draws from ``np.random.default_rng(walker_seed(seed, w))``,
+    ``_BLOCK_STEPS`` steps of uniforms for all its lanes at a time; a lane takes
+    budget // lanes steps, and the first budget % lanes lanes one more.  The
+    lanes of a group of walkers step together through the outcome table, each
+    on its own walker's draws, so the counts do not depend on the grouping.
+    Each step writes ``state * N_CLASSES + class`` per lane into a buffer
+    that one ``bincount`` folds into the counts whenever it is full.  Counts
+    of the literal copies are added to their papers.
+    """
+    table = _outcome_table(graph, params)
+    upper, guide = _guide(table)
+    start = table.indptr[:-1]
+    size = np.diff(table.indptr).astype(float)
+    target = table.target
+    code = np.where(target >= 0, target * N_CLASSES, 0) + table.cls
+    n_a, n_p = table.n_authors, table.n_papers
+    n = n_a + n_p
+    # a restart lands on an author with probability p_author, else on a
+    # paper; a fake pick lands on a uniform paper (author share 0)
+    p_author = restart_author_share(graph, params)
+    author_scale = n_a / p_author if p_author > 0 else 0.0
+    jumps = [(TO_RESTART, p_author, n_p / (1.0 - p_author) if p_author < 1 else 0.0)]
+    if np.any(table.cls == FAKE):
+        jumps.append((TO_FAKE, 0.0, n_p))
+
+    def land(v: np.ndarray, share: float, paper_scale: float) -> np.ndarray:
+        paper = v >= share
+        x = np.where(paper, n_a + (v - share) * paper_scale, v * author_scale)
+        return np.minimum(x.astype(np.intp), np.where(paper, n - 1, n_a - 1))
+
+    n_codes = N_CLASSES * table.n_states
+    counts = np.zeros(n_codes, np.int64)
+    buf = np.empty(max(_MIN_BUFFER, n_codes), np.intp)
+    filled = 0
+    for group in _walker_groups(params):
+        walkers, lane_steps, n_lanes = [], [], 0
+        for w, budget, lanes in group:
+            steps, spare = divmod(budget, lanes)
+            rng = np.random.default_rng(walker_seed(params.seed, w))
+            walkers.append((rng, n_lanes, n_lanes + lanes, steps + (spare > 0)))
+            lane_steps.append(steps + (np.arange(lanes) < spare))
+            n_lanes += lanes
+        # lanes with more steps first, so the live lanes of a step are a prefix
+        lane_steps = np.concatenate(lane_steps)
+        order = np.argsort(-lane_steps, kind="stable")
+        ascending = lane_steps[order[::-1]]
+        if (order == np.arange(n_lanes)).all():
+            order = None
+        state = np.full(n_lanes, table.n_states, np.intp)  # the entry row
+        total = max(total_w for *_, total_w in walkers)
+        for t0 in range(0, total, _BLOCK_STEPS):
+            draws = np.empty((min(_BLOCK_STEPS, total - t0), 2, n_lanes))
+            for rng, first, last, total_w in walkers:
+                if t0 < total_w:
+                    k = min(_BLOCK_STEPS, total_w - t0)
+                    draws[:k, :, first:last] = rng.random((k, 2, last - first))
+            if order is not None:
+                draws = draws[:, :, order]
+            for t, (u, v) in enumerate(draws, t0):
+                live = n_lanes - int(np.searchsorted(ascending, t, side="right"))
+                if filled + live > len(buf):
+                    counts += np.bincount(buf[:filled], minlength=n_codes)
+                    filled = 0
+                u, v, s = u[:live], v[:live], state[:live]
+                e = guide[start[s] + (u * size[s]).astype(np.intp)]
+                late = (upper[e] <= u).nonzero()[0]
+                while late.size:
+                    e[late] += 1
+                    late = late[upper[e[late]] <= u[late]]
+                nxt = target[e]
+                out = code[e]
+                for sentinel, share, paper_scale in jumps:
+                    hit = (nxt == sentinel).nonzero()[0]
+                    if hit.size:
+                        landing = land(v[hit], share, paper_scale)
+                        nxt[hit] = landing
+                        out[hit] += landing * N_CLASSES
+                buf[filled:filled + live] = out
+                state[:live] = nxt
+                filled += live
+    counts += np.bincount(buf[:filled], minlength=n_codes)
+    counts = counts.reshape(table.n_states, N_CLASSES)
+    if table.n_states > n:  # literal copies onto their papers
+        counts[n_a:n] += counts[n:]
+    return counts[:n]
 
 
 def pira_rank(graph: CitationGraph, params: WalkParams) -> ScoreTable:
     """Run the walk for `step_budget` arrivals and return normalized scores.
 
-    The budget is split evenly across walkers, and walker i draws from its
-    own RNG stream derived from (seed, i).  Walkers with a non-zero budget
-    run in parallel worker processes, at most one per CPU this process may
-    use (forked, so they share the graph instead of copying it; in this
-    process when there is one walker, one CPU or no ``fork``).  Each walker
-    fills its own counter array, and the raw counters are those arrays
-    summed in walker order, so the result depends on (seed, walkers,
-    step_budget) only, never on the machine or on the number of processes.
-
-    Raw counters are accumulated in units of the largest c-weight (the walk
-    itself never depends on the weights), so with unit weights they sum to
-    the step budget exactly and rankings are invariant under rescaling all
-    four weights.
+    The budget is split evenly across walkers; walker i draws from its own
+    RNG stream derived from (seed, i) for a number of lockstep lanes fixed
+    by its budget and ``damping_df``, so the result depends on the params
+    only.
+    Arrivals are counted per node and edge class as integers, and the raw
+    score is those counts weighted once by the c-weights in units of the
+    largest one (restart and fake picks both carry the restart weight).
+    With unit weights the raw scores therefore sum to the step budget
+    exactly, nodes with equal arrivals per class tie exactly, and the
+    counts do not depend on the weights at all.
     """
-    import multiprocessing  # here, so that importing pira does not load it
-
     params.validate()
     if graph.n_nodes == 0:
         raise ValueError("cannot rank an empty graph")
-    # build the tuple views and the p-weights once, before any fork
-    graph.papers_of, graph.authors_of, graph.refs_of
-    job = partial(_walker_counters, graph, _cumulative_p_weights(graph), params,
-                  restart_author_share(graph, params))
-    base, extra = divmod(params.step_budget, params.walkers)
-    tasks = [(w, base + (1 if w < extra else 0))
-             for w in range(min(params.walkers, params.step_budget))]
-    processes = min(len(tasks), _usable_cpus())
-    start = np.zeros(graph.n_nodes)
-    # fork: the workers inherit the graph and p-weights instead of
-    # unpickling them, and run only the pure-Python walk on them
-    if processes > 1 and "fork" in multiprocessing.get_all_start_methods():
-        with multiprocessing.get_context("fork").Pool(processes, _adopt_job, (job,)) as pool:
-            raw = sum(pool.imap(_run_adopted_job, tasks), start)
-    else:
-        raw = sum(map(job, tasks), start)
+    weights = np.array([params.restarting_weight, params.restarting_weight,
+                        params.wrote_weight, params.cite_weight, params.iswb_weight])
+    raw = (_arrival_counts(graph, params) * (weights / weights.max())).sum(axis=1)
     if raw.sum() <= 0:
         raise ValueError("walk accumulated no score mass (all c-weights on unused edges?)")
     return ScoreTable.over_all(graph, raw, total_arrivals=params.step_budget)
+

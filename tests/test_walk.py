@@ -1,11 +1,10 @@
 import math
-import multiprocessing
-import random
 import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,12 +15,14 @@ from pira import (
     normalize,
     pira_rank,
 )
+from pira.analysis import rank
 from pira.baselines import h_index
-from pira.oracle import expected_scores
+from pira.oracle import expected_scores, stationary_distribution
 import pira.walk as walk
 from pira.walk import ScoreTable, walker_seed
 
-from conftest import FIXTURE_BUILDERS, communities_graph, pair_graph, ring_graph
+from conftest import (ACCEPTANCE_SEED, ACCEPTANCE_STEPS, FIXTURE_BUILDERS, communities_graph,
+                      pair_graph, ring_graph)
 
 
 def test_params_validation():
@@ -124,46 +125,89 @@ def test_walker_split_changes_path_not_scale():
     assert walker_seed(5, 0) != walker_seed(5, 1)
 
 
-# --- parallel walkers and their merge ----------------------------------------
+# --- walkers, lanes and integer arrival counts --------------------------------
 
-def _sequential_raw(graph, params):
-    """All walkers run one after another into one counter list."""
-    counters = [0.0] * graph.n_nodes
-    author_cumw = walk._cumulative_p_weights(graph)
-    p_author = walk.restart_author_share(graph, params)
-    base, extra = divmod(params.step_budget, params.walkers)
-    for w in range(params.walkers):
-        rng = random.Random(walker_seed(params.seed, w))
-        budget = base + (1 if w < extra else 0)
-        walk._run_walker(counters, graph, author_cumw, params, rng, budget, p_author)
-    return np.array(counters)
-
-
-@pytest.mark.parametrize("cpus", [1, 3])
 @pytest.mark.parametrize("mode", list(WalkMode))
-def test_walker_merge_matches_sequential_reference_with_unit_weights(monkeypatch, mode, cpus):
-    # integer counters make the per-walker sum exact, so no float add differs
-    monkeypatch.setattr(walk, "_usable_cpus", lambda: cpus)
+def test_counts_repeat_and_follow_seed_and_walkers(mode):
     g = communities_graph()
-    for walkers in (2, 3, 7):
-        params = WalkParams(step_budget=100_003, seed=9, walkers=walkers, mode=mode,
-                            min_citation_count=3 if mode == WalkMode.LITERAL else 0)
-        raw = pira_rank(g, params).raw
-        assert raw.tobytes() == _sequential_raw(g, params).tobytes(), walkers
+    base = WalkParams(restarting_weight=0.1, wrote_weight=0.3, iswb_weight=0.7,
+                      step_budget=100_003, seed=9, mode=mode,
+                      min_citation_count=3 if mode == WalkMode.LITERAL else 0)
+    seen = []
+    for walkers in (1, 2, 3, 7):
+        params = replace(base, walkers=walkers)
+        counts = walk._arrival_counts(g, params)
+        assert counts.dtype == np.int64 and counts.shape == (g.n_nodes, walk.N_CLASSES)
+        assert np.array_equal(counts, walk._arrival_counts(g, params)), walkers
+        assert pira_rank(g, params).raw.tobytes() == pira_rank(g, params).raw.tobytes()
+        assert not np.array_equal(counts, walk._arrival_counts(g, replace(params, seed=10)))
+        seen.append(counts)
+    # a different walker count draws different streams
+    for i in range(len(seen)):
+        for j in range(i):
+            assert not np.array_equal(seen[i], seen[j])
+    # two walkers of equal budget do not share a stream: their counts are
+    # not twice one walker's
+    assert (walk._arrival_counts(g, replace(base, walkers=2, step_budget=100_000)) % 2).any()
 
 
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                    reason="worker processes are forked")
+def test_tiny_budget_over_many_walkers():
+    params = WalkParams(cite_weight=1, wrote_weight=1, iswb_weight=1, restarting_weight=1,
+                        step_budget=5, walkers=1000)
+    started = time.perf_counter()
+    assert pira_rank(ring_graph(), params).raw.sum() == 5
+    assert time.perf_counter() - started < 1.0
+    # each of the five one-step walkers makes its lane's first arrival: a restart
+    assert walk._arrival_counts(ring_graph(), params)[:, walk.RESTART].sum() == 5
+
+
+def test_many_small_walkers_step_together():
+    # 100 one-lane walkers per step, not one: about 0.04 s on a 2-vCPU host,
+    # where stepping the walkers one after another took over 1 s
+    params = WalkParams(step_budget=100_000, walkers=1000)
+    started = time.perf_counter()
+    pira_rank(ring_graph(), params)
+    assert time.perf_counter() - started < 0.5
+
+
 @pytest.mark.parametrize("mode", list(WalkMode))
-def test_pool_and_single_process_give_the_same_bits(monkeypatch, mode):
+def test_counts_do_not_depend_on_how_walkers_are_grouped(monkeypatch, mode):
+    # uneven budgets give walkers different lane and step counts
     g = communities_graph()
-    params = WalkParams(restarting_weight=0.1, wrote_weight=0.3, iswb_weight=0.7,
-                        step_budget=60_000, seed=31, walkers=5, mode=mode)
-    monkeypatch.setattr(walk, "_usable_cpus", lambda: 3)
-    pooled = pira_rank(g, params).raw
-    monkeypatch.setattr(walk, "_usable_cpus", lambda: 1)
-    single = pira_rank(g, params).raw
-    assert pooled.tobytes() == single.tobytes()
+    cases = [WalkParams(step_budget=b, walkers=w, seed=b, mode=mode, damping_df=df)
+             for b, w, df in ((100_003, 3, 0.15), (2_000_001, 7, 1.0), (10_007, 1000, 0.15),
+                              (20_000, 9, 0.0))]
+    grouped = [walk._arrival_counts(g, p) for p in cases]
+    monkeypatch.setattr(walk, "_GROUP_LANES", 1)  # one walker per group
+    for params, counts in zip(cases, grouped):
+        assert np.array_equal(counts, walk._arrival_counts(g, params)), params
+
+
+def test_lane_rule_gives_each_lane_enough_restart_cycles():
+    assert walk._lanes(10**9, 0.0) == 1  # no lane regenerates at df = 0
+    assert walk._lanes(10**9, 0.15) == walk._MAX_LANES
+    assert walk._lanes(100, 0.15) == 1
+    for budget in (1_000, 99_999, 375_000, 2_000_000):
+        for df in (0.01, 0.02, 0.05, 0.15, 0.5, 1.0):
+            lanes = walk._lanes(budget, df)
+            assert 1 <= lanes <= walk._MAX_LANES
+            if lanes > 1:  # every lane covers its restart cycles
+                assert budget // lanes * df >= walk._CYCLES_PER_LANE, (budget, df)
+
+
+def test_small_damping_walk_matches_the_oracle():
+    # criterion 1's tolerances at df = 0.05, with 40 walkers so that each
+    # walker's lanes are short; 4x criterion 1's budget keeps the noise
+    # below the tolerance
+    g = communities_graph()
+    params = WalkParams(damping_df=0.05, step_budget=4 * ACCEPTANCE_STEPS, seed=ACCEPTANCE_SEED,
+                        walkers=40)
+    exact = expected_scores(g, params).normalized
+    mc = pira_rank(g, params).normalized
+    checked = exact >= 0.01
+    rel = np.abs(mc[checked] - exact[checked]) / exact[checked]
+    assert rel.max() <= 0.02, f"max relative error {rel.max():.4f}"
+    assert np.abs(mc - exact).sum() <= 0.02 * g.n_nodes
 
 
 _small_graphs = st.integers(1, 6).flatmap(
@@ -177,48 +221,128 @@ _small_graphs = st.integers(1, 6).flatmap(
 )
 
 
+def _small_graph(draw):
+    (n_a, n_p), wrote, cites = draw
+    return build_graph([(f"a{i}", "A", True) for i in range(n_a)],
+                       [(f"p{i}", "P", True) for i in range(n_p)],
+                       [(f"a{a}", f"p{p}") for a, p in wrote],
+                       [(f"p{s}", f"p{d}") for s, d in cites])
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(_small_graphs, st.integers(1, 4), st.integers(1, 3_000), st.sampled_from(list(WalkMode)))
 def test_unit_weight_counters_conserve_the_budget_across_walkers(draw, walkers, budget, mode):
-    (n_a, n_p), wrote, cites = draw
-    g = build_graph([(f"a{i}", "A", True) for i in range(n_a)],
-                    [(f"p{i}", "P", True) for i in range(n_p)],
-                    [(f"a{a}", f"p{p}") for a, p in wrote],
-                    [(f"p{s}", f"p{d}") for s, d in cites])
     params = WalkParams(cite_weight=1, wrote_weight=1, iswb_weight=1, restarting_weight=1,
                         step_budget=budget, seed=budget, walkers=walkers, mode=mode)
-    assert pira_rank(g, params).raw.sum() == budget
+    assert pira_rank(_small_graph(draw), params).raw.sum() == budget
 
 
-def test_only_walkers_with_steps_are_dispatched(monkeypatch):
-    dispatched, pool_sizes = [], []
-    counters = walk._walker_counters
+def test_equal_arrivals_tie_exactly_with_non_dyadic_weights():
+    # 40 one-author papers in a citation ring: at ~10 arrivals per node many
+    # nodes share their arrivals per class
+    n = 40
+    g = build_graph([(f"a{i:02d}", "A", True) for i in range(n)],
+                    [(f"p{i:02d}", "P", True) for i in range(n)],
+                    [(f"a{i:02d}", f"p{i:02d}") for i in range(n)],
+                    [(f"p{i:02d}", f"p{(i + 1) % n:02d}") for i in range(n)])
+    params = WalkParams(restarting_weight=0.1, wrote_weight=0.3, iswb_weight=0.7,
+                        step_budget=800, seed=3, walkers=2)
+    counts = walk._arrival_counts(g, params)
+    assert counts.sum() == params.step_budget
+    table = pira_rank(g, params)
+    weights = np.array([0.1, 0.1, 0.3, 1.0, 0.7])
+    weighted = sum(counts[:, c] * weights[c] for c in range(walk.N_CLASSES))
+    assert table.raw.tobytes() == weighted.tobytes()
+    _, group = np.unique(counts, axis=0, return_inverse=True)
+    group = group.ravel()
+    mixed_ties = 0
+    for label in np.unique(group):
+        members = np.flatnonzero(group == label)
+        assert len(set(table.raw[members].tolist())) == 1
+        if len(members) > 1 and np.count_nonzero(counts[members[0]]) >= 2:
+            mixed_ties += 1
+    assert mixed_ties > 0
+    ranking = rank(table, subset=lambda row: True)
+    by_score: dict[float, list[str]] = {}
+    for entry in ranking.entries:
+        by_score.setdefault(entry.score, []).append(entry.node)
+    assert all(nodes == sorted(nodes) for nodes in by_score.values())
+    assert max(len(nodes) for nodes in by_score.values()) > 1
 
-    def record_task(*args):
-        dispatched.append(args[-1])
-        return counters(*args)
 
-    pool = multiprocessing.context.BaseContext.Pool
+# --- the outcome table as an exact chain ---------------------------------------
 
-    def record_pool(self, processes=None, *args, **kwargs):
-        pool_sizes.append(processes)
-        return pool(self, processes, *args, **kwargs)
+def _table_chain_scores(graph, params) -> np.ndarray:
+    """Normalized expected scores of the chain the engine samples: the outcome
+    table's three class matrices and its restart and fake jumps, solved with
+    the oracle's solver, with the literal copies folded onto their papers."""
+    t = walk._outcome_table(graph, params)
+    s, n_a, n = t.n_states, t.n_authors, t.n_authors + t.n_papers
+    row = np.repeat(np.arange(len(t.indptr) - 1), np.diff(t.indptr))
+    walk_rows = row < s  # the entry row is never re-entered
+    row, target, cls, prob = row[walk_rows], t.target[walk_rows], t.cls[walk_rows], t.prob[walk_rows]
+    p_author = walk.restart_author_share(graph, params)
+    restart_dist, paper_dist = np.zeros(s), np.zeros(s)
+    restart_dist[:n_a] = p_author / max(n_a, 1)
+    restart_dist[n_a:n] = (1.0 - p_author) / max(n - n_a, 1)
+    paper_dist[n_a:n] = 1.0 / max(n - n_a, 1)
+    links = {c: sp.csr_matrix((prob[cls == c], (row[cls == c], target[cls == c])), shape=(s, s))
+             for c in (walk.WROTE, walk.CITE, walk.ISWB)}
+    jumps = {c: (np.bincount(row[cls == c], prob[cls == c], minlength=s), dist)
+             for c, dist in ((walk.RESTART, restart_dist), (walk.FAKE, paper_dist))}
+    pi = stationary_distribution(sum(links.values()), list(jumps.values()))
+    weight = {walk.RESTART: params.restarting_weight, walk.FAKE: params.restarting_weight,
+              walk.WROTE: params.wrote_weight, walk.CITE: params.cite_weight,
+              walk.ISWB: params.iswb_weight}
+    rate = sum(weight[c] * (pi @ m) for c, m in links.items())
+    rate += sum(weight[c] * (pi @ mass) * dist for c, (mass, dist) in jumps.items())
+    rate[n_a:n_a + s - n] += rate[n:]
+    return normalize(rate[:n])
 
-    monkeypatch.setattr(walk, "_walker_counters", record_task)
-    monkeypatch.setattr(multiprocessing.context.BaseContext, "Pool", record_pool)
-    params = WalkParams(cite_weight=1, wrote_weight=1, iswb_weight=1, restarting_weight=1,
-                        step_budget=5, walkers=1000)
-    monkeypatch.setattr(walk, "_usable_cpus", lambda: 1)
-    assert pira_rank(ring_graph(), params).raw.sum() == 5
-    assert dispatched == [(w, 1) for w in range(5)] and pool_sizes == []
-    # with spare CPUs the pool never gets more processes than walkers or CPUs
-    monkeypatch.setattr(walk, "_usable_cpus", lambda: 3)
-    started = time.perf_counter()
-    assert pira_rank(ring_graph(), params).raw.sum() == 5
-    assert time.perf_counter() - started < 10
-    pira_rank(ring_graph(), replace(params, step_budget=100, walkers=2))
-    forks = "fork" in multiprocessing.get_all_start_methods()
-    assert pool_sizes == ([3, 2] if forks else [])
+
+def _assert_rows_sum_to_one(graph, params):
+    t = walk._outcome_table(graph, params)
+    assert (t.prob > 0).all()
+    sums = np.bincount(np.repeat(np.arange(len(t.indptr) - 1), np.diff(t.indptr)), t.prob)
+    assert np.abs(sums - 1.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_interpreted_table_chain_equals_the_oracle(fixture_graphs, k):
+    params = WalkParams(min_citation_count=k, wrote_weight=0.3, restarting_weight=0.1)
+    for name, g in fixture_graphs.items():
+        for mode in WalkMode:
+            _assert_rows_sum_to_one(g, replace(params, mode=mode))
+        exact = expected_scores(g, params).normalized
+        assert np.abs(_table_chain_scores(g, params) - exact).max() <= 1e-12, name
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_small_graphs, st.sampled_from([0, 3]), st.sampled_from([0.0, 0.5, 1.0]),
+       st.floats(0.05, 1.0), st.sampled_from([None, 0.3]))
+def test_interpreted_table_chain_equals_the_oracle_on_random_graphs(draw, k, theta, df, p_author):
+    g = _small_graph(draw)
+    params = WalkParams(min_citation_count=k, theta=theta, damping_df=df,
+                        restart_author_prob=p_author, wrote_weight=0.3, restarting_weight=0.1)
+    for mode in WalkMode:
+        _assert_rows_sum_to_one(g, replace(params, mode=mode))
+    exact = expected_scores(g, params).normalized
+    assert np.abs(_table_chain_scores(g, params) - exact).max() <= 1e-12
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_literal_walk_matches_its_exact_chain(fixture_graphs, k):
+    # criterion 1's budget and tolerances, applied to literal mode's own chain
+    params = WalkParams(mode=WalkMode.LITERAL, min_citation_count=k, wrote_weight=0.3,
+                        restarting_weight=0.1, step_budget=ACCEPTANCE_STEPS,
+                        seed=ACCEPTANCE_SEED)
+    for name, g in fixture_graphs.items():
+        exact = _table_chain_scores(g, params)
+        mc = pira_rank(g, params).normalized
+        checked = exact >= 0.01
+        rel = np.abs(mc[checked] - exact[checked]) / exact[checked]
+        assert rel.max() <= 0.02, f"{name}: max relative error {rel.max():.4f}"
+        assert np.abs(mc - exact).sum() <= 0.02 * g.n_nodes, name
 
 
 def test_weight_scaling_leaves_normalized_scores():
