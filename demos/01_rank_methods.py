@@ -39,7 +39,7 @@ hind = h_index(graph)
 prp = pr_p(graph)
 pra = pr_a(graph)
 
-# Monte Carlo walk and its exact small-graph limit
+# Monte Carlo walk and its exact limit
 walk = pira_rank(graph, WalkParams(step_budget=2_000_000, seed=42))
 exact = expected_scores(graph, WalkParams())
 

@@ -3,7 +3,7 @@
 Implements the PIRA random-walk ranking with configurable probability and
 counter weights, five baseline measures (publication count, citation count,
 H-index, PageRank on the paper graph, PageRank on a derived author graph),
-an exact small-graph stationary oracle, TSV dataset ingestion, scenario
+an exact stationary oracle, TSV dataset ingestion, scenario
 generators, and ranking-comparison analytics.
 """
 

@@ -1,19 +1,21 @@
-"""Exact stationary-distribution oracle for the walk on small graphs.
+"""Exact stationary-distribution oracle for the walk.
 
-Builds the Markov chain over nodes implied by a parameter set (interpreted
-mode only: the literal mode's double increment depends on the incoming
-branch, so its per-arrival accounting is not a function of the node alone),
-solves for the stationary arrival distribution by power iteration, and
-reweights per-transition inflows by c-weight class to obtain the expected
+Solves the chain the walk samples, in either mode and at any size: the
+walk's outcome table (``walk.outcome_table``) read as a sparse transition
+system.  Power iteration gives the stationary arrival distribution, and the
+per-transition inflows weighted by c-weight class give the expected
 per-arrival scores, i.e. the limit of the Monte Carlo scorer as the step
-budget grows.
+budget grows.  In literal mode the states include one "pending isWrittenBy"
+copy per paper, and each copy's score rate is folded back onto its paper,
+as the walk folds the copy's arrivals.
 
 The transition matrix is held as three sparse class matrices (wrote, cite,
 isWrittenBy) plus two rank-1 restart components: reinitialization mass times
 the restart distribution, and fake-citation mass times the uniform paper
-distribution.  Rows sum to one exactly.  The class matrices are scaled copies
-of the graph's stored incidence matrices (``CitationGraph.wrote`` and
-``cite``, the graph's one adjacency), so no dense matrix is built.
+distribution.  Rows sum to one.  The class matrices hold the table's link
+outcomes, one entry per edge of the graph's stored incidence matrices
+(``CitationGraph.wrote`` and ``cite``) plus, in literal mode, one per copy,
+so no dense matrix is built.
 
 ``stationary_distribution`` is the package's one power-iteration solver:
 the PageRank baselines run through it too, with teleport and dangling mass
@@ -30,9 +32,9 @@ import scipy.sparse as sp
 
 from .errors import ConvergenceError
 from .graph import CitationGraph
-from .walk import ScoreTable, WalkMode, WalkParams, restart_author_share
+from .walk import (CITE, FAKE, ISWB, RESTART, WROTE, ScoreTable, WalkParams, fold_copies,
+                   outcome_table, restart_author_share)
 
-DEFAULT_ORACLE_LIMIT = 10_000
 DEFAULT_TOL = 1e-12
 MAX_ITERATIONS = 10**6
 
@@ -41,7 +43,10 @@ MAX_ITERATIONS = 10**6
 class TransitionSystem:
     """Row-stochastic transition structure of the walk, by c-weight class.
 
-    States are authors [0, A) followed by papers [A, A+P).  For each row the
+    States are the outcome table's: authors [0, A), papers [A, A+P) and, in
+    literal mode only, one pending-isWrittenBy copy per paper [A+P, A+2P).
+    A literal paper's move to its own copy is a cite entry, and the copy's
+    moves to the paper's authors are isWrittenBy entries.  For each row the
     class matrices plus ``init_mass * restart_dist + fake_mass * paper_dist``
     sum to one.
     """
@@ -49,16 +54,17 @@ class TransitionSystem:
     n_authors: int
     n_papers: int
     wrote_m: sp.csr_matrix    # author rows -> paper columns
-    cite_m: sp.csr_matrix     # paper rows -> paper columns
-    iswb_m: sp.csr_matrix     # paper rows -> author columns
+    cite_m: sp.csr_matrix     # paper rows -> paper (and literal copy) columns
+    iswb_m: sp.csr_matrix     # paper (literal: copy) rows -> author columns
     init_mass: np.ndarray     # per-row mass sent through the restart distribution
     fake_mass: np.ndarray     # per-row mass sent to a uniformly random paper
-    restart_dist: np.ndarray  # distribution over all nodes
+    restart_dist: np.ndarray  # distribution over the nodes, zero on the copies
     paper_dist: np.ndarray    # uniform distribution over paper states
 
     @property
     def n(self) -> int:
-        return self.n_authors + self.n_papers
+        """Number of states, literal copies included."""
+        return self.wrote_m.shape[0]
 
     @property
     def link(self) -> sp.csr_matrix:
@@ -83,17 +89,6 @@ class TransitionSystem:
         for mass, dist in self.jumps:
             m += np.outer(mass, dist)
         return m
-
-
-def _restart_distribution(graph: CitationGraph, params: WalkParams) -> np.ndarray:
-    n_a, n_p = graph.n_authors, graph.n_papers
-    p_author = restart_author_share(graph, params)
-    dist = np.zeros(n_a + n_p)
-    if n_a:
-        dist[:n_a] = p_author / n_a
-    if n_p:
-        dist[n_a:] = (1.0 - p_author) / n_p
-    return dist
 
 
 def row_stochastic(weights) -> sp.csr_matrix:
@@ -122,59 +117,45 @@ def hop_matrices(graph: CitationGraph) -> tuple[sp.csr_matrix, sp.csr_matrix, sp
     )
 
 
-def _embed(block, row0: int, col0: int, n: int) -> sp.csr_matrix:
-    """`block` placed at (row0, col0) of an n x n zero matrix."""
-    coo = sp.coo_matrix(block)
-    return sp.csr_matrix((coo.data, (coo.row + row0, coo.col + col0)), shape=(n, n))
+def build_transition_system(graph: CitationGraph, params: WalkParams) -> TransitionSystem:
+    """Exact per-state transition probabilities of the walk, in either mode.
 
-
-def build_transition_system(
-    graph: CitationGraph,
-    params: WalkParams,
-    max_nodes: int = DEFAULT_ORACLE_LIMIT,
-) -> TransitionSystem:
-    """Exact per-node transition probabilities of the interpreted walk."""
+    The walk's outcome table without its entry row: link outcomes become the
+    class matrices, restart and fake outcomes the rank-one jumps.
+    """
     params.validate()
-    if params.mode != WalkMode.INTERPRETED:
-        raise ValueError("the oracle supports interpreted mode only")
     if graph.n_nodes == 0:
         raise ValueError("cannot build a transition system for an empty graph")
-    if graph.n_nodes > max_nodes:
-        raise ValueError(
-            f"graph has {graph.n_nodes} nodes, above the oracle limit of {max_nodes}"
-        )
+    table = outcome_table(graph, params)
+    s, n_a, n = table.n_states, table.n_authors, graph.n_nodes
+    # the entry row comes last and is never re-entered
+    row = np.repeat(np.arange(s), np.diff(table.indptr[:s + 1]))
+    end = table.indptr[s]
+    target, cls, prob = table.target[:end], table.cls[:end], table.prob[:end]
 
-    n_a, n_p = graph.n_authors, graph.n_papers
-    n = n_a + n_p
-    keep = 1.0 - params.damping_df
-    theta = params.theta
-    to_paper, _, to_author = hop_matrices(graph)
+    def links(c: int) -> sp.csr_matrix:
+        m = cls == c
+        return sp.csr_matrix((prob[m], (row[m], target[m])), shape=(s, s))
 
-    # a citation pick is uniform over max(|refs|, K) slots; the slots beyond
-    # the real references are fake picks
-    n_refs = np.diff(graph.cite.indptr)
-    slots = np.maximum(n_refs, params.min_citation_count)
-    per_slot = np.divide(keep * theta, slots, out=np.zeros(n_p), where=n_refs > 0)
-    has_papers = np.diff(graph.wrote.indptr) > 0
-    has_authors = np.diff(to_author.indptr) > 0
+    def mass(c: int) -> np.ndarray:
+        m = cls == c
+        return np.bincount(row[m], prob[m], minlength=s)
 
-    # the mass of a move the node cannot make reinitializes the walk
-    init_mass = np.full(n, params.damping_df)
-    init_mass[:n_a] += keep * ~has_papers
-    init_mass[n_a:] += keep * theta * (n_refs == 0) + keep * (1.0 - theta) * ~has_authors
-    fake_mass = np.zeros(n)
-    fake_mass[n_a:] = per_slot * (slots - n_refs)
-
+    p_author = restart_author_share(graph, params)
+    restart_dist, paper_dist = np.zeros(s), np.zeros(s)
+    restart_dist[:n_a] = p_author / max(n_a, 1)
+    restart_dist[n_a:n] = (1.0 - p_author) / max(n - n_a, 1)
+    paper_dist[n_a:n] = 1.0 / max(n - n_a, 1)
     return TransitionSystem(
         n_authors=n_a,
-        n_papers=n_p,
-        wrote_m=_embed(keep * to_paper, 0, n_a, n),
-        cite_m=_embed(sp.diags(per_slot) @ graph.cite, n_a, n_a, n),
-        iswb_m=_embed(keep * (1.0 - theta) * to_author, n_a, 0, n),
-        init_mass=init_mass,
-        fake_mass=fake_mass,
-        restart_dist=_restart_distribution(graph, params),
-        paper_dist=np.concatenate([np.zeros(n_a), np.full(n_p, 1.0 / n_p) if n_p else np.zeros(0)]),
+        n_papers=table.n_papers,
+        wrote_m=links(WROTE),
+        cite_m=links(CITE),
+        iswb_m=links(ISWB),
+        init_mass=mass(RESTART),
+        fake_mass=mass(FAKE),
+        restart_dist=restart_dist,
+        paper_dist=paper_dist,
     )
 
 
@@ -229,15 +210,21 @@ def expected_scores(
     graph: CitationGraph,
     params: WalkParams,
     tol: float = DEFAULT_TOL,
-    max_nodes: int = DEFAULT_ORACLE_LIMIT,
+    max_nodes: int | None = None,
 ) -> ScoreTable:
-    """Expected per-arrival scores of the walk, normalized to mean 1.0.
+    """Expected per-arrival scores of the walk, in either mode, normalized to
+    mean 1.0.
 
-    Each node's score rate sums stationary inflow per transition class times
+    Each state's score rate sums stationary inflow per transition class times
     that class's c-weight; restart arrivals (reinitialization and fake
-    citation picks alike) carry the restarting weight.
+    citation picks alike) carry the restarting weight.  In literal mode each
+    copy's rate is folded onto its paper, so the table has one row per node.
+    ``max_nodes``, when given, refuses larger graphs; by default any size is
+    solved.
     """
-    ts = build_transition_system(graph, params, max_nodes=max_nodes)
+    if max_nodes is not None and graph.n_nodes > max_nodes:
+        raise ValueError(f"graph has {graph.n_nodes} nodes, above max_nodes={max_nodes}")
+    ts = build_transition_system(graph, params)
     pi = stationary_distribution(ts, tol=tol)
     rate = (
         params.wrote_weight * (pi @ ts.wrote_m)
@@ -247,4 +234,4 @@ def expected_scores(
     )
     if rate.sum() <= 0:
         raise ValueError("the walk accumulates no score mass (all c-weights on unused edges?)")
-    return ScoreTable.over_all(graph, rate)
+    return ScoreTable.over_all(graph, fold_copies(rate, graph))

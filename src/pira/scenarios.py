@@ -13,13 +13,13 @@ population without disturbing the scenario structure.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from . import baselines
 from .graph import CitationGraph, build_graph
-from .oracle import DEFAULT_ORACLE_LIMIT, expected_scores
-from .walk import ScoreTable, WalkParams, pira_rank
+from .oracle import expected_scores
+from .walk import ScoreTable, WalkParams
 
 
 class ScenarioKind(enum.Enum):
@@ -393,13 +393,10 @@ def measure_scores(
     graph: CitationGraph,
     measure: str,
     pira_params: Optional[WalkParams] = None,
-    mc_steps: int = 10_000_000,
-    mc_seed: int = 42,
 ) -> ScoreTable:
     """Score table for one measure name.
 
-    PIRA measures use the exact stationary oracle when the graph is inside
-    the oracle limit, otherwise a fixed-seed Monte Carlo run.
+    PIRA measures are the exact stationary oracle's scores, at any size.
     """
     if pira_params is None:
         pira_params = WalkParams()
@@ -416,10 +413,7 @@ def measure_scores(
     if measure == "pr_p_paper":
         return ScoreTable.over_papers(graph, baselines.paper_pagerank(graph))
     if measure in ("pira", "pira_paper"):
-        if graph.n_nodes <= DEFAULT_ORACLE_LIMIT:
-            return expected_scores(graph, pira_params)
-        mc = replace(pira_params, step_budget=mc_steps, seed=mc_seed)
-        return pira_rank(graph, mc)
+        return expected_scores(graph, pira_params)
     raise ValueError(f"unknown measure {measure!r}")
 
 

@@ -22,7 +22,11 @@ Two execution modes are provided:
 
 ``minimum_citation_count`` (K) dilutes thin reference lists: the citation
 pick is uniform over max(|refs|, K) slots, and a slot beyond the real
-references sends the surfer to a uniformly random paper ("fake" pick).
+references sends the surfer to a uniformly random paper ("fake" pick); in
+literal mode the slot is drawn before the theta test, so a fake pick is
+taken whatever theta is.  A move the node cannot make (from an author
+without papers, a citation from a paper without references, an isWrittenBy
+jump from a paper without authors) reinitializes the walk instead.
 
 The engine samples one ``OutcomeTable`` built per call: a row per walk
 state listing each move as (next state, edge class, probability).  The
@@ -33,7 +37,8 @@ are sentinel outcomes whose landing node is drawn by arithmetic.  Each
 walker splits its budget into lanes that start at a restart, one lane per
 ``_CYCLES_PER_LANE`` expected restart cycles, and draws for them from one
 numpy RNG stream; the lanes of consecutive walkers step in lockstep, and
-the copies' arrivals are folded back onto their papers at the end.
+the copies' arrivals are folded back onto their papers at the end.  The
+exact oracle (``oracle.expected_scores``) solves the same table.
 """
 
 from __future__ import annotations
@@ -327,8 +332,12 @@ def _stack_rows(n_rows: int, blocks) -> tuple[np.ndarray, ...]:
     return indptr, target[kept], cls[kept], prob[kept]
 
 
-def _outcome_table(graph: CitationGraph, params: WalkParams) -> OutcomeTable:
-    """The walk's outcome table, in row order, in O(nodes + edges)."""
+def outcome_table(graph: CitationGraph, params: WalkParams) -> OutcomeTable:
+    """The walk's outcome table, in row order, in O(nodes + edges).
+
+    This is the package's one definition of the walk's chain: the engine
+    samples it and the exact oracle solves it.
+    """
     n_a, n_p = graph.n_authors, graph.n_papers
     n = n_a + n_p
     literal = params.mode == WalkMode.LITERAL
@@ -447,7 +456,7 @@ def _arrival_counts(graph: CitationGraph, params: WalkParams) -> np.ndarray:
     that one ``bincount`` folds into the counts whenever it is full.  Counts
     of the literal copies are added to their papers.
     """
-    table = _outcome_table(graph, params)
+    table = outcome_table(graph, params)
     upper, guide = _guide(table)
     start = table.indptr[:-1]
     size = np.diff(table.indptr).astype(float)
@@ -519,10 +528,16 @@ def _arrival_counts(graph: CitationGraph, params: WalkParams) -> np.ndarray:
                 state[:live] = nxt
                 filled += live
     counts += np.bincount(buf[:filled], minlength=n_codes)
-    counts = counts.reshape(table.n_states, N_CLASSES)
-    if table.n_states > n:  # literal copies onto their papers
-        counts[n_a:n] += counts[n:]
-    return counts[:n]
+    return fold_copies(counts.reshape(table.n_states, N_CLASSES), graph)
+
+
+def fold_copies(per_state: np.ndarray, graph: CitationGraph) -> np.ndarray:
+    """Per-node values of per-state ones: each literal copy's value is added
+    to its paper (in place) and the copy rows are dropped."""
+    n_a, n = graph.n_authors, graph.n_nodes
+    if len(per_state) > n:
+        per_state[n_a:n] += per_state[n:]
+    return per_state[:n]
 
 
 def pira_rank(graph: CitationGraph, params: WalkParams) -> ScoreTable:

@@ -2,8 +2,11 @@ from pathlib import Path
 
 import pytest
 
+from pira import WalkMode, WalkParams
+from pira.analysis import all_authors, dblp_authors, dblp_papers, rank
 from pira.cli import main
 from pira.ingest import load_graph, save_graph
+from pira.oracle import expected_scores
 
 from conftest import mixed_graph, pair_graph
 
@@ -58,6 +61,20 @@ def test_rank_methods_run(dataset, method, capsys):
     lines = out.strip().splitlines()
     assert lines
     assert lines[0].split("\t")[0] == "1"
+
+
+@pytest.mark.parametrize("flags, subset", [((), dblp_authors), (("--papers",), dblp_papers),
+                                           (("--all-nodes",), all_authors)],
+                         ids=["authors", "papers", "all-nodes"])
+def test_rank_oracle_in_literal_mode(dataset, flags, subset, capsys):
+    base = ["rank", str(dataset), "--method", "oracle", "--min-cite-count", "3", *flags]
+    assert main(base + ["--mode", "literal"]) == 0
+    out = capsys.readouterr().out
+    graph, _ = load_graph(dataset)
+    params = WalkParams(mode=WalkMode.LITERAL, min_citation_count=3)
+    assert out == rank(expected_scores(graph, params), subset=subset).to_tsv()
+    assert main(base) == 0
+    assert capsys.readouterr().out != out  # the mode changes the scores
 
 
 def test_rank_pub_orders_by_publications(dataset, capsys):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -61,16 +63,6 @@ def test_mutual_pair_rows():
     restart = ts.restart_dist
     assert m[1] == pytest.approx(0.15 * restart + 0.85 * np.array([0, 0, 1.0]))
     assert m[2] == pytest.approx(0.15 * restart + 0.85 * np.array([0, 1.0, 0]))
-
-
-def test_literal_mode_unsupported():
-    with pytest.raises(ValueError, match="interpreted"):
-        build_transition_system(pair_graph(), WalkParams(mode=WalkMode.LITERAL))
-
-
-def test_oracle_node_limit():
-    with pytest.raises(ValueError, match="oracle limit"):
-        build_transition_system(pair_graph(), WalkParams(), max_nodes=2)
 
 
 def test_stationary_of_damped_two_cycle_matrix():
@@ -200,8 +192,20 @@ def _source_with_three_refs():
                        cites=[("src", f"r{i}") for i in range(3)])
 
 
+def _authored_source_with_two_refs():
+    # src, written by a0 and a1, cites r0 and r1; the references have no
+    # authors and no references of their own
+    return build_graph(
+        authors=[("a0", "First", True), ("a1", "Second", True)],
+        papers=[("src", "Source", True), ("r0", "Ref 0", True), ("r1", "Ref 1", True)],
+        wrote=[("a0", "src"), ("a1", "src")],
+        cites=[("src", "r0"), ("src", "r1")],
+    )
+
+
 _DF, _THETA = 0.15, 0.7
 _KEEP = 1 - _DF
+_LITERAL = WalkParams(mode=WalkMode.LITERAL)
 
 # (graph, params, row node, {class: {target: probability}}, init_mass, fake_mass)
 ROW_CASES = {
@@ -220,6 +224,32 @@ ROW_CASES = {
     "no_refs": (
         _authors_with_two_one_and_no_papers, WalkParams(min_citation_count=50), "p1",
         {"iswb": {"a0": _KEEP * (1 - _THETA)}}, _DF + _KEEP * _THETA, 0.0),
+    # literal mode, R references over S = max(R, K) slots: each reference
+    # gets keep*theta/S, the paper's own copy keep*(1-theta)*R/S (the double
+    # count) and the fake pick keep*(S-R)/S, whatever theta is
+    "literal_paper_k5": (
+        _authored_source_with_two_refs, replace(_LITERAL, min_citation_count=5), "src",
+        {"cite": {"r0": _KEEP * _THETA / 5, "r1": _KEEP * _THETA / 5,
+                  "copy:src": _KEEP * (1 - _THETA) * 2 / 5}},
+        _DF, _KEEP * 3 / 5),
+    "literal_paper_k0": (
+        _authored_source_with_two_refs, _LITERAL, "src",
+        {"cite": {"r0": _KEEP * _THETA / 2, "r1": _KEEP * _THETA / 2,
+                  "copy:src": _KEEP * (1 - _THETA)}},
+        _DF, 0.0),
+    # the copy jumps to a uniform author of its paper
+    "literal_copy": (
+        _authored_source_with_two_refs, _LITERAL, "copy:src",
+        {"iswb": {"a0": _KEEP / 2, "a1": _KEEP / 2}}, _DF, 0.0),
+    # ... or restarts when the paper has no authors
+    "literal_copy_no_authors": (
+        _source_with_three_refs, _LITERAL, "copy:src", {}, 1.0, 0.0),
+    # a paper without references always restarts, K or not
+    "literal_no_refs": (
+        _authors_with_two_one_and_no_papers, replace(_LITERAL, min_citation_count=50), "p1",
+        {}, 1.0, 0.0),
+    "literal_no_refs_k0": (
+        _authored_source_with_two_refs, _LITERAL, "r0", {}, 1.0, 0.0),
 }
 
 
@@ -228,8 +258,11 @@ def test_transition_rows_exact(case):
     build, params, node, expected, init_mass, fake_mass = ROW_CASES[case]
     g = build()
     ts = build_transition_system(g, params)
-    state = lambda ext: (g.author_index[ext] if ext in g.author_index
-                         else g.n_authors + g.paper_index[ext])
+    def state(ext):
+        if ext.startswith("copy:"):  # literal copies follow the nodes
+            return g.n_nodes + g.paper_index[ext[len("copy:"):]]
+        return g.author_index[ext] if ext in g.author_index else g.n_authors + g.paper_index[ext]
+
     row = state(node)
     classes = {"wrote": ts.wrote_m, "cite": ts.cite_m, "iswb": ts.iswb_m}
     for name, matrix in classes.items():
@@ -240,3 +273,25 @@ def test_transition_rows_exact(case):
     assert ts.init_mass[row] == pytest.approx(init_mass, abs=1e-15)
     assert ts.fake_mass[row] == pytest.approx(fake_mass, abs=1e-15)
     assert ts.row_sums()[row] == pytest.approx(1.0, abs=1e-15)
+
+
+def test_oracle_has_no_size_cap():
+    # 10,200 nodes, above the size where the oracle used to refuse
+    rng = np.random.default_rng(7)
+    n_a, n_p = 3_400, 6_800
+    # build_graph drops the duplicate edges and self-citations among these
+    g = build_graph([(f"a{i}", "A", True) for i in range(n_a)],
+                    [(f"p{i}", "P", True) for i in range(n_p)],
+                    [(f"a{a}", f"p{p}") for a, p in rng.integers([n_a, n_p], size=(9_000, 2))],
+                    [(f"p{s}", f"p{d}") for s, d in rng.integers(n_p, size=(20_000, 2))])
+    assert g.n_nodes > 10_000
+    for mode in WalkMode:
+        params = WalkParams(mode=mode, min_citation_count=3)
+        ts = build_transition_system(g, params)
+        assert np.abs(ts.row_sums() - 1.0).max() <= 1e-12
+        table = expected_scores(g, params)
+        assert len(table) == g.n_nodes
+        assert table.normalized.sum() == pytest.approx(g.n_nodes)
+    # a cap applies only when the caller asks for one
+    with pytest.raises(ValueError, match="max_nodes"):
+        expected_scores(g, WalkParams(), max_nodes=g.n_nodes - 1)

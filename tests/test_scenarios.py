@@ -1,7 +1,10 @@
+import numpy as np
 import pytest
 
+from pira import WalkParams
 from pira.baselines import cit_count, pub_count
 from pira.ingest import load_graph, save_graph
+from pira.oracle import expected_scores
 from pira.scenarios import (
     Assertion,
     ScenarioKind,
@@ -90,6 +93,17 @@ def test_expected_assertions_hold_at_oracle_precision(kind):
     results = evaluate_assertions(scenario.graph, scenario.assertions)
     failed = [r for r in results if not r.passed]
     assert not failed, failed
+
+
+def test_scenarios_beyond_ten_thousand_nodes_are_exact():
+    # the oracle has no size cap, so a padded scenario is scored exactly
+    scenario = generate(ScenarioSpec(ScenarioKind.CITING_QUALITY), padding=5_200)
+    g = scenario.graph
+    assert g.n_nodes > 10_000
+    exact = expected_scores(g, WalkParams())
+    assert np.array_equal(measure_scores(g, "pira").normalized, exact.normalized)
+    results = evaluate_assertions(g, scenario.assertions)
+    assert results and all(r.passed for r in results), [r for r in results if not r.passed]
 
 
 def test_assertion_tsv_round_trip():

@@ -4,7 +4,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +16,7 @@ from pira import (
 )
 from pira.analysis import rank
 from pira.baselines import h_index
-from pira.oracle import expected_scores, stationary_distribution
+from pira.oracle import build_transition_system, expected_scores
 import pira.walk as walk
 from pira.walk import ScoreTable, walker_seed
 
@@ -270,64 +269,109 @@ def test_equal_arrivals_tie_exactly_with_non_dyadic_weights():
     assert max(len(nodes) for nodes in by_score.values()) > 1
 
 
-# --- the outcome table as an exact chain ---------------------------------------
+# --- an independent exact reference ------------------------------------------
 
-def _table_chain_scores(graph, params) -> np.ndarray:
-    """Normalized expected scores of the chain the engine samples: the outcome
-    table's three class matrices and its restart and fake jumps, solved with
-    the oracle's solver, with the literal copies folded onto their papers."""
-    t = walk._outcome_table(graph, params)
-    s, n_a, n = t.n_states, t.n_authors, t.n_authors + t.n_papers
-    row = np.repeat(np.arange(len(t.indptr) - 1), np.diff(t.indptr))
-    walk_rows = row < s  # the entry row is never re-entered
-    row, target, cls, prob = row[walk_rows], t.target[walk_rows], t.cls[walk_rows], t.prob[walk_rows]
-    p_author = walk.restart_author_share(graph, params)
-    restart_dist, paper_dist = np.zeros(s), np.zeros(s)
-    restart_dist[:n_a] = p_author / max(n_a, 1)
-    restart_dist[n_a:n] = (1.0 - p_author) / max(n - n_a, 1)
-    paper_dist[n_a:n] = 1.0 / max(n - n_a, 1)
-    links = {c: sp.csr_matrix((prob[cls == c], (row[cls == c], target[cls == c])), shape=(s, s))
-             for c in (walk.WROTE, walk.CITE, walk.ISWB)}
-    jumps = {c: (np.bincount(row[cls == c], prob[cls == c], minlength=s), dist)
-             for c, dist in ((walk.RESTART, restart_dist), (walk.FAKE, paper_dist))}
-    pi = stationary_distribution(sum(links.values()), list(jumps.values()))
-    weight = {walk.RESTART: params.restarting_weight, walk.FAKE: params.restarting_weight,
-              walk.WROTE: params.wrote_weight, walk.CITE: params.cite_weight,
-              walk.ISWB: params.iswb_weight}
-    rate = sum(weight[c] * (pi @ m) for c, m in links.items())
-    rate += sum(weight[c] * (pi @ mass) * dist for c, (mass, dist) in jumps.items())
-    rate[n_a:n_a + s - n] += rate[n:]
+def _dense_reference_scores(graph, params) -> np.ndarray:
+    """Normalized expected scores of the walk as the ``walk`` module docstring
+    describes it, in either mode: a dense per-class transition matrix built
+    node by node in plain Python and solved by least squares.  It shares no
+    code with the outcome table or the oracle."""
+    literal = params.mode == WalkMode.LITERAL
+    n_a, n_p, n = graph.n_authors, graph.n_papers, graph.n_nodes
+    s = n + n_p if literal else n  # literal: a pending-isWrittenBy copy per paper
+    df, theta, k = params.damping_df, params.theta, params.min_citation_count
+    keep = 1.0 - df
+    if n_a == 0 or n_p == 0:
+        share = float(n_p == 0)
+    else:
+        share = n_a / n if params.restart_author_prob is None else params.restart_author_prob
+    restart_dist = np.zeros(s)
+    restart_dist[:n_a] = share / max(n_a, 1)
+    restart_dist[n_a:n] = (1.0 - share) / max(n_p, 1)
+    paper_dist = np.zeros(s)
+    paper_dist[n_a:n] = 1.0 / max(n_p, 1)
+    restart, fake, wrote, cite, iswb = range(5)
+    moves = np.zeros((5, s, s))  # class, from, to
+
+    def to_authors(i, authors, p):
+        if not authors:
+            moves[restart, i] += p * restart_dist
+        for a in authors:
+            moves[iswb, i, a] += p / len(authors)
+
+    for i in range(s):
+        moves[restart, i] += df * restart_dist
+        if i < n_a:
+            papers = graph.papers_of[i]
+            if not papers:
+                moves[restart, i] += keep * restart_dist
+            p_weight = {q: 1.0 / len(graph.authors_of[q]) for q in papers}
+            for q, w in p_weight.items():
+                moves[wrote, i, n_a + q] += keep * w / sum(p_weight.values())
+        elif i < n:
+            q = i - n_a
+            refs = graph.refs_of[q]
+            slots = max(len(refs), k)
+            follow = 1.0 if literal else theta  # literal draws the slot first
+            if not refs:
+                moves[restart, i] += keep * follow * restart_dist
+            else:
+                for r in refs:
+                    moves[cite, i, n_a + r] += keep * theta / slots
+                moves[fake, i] += keep * follow * (slots - len(refs)) / slots * paper_dist
+            if literal and refs:
+                moves[cite, i, n + q] += keep * (1.0 - theta) * len(refs) / slots
+            elif not literal:
+                to_authors(i, graph.authors_of[q], keep * (1.0 - theta))
+        else:
+            to_authors(i, graph.authors_of[i - n], keep)
+
+    a = np.vstack([moves.sum(axis=0).T - np.eye(s), np.ones(s)])
+    b = np.zeros(s + 1)
+    b[-1] = 1.0
+    pi = np.linalg.lstsq(a, b, rcond=None)[0]
+    weights = (params.restarting_weight, params.restarting_weight, params.wrote_weight,
+               params.cite_weight, params.iswb_weight)
+    rate = sum(w * (pi @ m) for w, m in zip(weights, moves))
+    if literal:  # each copy's rate onto its paper
+        rate[n_a:n] += rate[n:]
     return normalize(rate[:n])
 
 
 def _assert_rows_sum_to_one(graph, params):
-    t = walk._outcome_table(graph, params)
+    t = walk.outcome_table(graph, params)
     assert (t.prob > 0).all()
     sums = np.bincount(np.repeat(np.arange(len(t.indptr) - 1), np.diff(t.indptr)), t.prob)
     assert np.abs(sums - 1.0).max() <= 1e-12
+    assert np.abs(build_transition_system(graph, params).row_sums() - 1.0).max() <= 1e-12
+
+
+def _assert_oracle_equals_the_reference(graph, params):
+    # power iteration to a residual well below the default 1e-12, so that
+    # the comparison checks the chain, not the solver's stopping point
+    for mode in WalkMode:
+        params = replace(params, mode=mode)
+        _assert_rows_sum_to_one(graph, params)
+        exact = expected_scores(graph, params, tol=1e-14).normalized
+        assert np.abs(exact - _dense_reference_scores(graph, params)).max() <= 1e-12, mode
+        scaled = expected_scores(graph, params.scaled_weights(37.0), tol=1e-14).normalized
+        assert np.abs(scaled - exact).max() <= 1e-12, mode
 
 
 @pytest.mark.parametrize("k", [0, 3])
-def test_interpreted_table_chain_equals_the_oracle(fixture_graphs, k):
+def test_oracle_equals_the_dense_reference(fixture_graphs, k):
     params = WalkParams(min_citation_count=k, wrote_weight=0.3, restarting_weight=0.1)
     for name, g in fixture_graphs.items():
-        for mode in WalkMode:
-            _assert_rows_sum_to_one(g, replace(params, mode=mode))
-        exact = expected_scores(g, params).normalized
-        assert np.abs(_table_chain_scores(g, params) - exact).max() <= 1e-12, name
+        _assert_oracle_equals_the_reference(g, params)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(_small_graphs, st.sampled_from([0, 3]), st.sampled_from([0.0, 0.5, 1.0]),
        st.floats(0.05, 1.0), st.sampled_from([None, 0.3]))
-def test_interpreted_table_chain_equals_the_oracle_on_random_graphs(draw, k, theta, df, p_author):
-    g = _small_graph(draw)
+def test_oracle_equals_the_dense_reference_on_random_graphs(draw, k, theta, df, p_author):
     params = WalkParams(min_citation_count=k, theta=theta, damping_df=df,
                         restart_author_prob=p_author, wrote_weight=0.3, restarting_weight=0.1)
-    for mode in WalkMode:
-        _assert_rows_sum_to_one(g, replace(params, mode=mode))
-    exact = expected_scores(g, params).normalized
-    assert np.abs(_table_chain_scores(g, params) - exact).max() <= 1e-12
+    _assert_oracle_equals_the_reference(_small_graph(draw), params)
 
 
 @pytest.mark.parametrize("k", [0, 3])
@@ -337,7 +381,7 @@ def test_literal_walk_matches_its_exact_chain(fixture_graphs, k):
                         restarting_weight=0.1, step_budget=ACCEPTANCE_STEPS,
                         seed=ACCEPTANCE_SEED)
     for name, g in fixture_graphs.items():
-        exact = _table_chain_scores(g, params)
+        exact = expected_scores(g, params).normalized
         mc = pira_rank(g, params).normalized
         checked = exact >= 0.01
         rel = np.abs(mc[checked] - exact[checked]) / exact[checked]
