@@ -10,8 +10,8 @@ the cited paper.
 Every measure here is sparse algebra on the graph's stored incidence
 matrices, ``CitationGraph.wrote`` and ``cite``: the counts are their degree
 sums, PR-P's paper graph is ``cite`` itself, PR-A's author graph is the
-sparse product of the oracle's three one-hop matrices, and PageRank runs on
-the oracle's stationary solver.
+sparse product of the walk's three one-hop matrices (``hop_matrices``), and
+PageRank runs on the oracle's stationary solver.
 """
 
 from __future__ import annotations
@@ -25,13 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graph import CitationGraph
-from .oracle import (
-    DEFAULT_TOL,
-    MAX_ITERATIONS,
-    hop_matrices,
-    row_stochastic,
-    stationary_distribution,
-)
+from .oracle import DEFAULT_TOL, MAX_ITERATIONS, stationary_distribution
 
 DEFAULT_DAMPING = 0.15
 
@@ -62,6 +56,32 @@ def h_index(graph: CitationGraph) -> np.ndarray:
     rank = np.arange(1, len(rows) + 1) - wrote.indptr[rows]
     # the papers with at least their rank's citations form a prefix of each row
     return np.bincount(rows[cited >= rank], minlength=graph.n_authors).astype(float)
+
+
+def row_stochastic(weights) -> sp.csr_matrix:
+    """Scale each row of a non-negative sparse matrix to sum to one.
+
+    Rows without weight stay empty.
+    """
+    sums = np.asarray(weights.sum(axis=1)).ravel()
+    scale = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums > 0)
+    return sp.csr_matrix(sp.diags(scale) @ weights)
+
+
+def hop_matrices(graph: CitationGraph) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
+    """Row-stochastic one-hop matrices of the walk's three link classes.
+
+    Returns (author -> paper, proportional to p-weight; paper -> cited
+    paper, uniform; paper -> author, uniform).  A node without a link of the
+    class has an empty row.
+    """
+    coauthors = np.asarray(graph.wrote.sum(axis=0)).ravel()
+    p_weight = np.divide(1.0, coauthors, out=np.zeros_like(coauthors), where=coauthors > 0)
+    return (
+        row_stochastic(graph.wrote @ sp.diags(p_weight)),
+        row_stochastic(graph.cite),
+        row_stochastic(graph.wrote.T),
+    )
 
 
 def pagerank(

@@ -222,8 +222,9 @@ def _add_walk_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--walkers", type=int, default=1,
                         help="independent walks sharing the step budget, each "
-                             "with its own RNG stream; output depends on the walk "
-                             "flags only, not on the machine")
+                             "with its own RNG stream and the law of one surfer; "
+                             "output depends on the walk flags only, not on the "
+                             "machine")
     parser.add_argument("--theta", type=float, default=0.7,
                         help="probability of following a citation from a paper")
     parser.add_argument("--df", type=float, default=0.15,

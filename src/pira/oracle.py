@@ -91,32 +91,6 @@ class TransitionSystem:
         return m
 
 
-def row_stochastic(weights) -> sp.csr_matrix:
-    """Scale each row of a non-negative sparse matrix to sum to one.
-
-    Rows without weight stay empty.
-    """
-    sums = np.asarray(weights.sum(axis=1)).ravel()
-    scale = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums > 0)
-    return sp.csr_matrix(sp.diags(scale) @ weights)
-
-
-def hop_matrices(graph: CitationGraph) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
-    """Row-stochastic one-hop matrices of the walk's three link classes.
-
-    Returns (author -> paper, proportional to p-weight; paper -> cited
-    paper, uniform; paper -> author, uniform).  A node without a link of the
-    class has an empty row.
-    """
-    coauthors = np.asarray(graph.wrote.sum(axis=0)).ravel()
-    p_weight = np.divide(1.0, coauthors, out=np.zeros_like(coauthors), where=coauthors > 0)
-    return (
-        row_stochastic(graph.wrote @ sp.diags(p_weight)),
-        row_stochastic(graph.cite),
-        row_stochastic(graph.wrote.T),
-    )
-
-
 def build_transition_system(graph: CitationGraph, params: WalkParams) -> TransitionSystem:
     """Exact per-state transition probabilities of the walk, in either mode.
 

@@ -33,17 +33,26 @@ state listing each move as (next state, edge class, probability).  The
 states are the authors, the papers and, in literal mode, one "pending
 isWrittenBy" copy per paper, the state after the 1-theta re-arrival; the
 two modes differ only in how the table is built.  Restart and fake moves
-are sentinel outcomes whose landing node is drawn by arithmetic.  Each
-walker splits its budget into lanes that start at a restart, one lane per
-``_CYCLES_PER_LANE`` expected restart cycles, and draws for them from one
-numpy RNG stream; the lanes of consecutive walkers step in lockstep, and
-the copies' arrivals are folded back onto their papers at the end.  The
-exact oracle (``oracle.expected_scores``) solves the same table.
+are sentinel outcomes whose landing node is drawn by arithmetic.
+
+Restarts are regeneration points: the arrivals from one restart outcome up
+to the next form a restart cycle, and one surfer's arrivals are i.i.d.
+cycles joined in start order.  So each walker runs its cycles side by side
+in a pool of slots, drawing for all of them from one numpy RNG stream:
+every restart outcome opens the walker's next cycle, the walker stops
+opening cycles once its arrivals reach its budget, and its counts are its
+cycles' arrivals in start order, cut once at the budget.  Each walker's
+counts therefore have exactly the law of one surfer's first ``budget``
+arrivals, whatever its slot count, which is sized for speed only.  The
+slots of consecutive walkers step in lockstep, and the copies' arrivals are
+folded back onto their papers at the end.  The exact oracle
+(``oracle.expected_scores``) solves the same table.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
@@ -74,7 +83,8 @@ class WalkParams:
     ``walkers`` splits the budget into that many independent walks, each
     with its own RNG stream (streams, not processes: all walkers run in the
     calling process), and the scores depend on the params only, not on the
-    machine.
+    machine.  Each walker's arrival counts have the law of one surfer's
+    first arrivals up to its share of the budget.
     """
 
     damping_df: float = 0.15
@@ -271,16 +281,18 @@ N_CLASSES = 5
 TO_RESTART = -1
 TO_FAKE = -2
 
-# Each lane starts at a restart, a regeneration point of the chain, so only
-# its unfinished last restart cycle adds bias, of order 1 / (df * steps per
-# lane).  A walker therefore gets one lane per _CYCLES_PER_LANE expected
-# restart cycles (of 1 / df steps each), at most _MAX_LANES and at least one;
-# that keeps the bias below the Monte Carlo noise (bias table in CHANGES.md).
-_MAX_LANES = 1024
-_CYCLES_PER_LANE = 200
-_GROUP_LANES = 4096  # lanes of consecutive walkers stepped together
-_BLOCK_STEPS = 16  # lockstep steps whose uniforms are drawn in one call
+# Restart outcomes are regeneration points of the chain, so a walker's
+# restart cycles are i.i.d. and can run side by side in slots (see
+# _group_counts).  The slot count is a speed choice: one slot per
+# _CYCLES_PER_SLOT expected restart cycles, at most _MAX_SLOTS.
+_MAX_SLOTS = 4096
+_CYCLES_PER_SLOT = 16
+_GROUP_SLOTS = 8192  # slots of consecutive walkers stepped together
+_BLOCK_DRAWS = 1 << 14  # uniforms drawn for a group at a time (at least a step's)
 _MIN_BUFFER = 1 << 14
+# -log of the chance that a walker's early cycles run past its cut, which
+# costs a re-run of its group (see _window)
+_CUT_RISK = 20.0
 
 
 @dataclass(frozen=True, eq=False)  # holds arrays; compare by identity
@@ -291,7 +303,7 @@ class OutcomeTable:
     one "pending isWrittenBy" copy per paper [A+P, A+2P): the state between
     the literal 1-theta branch's re-arrival at its paper (counted on the
     paper) and the jump to one of the paper's authors.  One more row, the
-    entry row ``n_states``, restarts with probability one; lanes start there,
+    entry row ``n_states``, restarts with probability one; slots start there,
     so their first arrival is a restart.  Row r lists its outcomes in
     ``[indptr[r], indptr[r + 1])``: restart, fake pick, then the row's links.
     Restart and fake outcomes have the sentinel targets ``TO_RESTART`` and
@@ -420,43 +432,56 @@ def _guide(table: OutcomeTable) -> tuple[np.ndarray, np.ndarray]:
     return upper, np.repeat(np.arange(len(prob)), bins)
 
 
-def _lanes(budget: int, df: float) -> int:
-    """Lanes of a walker with `budget` steps at damping `df`: one per
-    ``_CYCLES_PER_LANE`` expected restart cycles, so at df = 0, where no lane
-    ever regenerates, each walker is a single lane."""
-    return min(_MAX_LANES, max(1, int(budget * df // _CYCLES_PER_LANE)))
+def _slots(budget: int, df: float) -> int:
+    """Cycle slots of a walker with `budget` arrivals at damping `df`: one
+    per ``_CYCLES_PER_SLOT`` expected restart cycles, at most ``_MAX_SLOTS``
+    and at least one, so at df = 0 each walker is a single slot."""
+    return max(1, min(_MAX_SLOTS, int(budget * df) // _CYCLES_PER_SLOT))
+
+
+def _window(budget: int, slots: int, df: float) -> int:
+    """Arrivals before a walker's budget from which its new cycles are
+    recorded rather than counted at once.
+
+    When the window starts, at most ``slots`` early cycles are open and
+    fewer than ``budget - window + slots`` early arrivals have been made.
+    Each further arrival of theirs ends its cycle with probability at least
+    df, so they pass the budget only if ``window`` trials at rate df give
+    fewer than ``slots`` successes; the window is the Chernoff bound that
+    makes this less likely than e^-``_CUT_RISK``.  One slot runs its cycles
+    one after another and needs no window; at df = 0 with more slots every
+    cycle is recorded.
+    """
+    if slots == 1:
+        return 0
+    if df == 0:
+        return budget
+    trials = (slots + _CUT_RISK + math.sqrt(_CUT_RISK ** 2 + 2 * _CUT_RISK * slots)) / df
+    return min(budget, math.ceil(trials))
 
 
 def _walker_groups(params: WalkParams):
-    """Consecutive walkers with steps, as lists of (walker, budget, lanes),
-    grouped so that each group has at most ``_GROUP_LANES`` lanes (and at
+    """Consecutive walkers with steps, as lists of (walker, budget, slots),
+    grouped so that each group has at most ``_GROUP_SLOTS`` slots (and at
     least one walker)."""
     base, extra = divmod(params.step_budget, params.walkers)
-    group, group_lanes = [], 0
+    group, group_slots = [], 0
     for w in range(min(params.walkers, params.step_budget)):
         budget = base + (w < extra)
-        lanes = _lanes(budget, params.damping_df)
-        if group and group_lanes + lanes > _GROUP_LANES:
+        slots = _slots(budget, params.damping_df)
+        if group and group_slots + slots > _GROUP_SLOTS:
             yield group
-            group, group_lanes = [], 0
-        group.append((w, budget, lanes))
-        group_lanes += lanes
+            group, group_slots = [], 0
+        group.append((w, budget, slots))
+        group_slots += slots
     yield group
 
 
-def _arrival_counts(graph: CitationGraph, params: WalkParams) -> np.ndarray:
-    """Arrivals per node and edge class, int64 (nodes x ``N_CLASSES``).
-
-    Walker w draws from ``np.random.default_rng(walker_seed(seed, w))``,
-    ``_BLOCK_STEPS`` steps of uniforms for all its lanes at a time; a lane takes
-    budget // lanes steps, and the first budget % lanes lanes one more.  The
-    lanes of a group of walkers step together through the outcome table, each
-    on its own walker's draws, so the counts do not depend on the grouping.
-    Each step writes ``state * N_CLASSES + class`` per lane into a buffer
-    that one ``bincount`` folds into the counts whenever it is full.  Counts
-    of the literal copies are added to their papers.
-    """
-    table = outcome_table(graph, params)
+def _sampler(graph: CitationGraph, params: WalkParams, table: OutcomeTable):
+    """``step(state, u, v) -> (next state, arrival code, restarted)`` over
+    the table: one outcome per state from the uniforms u (guide table) and
+    v (restart and fake landings), with the arrival code
+    ``node * N_CLASSES + class`` and the indices whose outcome restarted."""
     upper, guide = _guide(table)
     start = table.indptr[:-1]
     size = np.diff(table.indptr).astype(float)
@@ -477,57 +502,188 @@ def _arrival_counts(graph: CitationGraph, params: WalkParams) -> np.ndarray:
         x = np.where(paper, n_a + (v - share) * paper_scale, v * author_scale)
         return np.minimum(x.astype(np.intp), np.where(paper, n - 1, n_a - 1))
 
-    n_codes = N_CLASSES * table.n_states
+    def step(s: np.ndarray, u: np.ndarray, v: np.ndarray):
+        e = guide[start[s] + (u * size[s]).astype(np.intp)]
+        late = (upper[e] <= u).nonzero()[0]
+        while late.size:
+            e[late] += 1
+            late = late[upper[e[late]] <= u[late]]
+        nxt = target[e]
+        out = code[e]
+        restarted = (nxt == TO_RESTART).nonzero()[0]
+        for sentinel, share, paper_scale in jumps:
+            hit = restarted if sentinel == TO_RESTART else (nxt == sentinel).nonzero()[0]
+            if hit.size:
+                landing = land(v[hit], share, paper_scale)
+                nxt[hit] = landing
+                out[hit] += landing * N_CLASSES
+        return nxt, out, restarted
+
+    return step
+
+
+def _group_counts(step, n_states: int, seed: int, group, windows) -> tuple[np.ndarray, np.ndarray]:
+    """(arrival codes counted, walkers whose early cycles overran their cut)
+    of one group of walkers; the counts are exact only when none overran.
+
+    Each walker's ``slots`` start at the entry row, so the first step opens
+    one cycle per slot.  Every restart outcome closes its slot's cycle and,
+    while the walker has made fewer arrivals than its budget before the
+    step, opens the walker's next cycle in that slot (in slot order within a
+    step); afterwards it leaves the slot idle.  Every slot is busy until
+    then, so a walker opens cycles for exactly ceil(budget / slots) steps.
+
+    Cycles opened before the walker's arrivals reach ``budget - window`` are
+    early, and their arrivals are counted at once.  The arrivals of later,
+    late cycles are recorded with their cycle, step by step; once the
+    walker is done, its late cycles in start order supply the arrivals
+    still missing from the budget.  A late cycle stops as soon as the
+    arrivals of the early cycles and of the late ones up to it reach the
+    budget, since all its further arrivals fall past the cut.  If the early
+    arrivals pass the budget, the cut falls inside the early cycles and the
+    walker has overrun.  A walker with one slot runs its cycles one after
+    another, so it stops once its early arrivals reach the budget.
+    """
+    n_codes = N_CLASSES * n_states
+    n_walkers = len(group)
+    budget = np.array([b for _, b, _ in group], np.int64)
+    slots = np.array([s for *_, s in group], np.int64)
+    open_end = -(-budget // slots)  # first step that opens no cycle
+    switch = -(-(budget - np.asarray(windows, np.int64)) // slots)  # first late step
+    # late cycle k of walker w has the id k * n_walkers + w, so column w of
+    # ``late_len`` (arrivals per late cycle) lists w's cycles in start order
+    late_len = np.zeros((1, n_walkers), np.int64)
+    n_late = np.zeros(n_walkers, np.int64)
+    records = []  # (late cycle ids, arrival codes) per step
+    # a walker opens fewer than budget + slots cycles
+    id_bound = (budget.max() + slots.max()) * n_walkers
+    rec_type = np.int32 if max(id_bound, n_codes) < 2**31 else np.int64
+    rngs = [np.random.default_rng(walker_seed(seed, w)) for w, *_ in group]
+    bounds = np.concatenate(([0], np.cumsum(slots)))
+    n = int(bounds[-1])
+    block = max(1, _BLOCK_DRAWS // (2 * n))
+    # the live slots, in slot order: index, walker, state and late cycle id
+    # (-1 for an early cycle)
+    live = np.arange(n)
+    wid = np.repeat(np.arange(n_walkers), slots)
+    state = np.full(n, n_states, np.intp)  # the entry row
+    cyc = np.full(n, -1, np.intp)
+    active = np.ones(n_walkers, bool)
+    # until step `careful` every slot is busy and every new cycle early
+    careful = int(switch.min())
+    early = careful * slots  # arrivals of early cycles
     counts = np.zeros(n_codes, np.int64)
-    buf = np.empty(max(_MIN_BUFFER, n_codes), np.intp)
+    buf = np.empty(max(_MIN_BUFFER, n_codes, n), np.intp)
     filled = 0
-    for group in _walker_groups(params):
-        walkers, lane_steps, n_lanes = [], [], 0
-        for w, budget, lanes in group:
-            steps, spare = divmod(budget, lanes)
-            rng = np.random.default_rng(walker_seed(params.seed, w))
-            walkers.append((rng, n_lanes, n_lanes + lanes, steps + (spare > 0)))
-            lane_steps.append(steps + (np.arange(lanes) < spare))
-            n_lanes += lanes
-        # lanes with more steps first, so the live lanes of a step are a prefix
-        lane_steps = np.concatenate(lane_steps)
-        order = np.argsort(-lane_steps, kind="stable")
-        ascending = lane_steps[order[::-1]]
-        if (order == np.arange(n_lanes)).all():
-            order = None
-        state = np.full(n_lanes, table.n_states, np.intp)  # the entry row
-        total = max(total_w for *_, total_w in walkers)
-        for t0 in range(0, total, _BLOCK_STEPS):
-            draws = np.empty((min(_BLOCK_STEPS, total - t0), 2, n_lanes))
-            for rng, first, last, total_w in walkers:
-                if t0 < total_w:
-                    k = min(_BLOCK_STEPS, total_w - t0)
-                    draws[:k, :, first:last] = rng.random((k, 2, last - first))
-            if order is not None:
-                draws = draws[:, :, order]
-            for t, (u, v) in enumerate(draws, t0):
-                live = n_lanes - int(np.searchsorted(ascending, t, side="right"))
-                if filled + live > len(buf):
-                    counts += np.bincount(buf[:filled], minlength=n_codes)
-                    filled = 0
-                u, v, s = u[:live], v[:live], state[:live]
-                e = guide[start[s] + (u * size[s]).astype(np.intp)]
-                late = (upper[e] <= u).nonzero()[0]
-                while late.size:
-                    e[late] += 1
-                    late = late[upper[e[late]] <= u[late]]
-                nxt = target[e]
-                out = code[e]
-                for sentinel, share, paper_scale in jumps:
-                    hit = (nxt == sentinel).nonzero()[0]
-                    if hit.size:
-                        landing = land(v[hit], share, paper_scale)
-                        nxt[hit] = landing
-                        out[hit] += landing * N_CLASSES
-                buf[filled:filled + live] = out
-                state[:live] = nxt
-                filled += live
+
+    def commit(codes: np.ndarray) -> None:
+        nonlocal filled
+        if filled + len(codes) > len(buf):
+            counts[:] += np.bincount(buf[:filled], minlength=n_codes)
+            filled = 0
+        buf[filled:filled + len(codes)] = codes
+        filled += len(codes)
+
+    t = 0
+    while live.size:
+        if t % block == 0:
+            draws = np.empty((block, 2, n))
+            for i in np.flatnonzero(active):
+                draws[:, :, bounds[i]:bounds[i + 1]] = rngs[i].random((block, 2, slots[i]))
+        u, v = draws[t % block]
+        if live.size < n:
+            u, v = u[live], v[live]
+        nxt, out, restarted = step(state, u, v)
+        keep = is_late = None
+        if t < careful:
+            commit(out)
+        else:
+            keep = np.ones(live.size, bool)
+            if restarted.size:
+                wr = wid[restarted]
+                opens = t < open_end[wr]
+                keep[restarted[~opens]] = False
+                late = opens & (t >= switch[wr])
+                new = np.full(restarted.size, -1, np.intp)
+                w_late = wr[late]
+                if w_late.size:
+                    k = n_late[w_late] + np.arange(w_late.size) - np.searchsorted(w_late, w_late)
+                    new[late] = k * n_walkers + w_late
+                    n_late += np.bincount(w_late, minlength=n_walkers)
+                    if n_late.max() > len(late_len):
+                        grown = np.zeros((2 * n_late.max(), n_walkers), np.int64)
+                        grown[:len(late_len)] = late_len
+                        late_len = grown
+                cyc[restarted] = new
+            is_late = cyc >= 0
+            is_early = keep & ~is_late
+            is_late &= keep
+            commit(out[is_early])
+            early += np.bincount(wid[is_early], minlength=n_walkers)
+            if is_late.any():
+                g = cyc[is_late]
+                late_len.ravel()[g] += 1
+                records.append((g.astype(rec_type), out[is_late].astype(rec_type)))
+            else:
+                is_late = None
+        t += 1
+        if t >= careful:
+            # one slot has reached its budget; more have overrun their cut
+            stop = active & (early >= budget + (slots > 1))
+            if stop.any():
+                keep = ~stop[wid] if keep is None else keep & ~stop[wid]
+            if is_late is not None and (t >= open_end).any():
+                # late cycles whose further arrivals all fall past the cut
+                reached = np.cumsum(late_len[:n_late.max()], axis=0).ravel()
+                i = is_late.nonzero()[0]
+                w = wid[i]
+                keep[i[early[w] + reached[cyc[i]] >= budget[w]]] = False
+        if keep is None or keep.all():
+            state = nxt
+        else:
+            live, wid, cyc, state = live[keep], wid[keep], cyc[keep], nxt[keep]
+            active &= np.bincount(wid, minlength=n_walkers) > 0
+    overrun = np.flatnonzero(early > budget)
+    if not overrun.size:
+        # the arrivals of each late cycle that fall inside its walker's cut:
+        # a step records at most one arrival per cycle, in cycle order
+        before = np.cumsum(late_len, axis=0) - late_len
+        take = np.clip(budget - early - before, 0, late_len).ravel()
+        for g, codes in records:
+            kept = take[g] > 0
+            take[g[kept]] -= 1
+            commit(codes[kept])
     counts += np.bincount(buf[:filled], minlength=n_codes)
+    return counts, overrun
+
+
+def _arrival_counts(graph: CitationGraph, params: WalkParams) -> np.ndarray:
+    """Arrivals per node and edge class, int64 (nodes x ``N_CLASSES``).
+
+    Walker w draws from ``np.random.default_rng(walker_seed(seed, w))``:
+    each lockstep step takes a row of uniforms u and one of v for all its
+    slots.  Its counts are its restart cycles' arrivals, joined in start
+    order and cut once at its budget (``_group_counts``), so they have the
+    law of one surfer's first ``budget`` arrivals, whatever its slot count.
+    The slots of a group of walkers step together, each on its own walker's
+    draws, so the counts do not depend on the grouping either.  A group in
+    which a walker's early cycles overran its cut is run again with that
+    walker's every cycle recorded; the draws are the same, so the result is
+    too.  Counts of the literal copies are added to their papers.
+    """
+    table = outcome_table(graph, params)
+    step = _sampler(graph, params, table)
+    df = params.damping_df
+    counts = None
+    for group in _walker_groups(params):
+        windows = [_window(budget, slots, df) for _, budget, slots in group]
+        while True:
+            got, overrun = _group_counts(step, table.n_states, params.seed, group, windows)
+            if not overrun.size:
+                break
+            for i in overrun:
+                windows[i] = group[i][1]
+        counts = got if counts is None else np.add(counts, got, out=counts)
     return fold_copies(counts.reshape(table.n_states, N_CLASSES), graph)
 
 
@@ -544,9 +700,10 @@ def pira_rank(graph: CitationGraph, params: WalkParams) -> ScoreTable:
     """Run the walk for `step_budget` arrivals and return normalized scores.
 
     The budget is split evenly across walkers; walker i draws from its own
-    RNG stream derived from (seed, i) for a number of lockstep lanes fixed
-    by its budget and ``damping_df``, so the result depends on the params
-    only.
+    RNG stream derived from (seed, i) and counts one surfer's first
+    arrivals up to its share, with exactly that surfer's law.  Its restart
+    cycles run side by side in lockstep slots, as many as its budget and
+    ``damping_df`` give for speed, so the result depends on the params only.
     Arrivals are counted per node and edge class as integers, and the raw
     score is those counts weighted once by the c-weights in units of the
     largest one (restart and fake picks both carry the restart weight).

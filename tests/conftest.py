@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import strategies as st
 
 from pira import WalkParams, build_graph, pira_rank
 from pira.graph import CitationGraph
@@ -109,6 +110,28 @@ def communities_graph() -> CitationGraph:
         cites.append((f"two_p{i}", "two_hub"))
     cites.append(("two_hub", "one_p0"))  # bridge
     return build_graph(authors, papers, wrote, cites)
+
+
+# random small graphs: 1-6 authors, 1-6 papers, up to 12 wrote and 15 cite
+# pairs, which may repeat or cite their own paper
+small_graphs = st.integers(1, 6).flatmap(
+    lambda n_a: st.integers(1, 6).flatmap(
+        lambda n_p: st.tuples(
+            st.just((n_a, n_p)),
+            st.lists(st.tuples(st.integers(0, n_a - 1), st.integers(0, n_p - 1)), max_size=12),
+            st.lists(st.tuples(st.integers(0, n_p - 1), st.integers(0, n_p - 1)), max_size=15),
+        )
+    )
+)
+
+
+def small_graph(draw) -> CitationGraph:
+    """The graph of one ``small_graphs`` example."""
+    (n_a, n_p), wrote, cites = draw
+    return build_graph([(f"a{i}", "A", True) for i in range(n_a)],
+                       [(f"p{i}", "P", True) for i in range(n_p)],
+                       [(f"a{a}", f"p{p}") for a, p in wrote],
+                       [(f"p{s}", f"p{d}") for s, d in cites])
 
 
 FIXTURE_BUILDERS = {

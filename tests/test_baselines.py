@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from pira import build_graph
 from pira.baselines import (
@@ -15,6 +16,8 @@ from pira.baselines import (
 )
 from pira.errors import ConvergenceError
 from pira.scenarios import ScenarioKind, ScenarioSpec, generate
+
+from conftest import small_graph, small_graphs
 
 
 def _graph_with_citations(author_papers, cite_pairs):
@@ -241,6 +244,20 @@ def test_author_graph_row_sums_at_most_one():
             for p in papers
         ):
             assert sums[a] == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(small_graphs)
+def test_author_graph_is_substochastic_and_pr_a_a_distribution(draw):
+    g = small_graph(draw)
+    m = build_author_graph(g).matrix
+    assert m.shape == (g.n_authors, g.n_authors)
+    assert (m.data >= 0).all()
+    assert np.asarray(m.sum(axis=1)).max() <= 1.0 + 1e-12
+    scores = pr_a(g)
+    assert scores.shape == (g.n_authors,)
+    assert (scores >= 0).all()
+    assert scores.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pr_a_symmetric_mutual_citation():

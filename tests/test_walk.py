@@ -21,7 +21,7 @@ import pira.walk as walk
 from pira.walk import ScoreTable, walker_seed
 
 from conftest import (ACCEPTANCE_SEED, ACCEPTANCE_STEPS, FIXTURE_BUILDERS, communities_graph,
-                      pair_graph, ring_graph)
+                      mixed_graph, pair_graph, ring_graph, small_graph, small_graphs)
 
 
 def test_params_validation():
@@ -124,7 +124,7 @@ def test_walker_split_changes_path_not_scale():
     assert walker_seed(5, 0) != walker_seed(5, 1)
 
 
-# --- walkers, lanes and integer arrival counts --------------------------------
+# --- walkers, cycle slots and integer arrival counts ---------------------------
 
 @pytest.mark.parametrize("mode", list(WalkMode))
 def test_counts_repeat_and_follow_seed_and_walkers(mode):
@@ -156,13 +156,13 @@ def test_tiny_budget_over_many_walkers():
     started = time.perf_counter()
     assert pira_rank(ring_graph(), params).raw.sum() == 5
     assert time.perf_counter() - started < 1.0
-    # each of the five one-step walkers makes its lane's first arrival: a restart
+    # each of the five one-step walkers makes its first arrival: a restart
     assert walk._arrival_counts(ring_graph(), params)[:, walk.RESTART].sum() == 5
 
 
 def test_many_small_walkers_step_together():
-    # 100 one-lane walkers per step, not one: about 0.04 s on a 2-vCPU host,
-    # where stepping the walkers one after another took over 1 s
+    # the one-slot walkers step together, not one after another: about
+    # 0.04 s on a 2-vCPU host, where stepping them in turn took over 1 s
     params = WalkParams(step_budget=100_000, walkers=1000)
     started = time.perf_counter()
     pira_rank(ring_graph(), params)
@@ -171,32 +171,103 @@ def test_many_small_walkers_step_together():
 
 @pytest.mark.parametrize("mode", list(WalkMode))
 def test_counts_do_not_depend_on_how_walkers_are_grouped(monkeypatch, mode):
-    # uneven budgets give walkers different lane and step counts
+    # uneven budgets give walkers different slot and step counts
     g = communities_graph()
     cases = [WalkParams(step_budget=b, walkers=w, seed=b, mode=mode, damping_df=df)
              for b, w, df in ((100_003, 3, 0.15), (2_000_001, 7, 1.0), (10_007, 1000, 0.15),
                               (20_000, 9, 0.0))]
     grouped = [walk._arrival_counts(g, p) for p in cases]
-    monkeypatch.setattr(walk, "_GROUP_LANES", 1)  # one walker per group
+    monkeypatch.setattr(walk, "_GROUP_SLOTS", 1)  # one walker per group
     for params, counts in zip(cases, grouped):
         assert np.array_equal(counts, walk._arrival_counts(g, params)), params
 
 
-def test_lane_rule_gives_each_lane_enough_restart_cycles():
-    assert walk._lanes(10**9, 0.0) == 1  # no lane regenerates at df = 0
-    assert walk._lanes(10**9, 0.15) == walk._MAX_LANES
-    assert walk._lanes(100, 0.15) == 1
+def test_slot_and_window_rules():
+    assert walk._slots(10**9, 0.0) == 1  # a cycle need not end at df = 0
+    assert walk._slots(10**9, 0.15) == walk._MAX_SLOTS
+    assert walk._slots(100, 0.15) == 1
+    assert walk._window(10**6, 1, 0.15) == 0  # one slot's cycles never overlap
+    assert walk._window(10**6, 8, 0.0) == 10**6  # every cycle recorded
     for budget in (1_000, 99_999, 375_000, 2_000_000):
         for df in (0.01, 0.02, 0.05, 0.15, 0.5, 1.0):
-            lanes = walk._lanes(budget, df)
-            assert 1 <= lanes <= walk._MAX_LANES
-            if lanes > 1:  # every lane covers its restart cycles
-                assert budget // lanes * df >= walk._CYCLES_PER_LANE, (budget, df)
+            slots = walk._slots(budget, df)
+            window = walk._window(budget, slots, df)
+            assert 1 <= slots <= walk._MAX_SLOTS
+            assert slots == 1 or slots / df <= window <= budget, (budget, df)
+
+
+@pytest.mark.parametrize("mode", list(WalkMode))
+def test_counts_do_not_depend_on_the_record_window(monkeypatch, mode):
+    # recording every cycle and recording almost none (so that the early
+    # cycles overrun the cut and the group runs again) give the same counts
+    g = communities_graph()
+    cases = [WalkParams(step_budget=b, walkers=w, seed=b, mode=mode, damping_df=df,
+                        min_citation_count=3)
+             for b, w, df in ((100_003, 3, 0.15), (2_000_001, 7, 1.0), (50_000, 2, 0.5),
+                              (20_000, 9, 0.0), (200_000, 1, 0.02))]
+    default = [walk._arrival_counts(g, p) for p in cases]
+    overruns = []
+    group_counts = walk._group_counts
+
+    def counting(*args):
+        counts, overrun = group_counts(*args)
+        overruns.append(overrun.size)
+        return counts, overrun
+
+    monkeypatch.setattr(walk, "_group_counts", counting)
+    for window in (lambda budget, slots, df: budget,
+                   lambda budget, slots, df: 0 if slots == 1 else slots):
+        monkeypatch.setattr(walk, "_window", window)
+        for params, counts in zip(cases, default):
+            assert np.array_equal(counts, walk._arrival_counts(g, params)), params
+    assert sum(overruns) > 0
+
+
+def _expected_first_arrivals(graph, params, budget: int) -> np.ndarray:
+    """Expected arrivals per node and class of one surfer's first `budget`
+    arrivals: the entry's restart, then budget - 1 steps of the exact
+    per-class chain."""
+    ts = build_transition_system(graph, params)
+    x = ts.restart_dist.copy()  # where the first arrival lands
+    expected = np.zeros((ts.n, walk.N_CLASSES))
+    expected[:, walk.RESTART] = x
+    for _ in range(budget - 1):
+        flows = {
+            walk.RESTART: (x @ ts.init_mass) * ts.restart_dist,
+            walk.FAKE: (x @ ts.fake_mass) * ts.paper_dist,
+            walk.WROTE: x @ ts.wrote_m,
+            walk.CITE: x @ ts.cite_m,
+            walk.ISWB: x @ ts.iswb_m,
+        }
+        for c, flow in flows.items():
+            expected[:, c] += flow
+        x = sum(flows.values())
+    return walk.fold_copies(expected, graph)
+
+
+@pytest.mark.parametrize("mode", list(WalkMode))
+def test_each_walker_counts_one_surfers_first_arrivals(mode):
+    # many slots per walker, each with few restart cycles: a walker's counts
+    # must still average to the exact expectation of one surfer's first
+    # `budget` arrivals, per node and class (a per-slot cut would not)
+    g = mixed_graph()
+    budget, walkers, batches = 800, 100, 40
+    params = WalkParams(damping_df=0.3, min_citation_count=3, mode=mode)
+    assert walk._slots(budget, params.damping_df) >= 10
+    expected = _expected_first_arrivals(g, params, budget)
+    means = np.array([
+        walk._arrival_counts(g, replace(params, step_budget=budget * walkers, walkers=walkers,
+                                        seed=seed)) / walkers
+        for seed in range(batches)
+    ])
+    mean = means.mean(axis=0)
+    stderr = means.std(axis=0, ddof=1) / math.sqrt(batches)
+    assert np.all(np.abs(mean - expected) <= 5 * stderr + 1e-9), np.abs(mean - expected) / stderr
 
 
 def test_small_damping_walk_matches_the_oracle():
     # criterion 1's tolerances at df = 0.05, with 40 walkers so that each
-    # walker's lanes are short; 4x criterion 1's budget keeps the noise
+    # walker's budget is short; 4x criterion 1's budget keeps the noise
     # below the tolerance
     g = communities_graph()
     params = WalkParams(damping_df=0.05, step_budget=4 * ACCEPTANCE_STEPS, seed=ACCEPTANCE_SEED,
@@ -209,31 +280,12 @@ def test_small_damping_walk_matches_the_oracle():
     assert np.abs(mc - exact).sum() <= 0.02 * g.n_nodes
 
 
-_small_graphs = st.integers(1, 6).flatmap(
-    lambda n_a: st.integers(1, 6).flatmap(
-        lambda n_p: st.tuples(
-            st.just((n_a, n_p)),
-            st.lists(st.tuples(st.integers(0, n_a - 1), st.integers(0, n_p - 1)), max_size=12),
-            st.lists(st.tuples(st.integers(0, n_p - 1), st.integers(0, n_p - 1)), max_size=15),
-        )
-    )
-)
-
-
-def _small_graph(draw):
-    (n_a, n_p), wrote, cites = draw
-    return build_graph([(f"a{i}", "A", True) for i in range(n_a)],
-                       [(f"p{i}", "P", True) for i in range(n_p)],
-                       [(f"a{a}", f"p{p}") for a, p in wrote],
-                       [(f"p{s}", f"p{d}") for s, d in cites])
-
-
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(_small_graphs, st.integers(1, 4), st.integers(1, 3_000), st.sampled_from(list(WalkMode)))
+@given(small_graphs, st.integers(1, 4), st.integers(1, 3_000), st.sampled_from(list(WalkMode)))
 def test_unit_weight_counters_conserve_the_budget_across_walkers(draw, walkers, budget, mode):
     params = WalkParams(cite_weight=1, wrote_weight=1, iswb_weight=1, restarting_weight=1,
                         step_budget=budget, seed=budget, walkers=walkers, mode=mode)
-    assert pira_rank(_small_graph(draw), params).raw.sum() == budget
+    assert pira_rank(small_graph(draw), params).raw.sum() == budget
 
 
 def test_equal_arrivals_tie_exactly_with_non_dyadic_weights():
@@ -366,12 +418,12 @@ def test_oracle_equals_the_dense_reference(fixture_graphs, k):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(_small_graphs, st.sampled_from([0, 3]), st.sampled_from([0.0, 0.5, 1.0]),
+@given(small_graphs, st.sampled_from([0, 3]), st.sampled_from([0.0, 0.5, 1.0]),
        st.floats(0.05, 1.0), st.sampled_from([None, 0.3]))
 def test_oracle_equals_the_dense_reference_on_random_graphs(draw, k, theta, df, p_author):
     params = WalkParams(min_citation_count=k, theta=theta, damping_df=df,
                         restart_author_prob=p_author, wrote_weight=0.3, restarting_weight=0.1)
-    _assert_oracle_equals_the_reference(_small_graph(draw), params)
+    _assert_oracle_equals_the_reference(small_graph(draw), params)
 
 
 @pytest.mark.parametrize("k", [0, 3])
