@@ -11,6 +11,8 @@ from .graph import (
     Author,
     BuildReport,
     CitationGraph,
+    EdgeColumns,
+    NodeColumns,
     NodeId,
     NodeKind,
     Paper,
@@ -34,6 +36,8 @@ __all__ = [
     "Author",
     "BuildReport",
     "CitationGraph",
+    "EdgeColumns",
+    "NodeColumns",
     "NodeId",
     "NodeKind",
     "Paper",

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ParseError
 from .graph import CitationGraph, NodeKind, edge_ext_ids
-from .walk import ScoreTable, TableRow
+from .walk import ScoreTable
 
 
 @dataclass(frozen=True)
@@ -26,31 +26,56 @@ class RankEntry:
     score: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays; __eq__ below
 class Ranking:
-    entries: tuple[RankEntry, ...]
+    """A ranking as three parallel columns, best first: the external node
+    ids, their scores and their ranks (positions 1..N for computed
+    rankings; a parsed file keeps its own numbers).  ``entries`` builds one
+    ``RankEntry`` per row on first read."""
+
+    ids: tuple[str, ...]
+    scores: np.ndarray  # float64
+    ranks: np.ndarray   # int64
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.ids)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Ranking):
+            return NotImplemented
+        return (self.ids == other.ids and np.array_equal(self.scores, other.scores)
+                and np.array_equal(self.ranks, other.ranks))
+
+    @cached_property
+    def entries(self) -> tuple[RankEntry, ...]:
+        return tuple(map(RankEntry, self.ranks.tolist(), self.ids, self.scores.tolist()))
 
     def nodes(self) -> list[str]:
-        return [e.node for e in self.entries]
+        return list(self.ids)
 
     @cached_property
     def _rank_of(self) -> dict[str, int]:
-        return {e.node: e.rank for e in self.entries}
+        return dict(zip(self.ids, self.ranks.tolist()))
 
     def position_of(self, node: str) -> int:
         return self._rank_of[node]
 
     def to_tsv(self) -> str:
         """`rank<TAB>node_id<TAB>score` lines, scores at 6 decimal places."""
-        return "".join(f"{e.rank}\t{e.node}\t{e.score:.6f}\n" for e in self.entries)
+        return "".join(map("{}\t{}\t{:.6f}\n".format,
+                           self.ranks.tolist(), self.ids, self.scores.tolist()))
+
+    @classmethod
+    def _ordered(cls, ids: Sequence[str], scores: np.ndarray) -> "Ranking":
+        """Rows by descending score, ties by ascending id, ranked 1..N."""
+        order = np.lexsort((np.array(ids, dtype=object), -scores))
+        return cls(tuple(map(ids.__getitem__, order.tolist())), scores[order],
+                   np.arange(1, len(ids) + 1))
 
     @classmethod
     def from_scores(cls, pairs: Iterable[tuple[str, float]]) -> "Ranking":
-        ordered = sorted(pairs, key=lambda kv: (-kv[1], kv[0]))
-        return cls(tuple(RankEntry(i, n, float(s)) for i, (n, s) in enumerate(ordered, 1)))
+        pairs = list(pairs)
+        return cls._ordered([n for n, _ in pairs], np.array([s for _, s in pairs], dtype=float))
 
     @classmethod
     def from_tsv(cls, text: str, source: str = "<ranking>") -> "Ranking":
@@ -74,45 +99,53 @@ class Ranking:
                 entries.append(entry)
             except ValueError as exc:
                 raise ParseError(f"{source}:{lineno}: {exc}", path=source, line=lineno) from None
-        return cls(tuple(entries))
+        return cls(tuple(e.node for e in entries),
+                   np.array([e.score for e in entries], dtype=float),
+                   np.array([e.rank for e in entries], dtype=np.int64))
 
 
-# common subset predicates for rank()
-def dblp_authors(row: TableRow) -> bool:
-    return row.in_dblp and row.node.kind == NodeKind.AUTHOR
+# common subsets for rank(): each builds a row mask of a score table
+def dblp_authors(table: ScoreTable) -> np.ndarray:
+    return table.in_dblp & (table.kinds == NodeKind.AUTHOR)
 
 
-def dblp_papers(row: TableRow) -> bool:
-    return row.in_dblp and row.node.kind == NodeKind.PAPER
+def dblp_papers(table: ScoreTable) -> np.ndarray:
+    return table.in_dblp & (table.kinds == NodeKind.PAPER)
 
 
-def all_authors(row: TableRow) -> bool:
-    return row.node.kind == NodeKind.AUTHOR
+def all_authors(table: ScoreTable) -> np.ndarray:
+    return table.kinds == NodeKind.AUTHOR
 
 
-def all_papers(row: TableRow) -> bool:
-    return row.node.kind == NodeKind.PAPER
+def all_papers(table: ScoreTable) -> np.ndarray:
+    return table.kinds == NodeKind.PAPER
 
 
 def rank(
     scores: ScoreTable,
-    subset: Optional[Callable[[TableRow], bool]] = None,
+    subset: Optional[Callable[[ScoreTable], np.ndarray]] = None,
 ) -> Ranking:
     """Deterministic ranking of a score table by normalized score.
 
-    ``subset`` filters rows; by default only DBLP-flagged nodes are ranked.
+    ``subset`` builds a bool mask with one entry per row of the table
+    (``dblp_authors``, ``all_papers``, ...); by default only DBLP-flagged
+    nodes are ranked.  The kept rows are ordered by one ``np.lexsort`` on
+    (descending normalized score, ascending external id).
     """
-    if subset is None:
-        subset = lambda row: row.in_dblp
-    kept = [(row.ext_id, row.normalized) for row in scores.rows() if subset(row)]
-    if not kept:
+    mask = np.asarray(scores.in_dblp if subset is None else subset(scores))
+    if mask.dtype != bool or mask.shape != (len(scores),):
+        raise ValueError(f"subset must give a bool mask of shape ({len(scores)},), "
+                         f"got {mask.dtype} of shape {mask.shape}")
+    rows = np.flatnonzero(mask)
+    if not len(rows):
         raise ValueError("no nodes left to rank after filtering")
-    if len({node for node, _ in kept}) != len(kept):
+    ids = list(map(scores.ext_ids.__getitem__, rows.tolist()))
+    if len(set(ids)) != len(ids):
         raise ValueError(
             "duplicate node ids in ranking input (an author and a paper share "
             "an id?); filter to a single node kind"
         )
-    return Ranking.from_scores(kept)
+    return Ranking._ordered(ids, scores.normalized[rows])
 
 
 @dataclass(frozen=True)
@@ -129,13 +162,12 @@ def topx_difference(
     r1: Ranking, r2: Ranking, cutoffs: Sequence[float]
 ) -> DiffCurve:
     """Percentage of the top-x% set of r1 that is absent from r2's top-x%."""
-    set1, set2 = set(r1.nodes()), set(r2.nodes())
-    if set1 != set2:
+    nodes1, nodes2 = r1.ids, r2.ids
+    if set(nodes1) != set(nodes2):
         raise ValueError("rankings cover different node sets")
     n = len(r1)
     if n == 0:
         raise ValueError("cannot compare empty rankings")
-    nodes1, nodes2 = r1.nodes(), r2.nodes()
     points = []
     for x in cutoffs:
         if not 0.0 < x <= 100.0:
@@ -155,13 +187,13 @@ class ScatterPoint:
 
 def rank_scatter(r_base: Ranking, r_other: Ranking, top_n: int) -> list[ScatterPoint]:
     """Rank differences for the first `top_n` nodes of the base ranking."""
-    if set(r_base.nodes()) != set(r_other.nodes()):
+    if set(r_base.ids) != set(r_other.ids):
         raise ValueError("rankings cover different node sets")
     if not 0 <= top_n <= len(r_base):
         raise ValueError(f"top_n={top_n} is outside [0, {len(r_base)}], the ranking size")
     return [
-        ScatterPoint(e.node, e.rank, e.rank - r_other.position_of(e.node))
-        for e in r_base.entries[:top_n]
+        ScatterPoint(node, rank, rank - r_other.position_of(node))
+        for node, rank in zip(r_base.ids[:top_n], r_base.ranks[:top_n].tolist())
     ]
 
 
@@ -240,8 +272,7 @@ def _mean(values: np.ndarray) -> float:
 
 def dataset_stats(graph: CitationGraph) -> StatsReport:
     """Degree statistics and histograms for a loaded dataset."""
-    a_dblp = np.array([a.in_dblp for a in graph.authors], dtype=bool)
-    p_dblp = np.array([p.in_dblp for p in graph.papers], dtype=bool)
+    a_dblp, p_dblp = graph.author_in_dblp, graph.paper_in_dblp
     pubs = np.diff(graph.wrote.indptr)
     coauthors = np.bincount(graph.wrote.indices, minlength=graph.n_papers)
     out_cits = np.diff(graph.cite.indptr)
@@ -275,12 +306,10 @@ def _dot_escape(text: str) -> str:
 def export_dot(graph: CitationGraph, scores: Optional[ScoreTable] = None) -> str:
     """Graphviz text for a (sub)graph: authors as ellipses, papers as boxes,
     wrote edges undirected, cite edges directed.  Output is byte-stable."""
-    score_by_key: dict[tuple[NodeKind, str], float] = {}
+    score_by_key: dict[tuple[int, str], float] = {}
     if scores is not None:
-        score_by_key = {
-            (n.kind, e): float(s)
-            for n, e, s in zip(scores.nodes, scores.ext_ids, scores.normalized)
-        }
+        score_by_key = dict(zip(zip(scores.kinds.tolist(), scores.ext_ids),
+                                scores.normalized.tolist()))
 
     def label(kind: NodeKind, ext: str, text: str) -> str:
         parts = [ext, text]
@@ -290,16 +319,16 @@ def export_dot(graph: CitationGraph, scores: Optional[ScoreTable] = None) -> str
         return "\\n".join(_dot_escape(p) for p in parts)
 
     lines = ["digraph citations {"]
-    for a in sorted(graph.authors, key=lambda a: a.ext_id):
-        lines.append(
-            f'  "a:{_dot_escape(a.ext_id)}" [shape=ellipse, '
-            f'label="{label(NodeKind.AUTHOR, a.ext_id, a.name)}"];'
-        )
-    for p in sorted(graph.papers, key=lambda p: p.ext_id):
-        lines.append(
-            f'  "p:{_dot_escape(p.ext_id)}" [shape=box, '
-            f'label="{label(NodeKind.PAPER, p.ext_id, p.title)}"];'
-        )
+    for kind, prefix, shape, ext_ids, labels in (
+        (NodeKind.AUTHOR, "a", "ellipse", graph.author_ext_ids, graph.author_names),
+        (NodeKind.PAPER, "p", "box", graph.paper_ext_ids, graph.paper_titles),
+    ):
+        # ids are distinct within a kind, so the pairs sort by id alone
+        for ext, text in sorted(zip(ext_ids, labels)):
+            lines.append(
+                f'  "{prefix}:{_dot_escape(ext)}" [shape={shape}, '
+                f'label="{label(kind, ext, text)}"];'
+            )
     wrote, cites = edge_ext_ids(graph)
     for a_ext, p_ext in wrote:
         lines.append(f'  "a:{_dot_escape(a_ext)}" -> "p:{_dot_escape(p_ext)}" [dir=none];')

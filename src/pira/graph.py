@@ -9,21 +9,25 @@ Nodes carry a dense integer index per kind (fast array-based walkers) plus a
 stable external string id (``ext_id``) used by every file format and by
 subgraph extraction, where dense indices are reassigned.
 
+The node data is stored as columns, one set per kind: the external ids and
+the names (titles for papers) as tuples of ``str``, and the DBLP flags as a
+read-only numpy bool array, all in dense-index order.  The ``Author`` and
+``Paper`` records are views built from the columns on first read.
+
 The adjacency is stored once, as two read-only CSR incidence matrices:
 ``wrote`` (authors x papers) and ``cite`` (papers x papers).  ``build_graph``
 looks every edge id up once and makes each matrix from one numpy sort of the
 edge keys ``source * n_targets + target``, which also finds the duplicates.
-The exact measures, the counts and the edge listings read the matrices; the
-tuple views ``papers_of``, ``authors_of``, ``refs_of`` and ``cited_by`` are
-derived from them (the reverse two from the transposes) on first use, for
-callers that walk Python sequences.
+The exact measures, the counts, the edge listings and ``neighborhood`` read
+the matrices; the tuple views ``papers_of``, ``authors_of``, ``refs_of`` and
+``cited_by`` are derived from them (the reverse two from the transposes) on
+first use, for callers that walk Python sequences.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence, Union
 
@@ -88,28 +92,52 @@ class BuildReport:
 NodeSpec = Union[tuple[str, str], tuple[str, str, bool]]
 
 
-@dataclass(frozen=True, eq=False)  # holds matrices; __eq__ below, unhashable
+class NodeColumns(NamedTuple):
+    """Nodes of one kind as three parallel columns: node ``i`` has the id
+    ``ext_ids[i]``, the name (or title) ``names[i]`` and the DBLP flag
+    ``in_dblp[i]``."""
+
+    ext_ids: Sequence[str]
+    names: Sequence[str]
+    in_dblp: Sequence[bool]
+
+
+@dataclass(frozen=True, eq=False)  # holds arrays; __eq__ below, unhashable
 class CitationGraph:
     """Bipartite citation graph, immutable after construction.
 
-    The edges are two read-only 0/1 CSR matrices with sorted, distinct
-    column indices per row; the four tuple views derive from them, so every
-    view is consistent by construction.  Safe for concurrent readers.
+    Node data is held in per-kind columns in dense-index order: ids and
+    names (titles) as tuples of str, DBLP flags as read-only bool arrays.
+    ``authors`` and ``papers`` are record views built from them on first
+    read.  The edges are two read-only 0/1 CSR matrices with sorted,
+    distinct column indices per row; the four tuple views derive from them,
+    so every view is consistent by construction.  Safe for concurrent
+    readers.
     """
 
-    authors: tuple[Author, ...]
-    papers: tuple[Paper, ...]
+    author_ext_ids: tuple[str, ...]
+    author_names: tuple[str, ...]
+    author_in_dblp: np.ndarray  # bool, read-only
+    paper_ext_ids: tuple[str, ...]
+    paper_titles: tuple[str, ...]
+    paper_in_dblp: np.ndarray   # bool, read-only
     wrote: sp.csr_matrix  # authors x papers: 1 where the author wrote the paper
     cite: sp.csr_matrix   # papers x papers: 1 where the row paper cites the column
     report: BuildReport
+    author_index: dict[str, int] = field(repr=False)  # ext_id -> dense index
+    paper_index: dict[str, int] = field(repr=False)
 
     def __eq__(self, other: object) -> bool:
-        """Same records, same build report and the same edges."""
+        """Same node columns, same build report and the same edges."""
         if not isinstance(other, CitationGraph):
             return NotImplemented
         return (
-            self.authors == other.authors
-            and self.papers == other.papers
+            self.author_ext_ids == other.author_ext_ids
+            and self.author_names == other.author_names
+            and np.array_equal(self.author_in_dblp, other.author_in_dblp)
+            and self.paper_ext_ids == other.paper_ext_ids
+            and self.paper_titles == other.paper_titles
+            and np.array_equal(self.paper_in_dblp, other.paper_in_dblp)
             and self.report == other.report
             and all(
                 np.array_equal(m.indptr, o.indptr) and np.array_equal(m.indices, o.indices)
@@ -119,15 +147,15 @@ class CitationGraph:
 
     @property
     def n_authors(self) -> int:
-        return len(self.authors)
+        return len(self.author_ext_ids)
 
     @property
     def n_papers(self) -> int:
-        return len(self.papers)
+        return len(self.paper_ext_ids)
 
     @property
     def n_nodes(self) -> int:
-        return len(self.authors) + len(self.papers)
+        return self.n_authors + self.n_papers
 
     @property
     def n_wrote_edges(self) -> int:
@@ -138,12 +166,30 @@ class CitationGraph:
         return self.cite.nnz
 
     @cached_property
+    def authors(self) -> tuple[Author, ...]:
+        return tuple(map(Author, map(author_id, range(self.n_authors)), self.author_ext_ids,
+                         self.author_names, self.author_in_dblp.tolist()))
+
+    @cached_property
+    def papers(self) -> tuple[Paper, ...]:
+        return tuple(map(Paper, map(paper_id, range(self.n_papers)), self.paper_ext_ids,
+                         self.paper_titles, self.paper_in_dblp.tolist()))
+
+    @cached_property
+    def _wrote_t(self) -> sp.csr_matrix:  # papers x authors
+        return self.wrote.T.tocsr()
+
+    @cached_property
+    def _cite_t(self) -> sp.csr_matrix:  # cited paper x citing paper
+        return self.cite.T.tocsr()
+
+    @cached_property
     def papers_of(self) -> tuple[tuple[int, ...], ...]:  # author index -> paper indices
         return _rows(self.wrote)
 
     @cached_property
     def authors_of(self) -> tuple[tuple[int, ...], ...]:  # paper index -> author indices
-        return _rows(self.wrote.T.tocsr())
+        return _rows(self._wrote_t)
 
     @cached_property
     def refs_of(self) -> tuple[tuple[int, ...], ...]:  # paper index -> papers it cites
@@ -151,25 +197,20 @@ class CitationGraph:
 
     @cached_property
     def cited_by(self) -> tuple[tuple[int, ...], ...]:  # paper index -> papers citing it
-        return _rows(self.cite.T.tocsr())
-
-    @cached_property
-    def author_index(self) -> dict[str, int]:
-        return {a.ext_id: a.id.index for a in self.authors}
-
-    @cached_property
-    def paper_index(self) -> dict[str, int]:
-        return {p.ext_id: p.id.index for p in self.papers}
+        return _rows(self._cite_t)
 
     def node(self, node: NodeId) -> Author | Paper:
         """Look up the Author or Paper record for a NodeId."""
+        i = node.index
         if node.kind == NodeKind.AUTHOR:
-            if not 0 <= node.index < len(self.authors):
-                raise ValueError(f"unknown author index {node.index}")
-            return self.authors[node.index]
-        if not 0 <= node.index < len(self.papers):
-            raise ValueError(f"unknown paper index {node.index}")
-        return self.papers[node.index]
+            if not 0 <= i < self.n_authors:
+                raise ValueError(f"unknown author index {i}")
+            return Author(node, self.author_ext_ids[i], self.author_names[i],
+                          bool(self.author_in_dblp[i]))
+        if not 0 <= i < self.n_papers:
+            raise ValueError(f"unknown paper index {i}")
+        return Paper(node, self.paper_ext_ids[i], self.paper_titles[i],
+                     bool(self.paper_in_dblp[i]))
 
     def ext_id(self, node: NodeId) -> str:
         return self.node(node).ext_id
@@ -186,18 +227,18 @@ def edge_ext_ids(
     graph: CitationGraph,
 ) -> tuple[list[tuple[str, str]], list[tuple[str, str]]]:
     """The wrote and the cite edges as sorted (source, target) external-id pairs."""
-    author_ext = [a.ext_id for a in graph.authors]
-    paper_ext = [p.ext_id for p in graph.papers]
+    paper_ext = graph.paper_ext_ids
 
-    def pairs(m: sp.csr_matrix, source_ext: list[str]) -> list[tuple[str, str]]:
+    def pairs(m: sp.csr_matrix, source_ext: tuple[str, ...]) -> list[tuple[str, str]]:
         rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)).tolist()
         return sorted(zip(map(source_ext.__getitem__, rows),
                           map(paper_ext.__getitem__, m.indices.tolist())))
 
-    return pairs(graph.wrote, author_ext), pairs(graph.cite, paper_ext)
+    return pairs(graph.wrote, graph.author_ext_ids), pairs(graph.cite, paper_ext)
 
 
-def _normalize_specs(specs: Sequence[NodeSpec], kind: str) -> list[tuple[str, str, bool]]:
+def _checked_specs(specs: Iterable[NodeSpec], kind: str) -> list[tuple[str, str, bool]]:
+    """The specs as (ext_id, name, flag) rows, checked one by one in order."""
     out = []
     seen: set[str] = set()
     for spec in specs:
@@ -223,6 +264,54 @@ def _normalize_specs(specs: Sequence[NodeSpec], kind: str) -> list[tuple[str, st
     return out
 
 
+def _clean(ext_ids: Sequence[str], names: Sequence[str]) -> bool:
+    """True when every id and name is a non-empty str without a tab or a
+    line break (the TSV separators; text mode reads a bare \\r as a line
+    break)."""
+    try:
+        text = "".join(ext_ids) + "".join(names)
+    except TypeError:
+        return False
+    return not ("" in ext_ids or "" in names or "\t" in text or "\n" in text or "\r" in text)
+
+
+def _node_columns(
+    nodes: Sequence[NodeSpec] | NodeColumns, kind: str
+) -> tuple[NodeColumns, dict[str, int]]:
+    """Checked columns (id and name tuples, a read-only bool array) plus the
+    id -> index map.
+
+    The checks run on whole columns.  Only when one fails, or the specs mix
+    lengths, do they run spec by spec in ``_checked_specs``, so the first
+    bad spec raises its own message.
+    """
+    if isinstance(nodes, NodeColumns):
+        if not len(nodes.ext_ids) == len(nodes.names) == len(nodes.in_dblp):
+            raise ValueError("NodeColumns columns differ in length")
+        columns = (tuple(nodes.ext_ids), tuple(nodes.names), nodes.in_dblp)
+        specs: Iterable[NodeSpec] = zip(*columns)
+    else:
+        specs = nodes if isinstance(nodes, (list, tuple)) else list(nodes)
+        sizes = set(map(len, specs))
+        if sizes == {3}:
+            columns = tuple(zip(*specs))
+        elif sizes == {2}:
+            columns = (*zip(*specs), (True,) * len(specs))
+        else:  # no specs, or specs of mixed or wrong lengths
+            columns = None
+    index = None
+    if columns is not None and _clean(columns[0], columns[1]):
+        index = dict(zip(columns[0], range(len(columns[0]))))
+    if index is None or len(index) != len(columns[0]):  # a failed check or a repeated id
+        rows = _checked_specs(specs, kind)
+        columns = tuple(zip(*rows)) if rows else ((), (), ())
+        index = dict(zip(columns[0], range(len(rows))))
+    ext_ids, names, flags = columns
+    in_dblp = np.fromiter(map(bool, flags), dtype=bool, count=len(ext_ids))
+    in_dblp.flags.writeable = False
+    return NodeColumns(ext_ids, names, in_dblp), index
+
+
 class EdgeColumns(NamedTuple):
     """Edges as two parallel id columns: ``sources[i] -> targets[i]``."""
 
@@ -239,23 +328,27 @@ def _edge_indices(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dense indices of both endpoint columns, each id looked up once.
 
-    An unknown id raises DanglingEdgeError for the first edge that has one,
-    naming its source before its target.
+    When one is unknown, the columns are looked up again to raise
+    DanglingEdgeError for the first edge that has an unknown id, naming its
+    source before its target.
     """
     if not isinstance(edges, EdgeColumns):
         pairs = list(edges)
         edges = EdgeColumns([s for s, _ in pairs], [d for _, d in pairs])
+    try:
+        return tuple(np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids))
+                     for index, ids in ((src_index, edges.sources), (dst_index, edges.targets)))
+    except KeyError:
+        pass  # find the first edge with an unknown id
     src = list(map(src_index.get, edges.sources))
     dst = list(map(dst_index.get, edges.targets))
-    if None in src or None in dst:
-        pos = min(col.index(None) if None in col else len(col) for col in (src, dst))
-        s_ext, d_ext = edges.sources[pos], edges.targets[pos]
-        kind, ext = (src_kind, s_ext) if src[pos] is None else ("paper", d_ext)
-        raise DanglingEdgeError(
-            f"{label} edge ({s_ext!r}, {d_ext!r}): unknown {kind} {ext!r}",
-            edges=label, position=pos, kind=kind, ext_id=ext,
-        )
-    return np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
+    pos = min(col.index(None) if None in col else len(col) for col in (src, dst))
+    s_ext, d_ext = edges.sources[pos], edges.targets[pos]
+    kind, ext = (src_kind, s_ext) if src[pos] is None else ("paper", d_ext)
+    raise DanglingEdgeError(
+        f"{label} edge ({s_ext!r}, {d_ext!r}): unknown {kind} {ext!r}",
+        edges=label, position=pos, kind=kind, ext_id=ext,
+    )
 
 
 def _edge_matrix(
@@ -274,37 +367,19 @@ def _edge_matrix(
     return m, len(src) - len(keys)
 
 
-def build_graph(
-    authors: Sequence[NodeSpec],
-    papers: Sequence[NodeSpec],
-    wrote: Iterable[tuple[str, str]] | EdgeColumns = (),
-    cites: Iterable[tuple[str, str]] | EdgeColumns = (),
+def _assemble(
+    authors: tuple[NodeColumns, dict[str, int]],
+    papers: tuple[NodeColumns, dict[str, int]],
+    wrote: tuple[np.ndarray, np.ndarray],
+    cites: tuple[np.ndarray, np.ndarray],
+    self_cites: int = 0,
 ) -> CitationGraph:
-    """Construct a CitationGraph from node specs and string-id edge lists.
-
-    Edges are (source, target) pairs or one EdgeColumns.  Duplicate edges and
-    self-citations are dropped (counted in the report); an edge endpoint
-    that names no node raises DanglingEdgeError, a GraphBuildError, as does
-    an id, name or title containing a tab or line break (the TSV
-    separators).  Authors without papers and papers without authors are
-    permitted and flagged.
-    """
-    author_rows = _normalize_specs(authors, "author")
-    paper_rows = _normalize_specs(papers, "paper")
-    n_a, n_p = len(author_rows), len(paper_rows)
-    a_index = {ext: i for i, (ext, _, _) in enumerate(author_rows)}
-    p_index = {ext: i for i, (ext, _, _) in enumerate(paper_rows)}
-
-    w_src, w_dst = _edge_indices(wrote, "wrote", "author", a_index, p_index)
-    c_src, c_dst = _edge_indices(cites, "cite", "paper", p_index, p_index)
-    loops = c_src == c_dst
-    self_cites = int(loops.sum())
-    if self_cites:
-        c_src, c_dst = c_src[~loops], c_dst[~loops]
-
-    wrote_m, dup_wrote = _edge_matrix(w_src, w_dst, n_a, n_p)
-    cite_m, dup_cites = _edge_matrix(c_src, c_dst, n_p, n_p)
-
+    """The graph of checked node columns and index edge lists, with the
+    edges' matrices and the build report."""
+    (a_cols, a_index), (p_cols, p_index) = authors, papers
+    n_a, n_p = len(a_cols.ext_ids), len(p_cols.ext_ids)
+    wrote_m, dup_wrote = _edge_matrix(*wrote, n_a, n_p)
+    cite_m, dup_cites = _edge_matrix(*cites, n_p, n_p)
     report = BuildReport(
         dropped_duplicate_wrote=dup_wrote,
         dropped_duplicate_cites=dup_cites,
@@ -314,18 +389,39 @@ def build_graph(
             np.bincount(wrote_m.indices, minlength=n_p) == 0)),
     )
     return CitationGraph(
-        authors=tuple(
-            Author(author_id(i), ext, name, flag)
-            for i, (ext, name, flag) in enumerate(author_rows)
-        ),
-        papers=tuple(
-            Paper(paper_id(i), ext, title, flag)
-            for i, (ext, title, flag) in enumerate(paper_rows)
-        ),
-        wrote=wrote_m,
-        cite=cite_m,
-        report=report,
+        author_ext_ids=a_cols.ext_ids, author_names=a_cols.names, author_in_dblp=a_cols.in_dblp,
+        paper_ext_ids=p_cols.ext_ids, paper_titles=p_cols.names, paper_in_dblp=p_cols.in_dblp,
+        wrote=wrote_m, cite=cite_m, report=report, author_index=a_index, paper_index=p_index,
     )
+
+
+def build_graph(
+    authors: Sequence[NodeSpec] | NodeColumns,
+    papers: Sequence[NodeSpec] | NodeColumns,
+    wrote: Iterable[tuple[str, str]] | EdgeColumns = (),
+    cites: Iterable[tuple[str, str]] | EdgeColumns = (),
+) -> CitationGraph:
+    """Construct a CitationGraph from node specs and string-id edge lists.
+
+    Nodes are specs ((ext_id, name) or (ext_id, name, in_dblp)) or one
+    NodeColumns per kind; edges are (source, target) pairs or one
+    EdgeColumns.  Duplicate edges and self-citations are dropped (counted in
+    the report); an edge endpoint that names no node raises
+    DanglingEdgeError, a GraphBuildError, as does an empty or repeated id,
+    an empty name, and an id, name or title containing a tab or line break
+    (the TSV separators).  Authors without papers and papers without
+    authors are permitted and flagged.
+    """
+    a_nodes = _node_columns(authors, "author")
+    p_nodes = _node_columns(papers, "paper")
+    a_index, p_index = a_nodes[1], p_nodes[1]
+    w_src, w_dst = _edge_indices(wrote, "wrote", "author", a_index, p_index)
+    c_src, c_dst = _edge_indices(cites, "cite", "paper", p_index, p_index)
+    loops = c_src == c_dst
+    self_cites = int(loops.sum())
+    if self_cites:
+        c_src, c_dst = c_src[~loops], c_dst[~loops]
+    return _assemble(a_nodes, p_nodes, (w_src, w_dst), (c_src, c_dst), self_cites)
 
 
 def p_weight(graph: CitationGraph, author: NodeId, paper: NodeId) -> float:
@@ -342,55 +438,69 @@ def p_weight(graph: CitationGraph, author: NodeId, paper: NodeId) -> float:
     return 1.0 / int(np.count_nonzero(w.indices == paper.index))
 
 
+def _row_entries(m: sp.csr_matrix, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entry counts of the given rows of `m`, and their column indices in
+    row order."""
+    starts, ends = m.indptr[rows], m.indptr[rows + 1]
+    counts = ends - starts
+    # position of each entry: its row's start plus its offset within the row
+    offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    return counts, m.indices[np.repeat(starts, counts) + offsets]
+
+
+def _sub_nodes(
+    ext_ids: tuple[str, ...], names: tuple[str, ...], in_dblp: np.ndarray, kept: np.ndarray
+) -> tuple[NodeColumns, dict[str, int]]:
+    """The kept nodes' columns, in index order, and their id -> index map."""
+    kept_list = kept.tolist()
+    sub_ext = tuple([ext_ids[i] for i in kept_list])
+    flags = in_dblp[kept]
+    flags.flags.writeable = False
+    return (NodeColumns(sub_ext, tuple([names[i] for i in kept_list]), flags),
+            dict(zip(sub_ext, range(len(sub_ext)))))
+
+
 def neighborhood(graph: CitationGraph, center: NodeId, radius: int) -> CitationGraph:
     """Induced subgraph of every node within `radius` hops of `center`.
 
     All edge kinds count as one hop in either direction.  External ids,
-    names/titles and DBLP flags are preserved; dense indices are reassigned.
+    names/titles and DBLP flags are preserved; dense indices are reassigned
+    in the original order.  The search runs level by level on the CSR
+    matrices and their transposes, and the edges are sliced from them.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
     graph.node(center)  # validates existence
 
-    seen = {center}
-    frontier = deque([(center, 0)])
-    while frontier:
-        node, dist = frontier.popleft()
-        if dist == radius:
-            continue
-        if node.kind == NodeKind.AUTHOR:
-            neighbors = [paper_id(p) for p in graph.papers_of[node.index]]
-        else:
-            pi = node.index
-            neighbors = [author_id(a) for a in graph.authors_of[pi]]
-            neighbors += [paper_id(p) for p in graph.refs_of[pi]]
-            neighbors += [paper_id(p) for p in graph.cited_by[pi]]
-        for nb in neighbors:
-            if nb not in seen:
-                seen.add(nb)
-                frontier.append((nb, dist + 1))
+    a, p = NodeKind.AUTHOR, NodeKind.PAPER
+    seen = [np.zeros(graph.n_authors, dtype=bool), np.zeros(graph.n_papers, dtype=bool)]
+    seen[center.kind][center.index] = True
+    front = [np.array([center.index] if center.kind == kind else [], dtype=np.int64)
+             for kind in (a, p)]
+    hops = ((a, p, graph.wrote), (p, a, graph._wrote_t), (p, p, graph.cite), (p, p, graph._cite_t))
+    for _ in range(radius):
+        reached: list[list[np.ndarray]] = [[], []]
+        for source, target, m in hops:
+            reached[target].append(_row_entries(m, front[source])[1])
+        for kind in (a, p):
+            nodes = np.unique(np.concatenate(reached[kind]))
+            front[kind] = nodes[~seen[kind][nodes]]
+            seen[kind][front[kind]] = True
+        if not (len(front[a]) or len(front[p])):
+            break
 
-    kept_authors = sorted(n.index for n in seen if n.kind == NodeKind.AUTHOR)
-    kept_papers = sorted(n.index for n in seen if n.kind == NodeKind.PAPER)
-    a_set, p_set = set(kept_authors), set(kept_papers)
-    author_specs = [
-        (graph.authors[i].ext_id, graph.authors[i].name, graph.authors[i].in_dblp)
-        for i in kept_authors
-    ]
-    paper_specs = [
-        (graph.papers[i].ext_id, graph.papers[i].title, graph.papers[i].in_dblp)
-        for i in kept_papers
-    ]
-    wrote_edges = [
-        (graph.authors[a].ext_id, graph.papers[p].ext_id)
-        for a in kept_authors
-        for p in graph.papers_of[a]
-        if p in p_set
-    ]
-    cite_edges = [
-        (graph.papers[s].ext_id, graph.papers[d].ext_id)
-        for s in kept_papers
-        for d in graph.refs_of[s]
-        if d in p_set
-    ]
-    return build_graph(author_specs, paper_specs, wrote_edges, cite_edges)
+    kept_a, kept_p = np.flatnonzero(seen[a]), np.flatnonzero(seen[p])
+    new_p = np.full(graph.n_papers, -1, dtype=np.int64)
+    new_p[kept_p] = np.arange(len(kept_p))
+
+    def induced(m: sp.csr_matrix, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        counts, cols = _row_entries(m, rows)
+        src, dst = np.repeat(np.arange(len(rows)), counts), new_p[cols]
+        return src[dst >= 0], dst[dst >= 0]
+
+    return _assemble(
+        _sub_nodes(graph.author_ext_ids, graph.author_names, graph.author_in_dblp, kept_a),
+        _sub_nodes(graph.paper_ext_ids, graph.paper_titles, graph.paper_in_dblp, kept_p),
+        induced(graph.wrote, kept_a),
+        induced(graph.cite, kept_p),
+    )

@@ -29,8 +29,11 @@ from dataclasses import dataclass
 from itertools import islice, repeat
 from pathlib import Path
 
+import numpy as np
+
 from .errors import DanglingEdgeError, MissingFileError, ParseError
-from .graph import CitationGraph, EdgeColumns, NodeId, build_graph, edge_ext_ids
+from .graph import (CitationGraph, EdgeColumns, NodeColumns, NodeId, author_id, build_graph,
+                    edge_ext_ids)
 
 AUTHORS_FILE = "authors.tsv"
 PAPERS_FILE = "papers.tsv"
@@ -121,13 +124,13 @@ def _read_table(path: Path, n_cols: int) -> _Table:
     return table
 
 
-def _flags(table: _Table) -> list[bool]:
-    """The in_dblp column (the third) as booleans."""
+def _nodes(table: _Table) -> NodeColumns:
+    """The id, name and in_dblp columns, the flags as booleans."""
     col = table.columns[2]
     if col.count("1") + col.count("0") != len(col):
         row = next(i for i, v in enumerate(col) if v not in ("0", "1"))
         raise table.error(row, f"in_dblp flag must be 0 or 1, got {col[row]!r}")
-    return list(map("1".__eq__, col))
+    return NodeColumns(table.columns[0], table.columns[1], list(map("1".__eq__, col)))
 
 
 def load_graph(directory: str | Path) -> tuple[CitationGraph, LoadReport]:
@@ -135,8 +138,7 @@ def load_graph(directory: str | Path) -> tuple[CitationGraph, LoadReport]:
     directory = Path(directory)
     authors_t = _read_table(directory / AUTHORS_FILE, 3)
     papers_t = _read_table(directory / PAPERS_FILE, 3)
-    authors = list(zip(*authors_t.columns[:2], _flags(authors_t)))
-    papers = list(zip(*papers_t.columns[:2], _flags(papers_t)))
+    authors, papers = _nodes(authors_t), _nodes(papers_t)
     wrote_t = _read_table(directory / WROTE_FILE, 2)
     cites_t = _read_table(directory / CITES_FILE, 2)
     try:
@@ -146,8 +148,8 @@ def load_graph(directory: str | Path) -> tuple[CitationGraph, LoadReport]:
         table = wrote_t if exc.edges == "wrote" else cites_t
         raise table.error(exc.position, f"unknown {exc.kind} {exc.ext_id!r}") from None
     report = LoadReport(
-        authors=len(authors),
-        papers=len(papers),
+        authors=graph.n_authors,
+        papers=graph.n_papers,
         wrote_lines=len(wrote_t),
         cites_lines=len(cites_t),
         wrote_edges=graph.n_wrote_edges,
@@ -165,17 +167,16 @@ def save_graph(graph: CitationGraph, directory: str | Path) -> None:
     """Write the four dataset files, each sorted, to `directory`."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    authors = sorted(graph.authors, key=lambda a: a.ext_id)
-    papers = sorted(graph.papers, key=lambda p: p.ext_id)
     wrote, cites = edge_ext_ids(graph)
-    (directory / AUTHORS_FILE).write_text(
-        "".join(f"{a.ext_id}\t{a.name}\t{int(a.in_dblp)}\n" for a in authors),
-        encoding="utf-8",
-    )
-    (directory / PAPERS_FILE).write_text(
-        "".join(f"{p.ext_id}\t{p.title}\t{int(p.in_dblp)}\n" for p in papers),
-        encoding="utf-8",
-    )
+    for name, ext_ids, labels, flags in (
+        (AUTHORS_FILE, graph.author_ext_ids, graph.author_names, graph.author_in_dblp),
+        (PAPERS_FILE, graph.paper_ext_ids, graph.paper_titles, graph.paper_in_dblp),
+    ):
+        # ids are distinct within a kind, so the rows sort by id alone
+        rows = sorted(zip(ext_ids, labels, flags.view(np.uint8).tolist()))
+        (directory / name).write_text(
+            "".join(f"{e}\t{label}\t{f}\n" for e, label, f in rows), encoding="utf-8"
+        )
     (directory / WROTE_FILE).write_text(
         "".join(f"{a}\t{p}\n" for a, p in wrote), encoding="utf-8"
     )
@@ -186,9 +187,9 @@ def save_graph(graph: CitationGraph, directory: str | Path) -> None:
 
 def write_idmap(graph: CitationGraph, path: str | Path) -> None:
     """Write the external-id to dense-index mapping: kind, ext_id, index."""
-    lines = [f"author\t{a.ext_id}\t{a.id.index}" for a in graph.authors]
-    lines += [f"paper\t{p.ext_id}\t{p.id.index}" for p in graph.papers]
-    Path(path).write_text("".join(l + "\n" for l in lines), encoding="utf-8")
+    lines = [f"author\t{e}\t{i}\n" for i, e in enumerate(graph.author_ext_ids)]
+    lines += [f"paper\t{e}\t{i}\n" for i, e in enumerate(graph.paper_ext_ids)]
+    Path(path).write_text("".join(lines), encoding="utf-8")
 
 
 class MergeRule(enum.IntEnum):
@@ -231,10 +232,11 @@ def suggest_merges(graph: CitationGraph) -> list[MergeSuggestion]:
     """
     # candidate pairs share a casefolded last name token
     by_last: dict[str, list[int]] = {}
-    for a in graph.authors:
-        tokens = _name_tokens(a.name)
+    names = graph.author_names
+    for a, name in enumerate(names):
+        tokens = _name_tokens(name)
         if tokens:
-            by_last.setdefault(tokens[-1], []).append(a.id.index)
+            by_last.setdefault(tokens[-1], []).append(a)
 
     cite_targets: list[set[int]] = [
         {r for p in papers for r in graph.refs_of[p]} for papers in graph.papers_of
@@ -250,23 +252,13 @@ def suggest_merges(graph: CitationGraph) -> list[MergeSuggestion]:
     for group in by_last.values():
         for i, a in enumerate(group):
             for b in group[i + 1:]:
-                if not initial_compatible(graph.authors[a].name, graph.authors[b].name):
+                if not initial_compatible(names[a], names[b]):
                     continue
                 if cite_targets[a] & paper_sets[b] or cite_targets[b] & paper_sets[a]:
-                    suggestions.append(
-                        MergeSuggestion(
-                            graph.authors[a].id,
-                            graph.authors[b].id,
-                            MergeRule.SELF_CITATION_INITIAL_MATCH,
-                        )
-                    )
+                    suggestions.append(MergeSuggestion(
+                        author_id(a), author_id(b), MergeRule.SELF_CITATION_INITIAL_MATCH))
                 if coauthors[a] & coauthors[b]:
-                    suggestions.append(
-                        MergeSuggestion(
-                            graph.authors[a].id,
-                            graph.authors[b].id,
-                            MergeRule.COMMON_COAUTHOR_INITIAL_MATCH,
-                        )
-                    )
+                    suggestions.append(MergeSuggestion(
+                        author_id(a), author_id(b), MergeRule.COMMON_COAUTHOR_INITIAL_MATCH))
     suggestions.sort(key=lambda s: (s.rule, s.author_a.index, s.author_b.index))
     return suggestions

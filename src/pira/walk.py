@@ -55,11 +55,11 @@ import enum
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .graph import CitationGraph, NodeId
+from .graph import CitationGraph, NodeId, NodeKind
 
 _MASK64 = (1 << 64) - 1
 
@@ -132,35 +132,35 @@ class WalkParams:
         )
 
 
-@dataclass(frozen=True)
-class TableRow:
-    node: NodeId
-    ext_id: str
-    in_dblp: bool
-    raw: float
-    normalized: float
-
-
 @dataclass(frozen=True, eq=False)  # holds arrays; compare by identity
 class ScoreTable:
-    """Per-node scores: raw accumulated counters plus a mean-1.0 normalization."""
+    """Per-node scores: raw accumulated counters plus a mean-1.0 normalization.
 
-    nodes: tuple[NodeId, ...]
-    ext_ids: tuple[str, ...]
-    in_dblp: tuple[bool, ...]
+    The table is columnar, one row per node: ``kinds`` (a ``NodeKind`` code
+    per row), ``ext_ids``, ``in_dblp`` (a bool array), ``raw`` and
+    ``normalized``.  Tables made from a graph reference its id and flag
+    columns rather than copying node records.  ``nodes`` (the rows'
+    ``NodeId``s) is a view derived on first read.
+    """
+
+    kinds: np.ndarray     # int8 NodeKind code per row
+    ext_ids: Sequence[str]
+    in_dblp: np.ndarray   # bool
     raw: np.ndarray
     normalized: np.ndarray
     total_arrivals: int = 0
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.ext_ids)
 
-    def rows(self) -> list[TableRow]:
-        return [
-            TableRow(n, e, d, float(r), float(s))
-            for n, e, d, r, s in zip(self.nodes, self.ext_ids, self.in_dblp,
-                                     self.raw, self.normalized)
-        ]
+    @cached_property
+    def nodes(self) -> tuple[NodeId, ...]:
+        """The rows' NodeIds; a row's index counts the rows of its kind above it."""
+        index = np.zeros(len(self), dtype=np.int64)
+        for kind in NodeKind:
+            rows = self.kinds == kind
+            index[rows] = np.arange(np.count_nonzero(rows))
+        return tuple(map(NodeId, map(NodeKind, self.kinds.tolist()), index.tolist()))
 
     @cached_property
     def _pos(self) -> dict[NodeId, int]:
@@ -179,16 +179,16 @@ class ScoreTable:
         paper); filter to one node kind first.
         """
         out: dict[str, float] = {}
-        for e, s in zip(self.ext_ids, self.normalized):
+        for e, s in zip(self.ext_ids, self.normalized.tolist()):
             if e in out:
                 raise ValueError(f"external id {e!r} names more than one node; "
                                  "filter to a single node kind")
-            out[e] = float(s)
+            out[e] = s
         return out
 
     def to_tsv(self) -> str:
         """`node_id<TAB>raw<TAB>normalized` lines, sorted by node id."""
-        order = sorted(range(len(self.nodes)), key=lambda i: self.ext_ids[i])
+        order = sorted(range(len(self)), key=self.ext_ids.__getitem__)
         lines = [
             f"{self.ext_ids[i]}\t{self.raw[i]:.6f}\t{self.normalized[i]:.6f}"
             for i in order
@@ -198,41 +198,53 @@ class ScoreTable:
     @classmethod
     def from_raw(
         cls,
-        nodes: tuple[NodeId, ...],
-        ext_ids: tuple[str, ...],
-        in_dblp: tuple[bool, ...],
-        raw: np.ndarray,
+        kinds,
+        ext_ids: Sequence[str],
+        in_dblp,
+        raw,
         total_arrivals: int = 0,
     ) -> "ScoreTable":
-        """Table with ``normalize``d scores; all-zero raw scores stay zero."""
-        raw = np.asarray(raw, dtype=float)
-        normalized = normalize(raw, len(nodes)) if raw.sum() > 0 else raw.copy()
-        return cls(nodes, ext_ids, in_dblp, raw, normalized, total_arrivals)
+        """Table with ``normalize``d scores; all-zero raw scores stay zero.
 
-    @classmethod
-    def _over(cls, records, values, total_arrivals: int = 0) -> "ScoreTable":
-        return cls.from_raw(
-            tuple(r.id for r in records),
-            tuple(r.ext_id for r in records),
-            tuple(r.in_dblp for r in records),
-            values,
-            total_arrivals,
-        )
+        ``kinds`` (NodeKind codes), ``ext_ids``, ``in_dblp`` and ``raw``
+        are parallel columns, one entry per row.  A column of another
+        length, or a raw score that is NaN or infinite, raises ValueError.
+        """
+        raw = np.asarray(raw, dtype=float)
+        kinds = np.asarray(kinds, dtype=np.int8)
+        in_dblp = np.asarray(in_dblp, dtype=bool)
+        n = len(ext_ids)
+        for name, column in (("raw", raw), ("kinds", kinds), ("in_dblp", in_dblp)):
+            if column.shape != (n,):
+                raise ValueError(f"{name} has shape {column.shape}, expected ({n},): "
+                                 "one value per node")
+        if not np.isfinite(raw).all():
+            raise ValueError("raw scores must be finite, got NaN or infinity")
+        normalized = normalize(raw, n) if raw.sum() > 0 else raw.copy()
+        return cls(kinds, ext_ids, in_dblp, raw, normalized, total_arrivals)
 
     @classmethod
     def over_authors(cls, graph: CitationGraph, values) -> "ScoreTable":
-        return cls._over(graph.authors, values)
+        """Scores over the graph's authors, in index order."""
+        return cls.from_raw(np.full(graph.n_authors, NodeKind.AUTHOR, dtype=np.int8),
+                            graph.author_ext_ids, graph.author_in_dblp, values)
 
     @classmethod
     def over_papers(cls, graph: CitationGraph, values) -> "ScoreTable":
-        return cls._over(graph.papers, values)
+        """Scores over the graph's papers, in index order."""
+        return cls.from_raw(np.full(graph.n_papers, NodeKind.PAPER, dtype=np.int8),
+                            graph.paper_ext_ids, graph.paper_in_dblp, values)
 
     @classmethod
     def over_all(
         cls, graph: CitationGraph, raw: np.ndarray, total_arrivals: int = 0
     ) -> "ScoreTable":
         """Scores over authors followed by papers, in index order."""
-        return cls._over(graph.authors + graph.papers, raw, total_arrivals)
+        kinds = np.repeat(np.array([NodeKind.AUTHOR, NodeKind.PAPER], dtype=np.int8),
+                          [graph.n_authors, graph.n_papers])
+        return cls.from_raw(kinds, graph.author_ext_ids + graph.paper_ext_ids,
+                            np.concatenate((graph.author_in_dblp, graph.paper_in_dblp)),
+                            raw, total_arrivals)
 
 
 def normalize(raw, n_nodes: int | None = None) -> np.ndarray:

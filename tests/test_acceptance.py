@@ -69,7 +69,7 @@ def test_criterion_3_scale_invariance(fixture_graphs):
     base = WalkParams(cite_weight=1, wrote_weight=0.5, iswb_weight=1,
                       restarting_weight=0.25, step_budget=100_000, seed=31)
     scaled = base.scaled_weights(7.3)
-    everything = lambda row: True
+    everything = lambda table: np.ones(len(table), dtype=bool)
     for name, graph in fixture_graphs.items():
         r1 = rank(pira_rank(graph, base), subset=everything)
         r2 = rank(pira_rank(graph, scaled), subset=everything)

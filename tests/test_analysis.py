@@ -1,14 +1,20 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pira import build_graph
 from pira.errors import ParseError
 from pira.analysis import (
-    RankEntry,
     Ranking,
     all_authors,
     all_papers,
     dataset_stats,
+    dblp_authors,
+    dblp_papers,
     export_dot,
     rank,
     rank_scatter,
@@ -17,18 +23,21 @@ from pira.analysis import (
 )
 from pira.walk import ScoreTable
 
-from conftest import mixed_graph, pair_graph
+from pira.graph import NodeKind
+from pira.ingest import load_graph, save_graph
+
+from conftest import mixed_graph, pair_graph, small_graphs
 
 
 def _table(pairs, dblp=None):
     """Score table over synthetic author nodes from (ext_id, score) pairs."""
-    from pira.graph import NodeKind, NodeId
+    from pira.graph import NodeKind
 
     ext_ids = tuple(e for e, _ in pairs)
     raw = np.array([s for _, s in pairs], dtype=float)
     flags = tuple(True for _ in pairs) if dblp is None else tuple(dblp)
-    nodes = tuple(NodeId(NodeKind.AUTHOR, i) for i in range(len(pairs)))
-    return ScoreTable.from_raw(nodes, ext_ids, flags, raw)
+    kinds = np.full(len(pairs), NodeKind.AUTHOR)
+    return ScoreTable.from_raw(kinds, ext_ids, flags, raw)
 
 
 # --- rank ---------------------------------------------------------------
@@ -72,6 +81,32 @@ def test_rank_positions_are_dense_and_rerankable():
     assert again == r
 
 
+def test_score_table_rejects_a_vector_of_the_wrong_length():
+    g = build_graph([("a", "A", True), ("b", "B", True), ("c", "C", True)],
+                    [("p", "P", True)], [("a", "p")])
+    with pytest.raises(ValueError, match=r"raw has shape \(2,\), expected \(3,\)"):
+        ScoreTable.over_authors(g, [3.0, 1.0])
+    with pytest.raises(ValueError, match="one value per node"):
+        ScoreTable.over_papers(g, [1.0, 2.0])
+    with pytest.raises(ValueError, match="one value per node"):
+        ScoreTable.over_all(g, np.ones(3))
+    with pytest.raises(ValueError, match="one value per node"):
+        ScoreTable.over_authors(g, np.ones((3, 1)))
+    with pytest.raises(ValueError, match=r"kinds has shape \(1,\)"):
+        ScoreTable.from_raw([NodeKind.AUTHOR], ("a", "b"), [True, True], [1.0, 2.0])
+    with pytest.raises(ValueError, match=r"in_dblp has shape \(3,\)"):
+        ScoreTable.from_raw([NodeKind.AUTHOR] * 2, ("a", "b"), [True] * 3, [1.0, 2.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_score_table_rejects_non_finite_scores(bad):
+    g = build_graph([("a", "A", True), ("b", "B", True), ("c", "C", True)], [])
+    with pytest.raises(ValueError, match="finite"):
+        ScoreTable.over_authors(g, [1.0, bad, 2.0])
+    with pytest.raises(ValueError, match="finite"):
+        _table([("a", 1.0), ("b", bad)])
+
+
 def test_ranking_tsv_round_trip():
     # scores [1.5, 0.5] already average to 1, so normalization keeps them
     r = rank(_table([("a", 1.5), ("b", 0.5)]))
@@ -107,9 +142,7 @@ def test_ranking_from_tsv_rejects_a_node_listed_twice():
 # --- topx_difference -------------------------------------------------------
 
 def _ranking(nodes):
-    return Ranking(tuple(
-        RankEntry(i, n, float(len(nodes) - i)) for i, n in enumerate(nodes, 1)
-    ))
+    return Ranking.from_scores((n, float(len(nodes) - i)) for i, n in enumerate(nodes, 1))
 
 
 def test_topx_identical_rankings_zero_curve():
@@ -160,7 +193,7 @@ def test_topx_rejects_mismatched_sets_and_bad_cutoffs():
 
 def test_topx_rejects_empty_rankings():
     with pytest.raises(ValueError, match="empty"):
-        topx_difference(Ranking(()), Ranking(()), [10])
+        topx_difference(Ranking.from_scores([]), Ranking.from_scores([]), [10])
 
 
 def test_diff_curve_csv():
@@ -304,3 +337,65 @@ def test_dot_escapes_quotes():
         wrote=[("a0", "p0")],
     )
     assert '\\"Hi\\"' in export_dot(g)
+
+
+# --- rank against a sorted reference -----------------------------------------
+
+MASKS = {
+    "default": (None, lambda kind, flag: flag),
+    "dblp_authors": (dblp_authors, lambda kind, flag: flag and kind == NodeKind.AUTHOR),
+    "dblp_papers": (dblp_papers, lambda kind, flag: flag and kind == NodeKind.PAPER),
+    "all_authors": (all_authors, lambda kind, flag: kind == NodeKind.AUTHOR),
+    "all_papers": (all_papers, lambda kind, flag: kind == NodeKind.PAPER),
+}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(small_graphs, st.data())
+def test_rank_matches_a_sorted_reference_and_save_load_is_a_fixed_point(draw, data):
+    (n_a, n_p), wrote, cites = draw
+    n = n_a + n_p
+    flags = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    # few distinct values force ties, which the ids must break
+    raw = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), min_size=n, max_size=n))
+
+    def graph(author, paper):
+        # distinct, loop-free edges: nothing is dropped, so a reload has the same report
+        return build_graph([(author(i), f"Author {i}", flags[i]) for i in range(n_a)],
+                           [(paper(i), f"Paper {i}", flags[n_a + i]) for i in range(n_p)],
+                           [(author(a), paper(p)) for a, p in sorted(set(wrote))],
+                           [(paper(s), paper(d)) for s, d in sorted(set(cites)) if s != d])
+
+    # ids that sort against the indices, so a tie broken by index would show
+    reversed_ids = graph(lambda i: f"a{n_a - i}", lambda i: f"p{n_p - i}")
+    table = ScoreTable.over_all(reversed_ids, raw)
+    kinds = [NodeKind.AUTHOR] * n_a + [NodeKind.PAPER] * n_p
+    for name, (subset, keep) in MASKS.items():
+        kept = [(e, s) for e, s, k, f in zip(table.ext_ids, table.normalized.tolist(), kinds, flags)
+                if keep(k, f)]
+        if not kept:
+            with pytest.raises(ValueError, match="no nodes left"):
+                rank(table, subset=subset)
+            continue
+        expected = sorted(kept, key=lambda es: (-es[1], es[0]))
+        got = rank(table, subset=subset)
+        assert [(e.rank, e.node, e.score) for e in got.entries] == [
+            (i, e, s) for i, (e, s) in enumerate(expected, 1)], name
+        assert got.nodes() == [e for e, _ in expected], name
+        assert got.to_tsv() == "".join(
+            f"{i}\t{e}\t{s:.6f}\n" for i, (e, s) in enumerate(expected, 1)), name
+
+    # ids in index order: a reload keeps every index
+    g = graph(lambda i: f"a{i}", lambda i: f"p{i}")
+    for saved in (g, reversed_ids):
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "first"), Path(tmp, "second")
+            save_graph(saved, first)
+            loaded, _ = load_graph(first)
+            save_graph(loaded, second)
+            for f in sorted(first.iterdir()):
+                lines = f.read_text(encoding="utf-8").splitlines()
+                assert lines == sorted(lines), f.name
+                assert (second / f.name).read_bytes() == f.read_bytes(), f.name
+        if saved is g:
+            assert loaded == g

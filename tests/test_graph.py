@@ -1,6 +1,6 @@
 import random
 import tempfile
-from collections import Counter
+from collections import Counter, deque
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +13,8 @@ from pira.analysis import StatsReport, dataset_stats, export_dot
 from pira.errors import DanglingEdgeError, GraphBuildError
 from pira.graph import EdgeColumns, NodeId, NodeKind, author_id, paper_id
 from pira.ingest import save_graph
+
+from conftest import small_graph, small_graphs
 
 
 def test_minimal_graph():
@@ -219,6 +221,57 @@ def test_neighborhood_unknown_center():
     g = _six_node_fixture()
     with pytest.raises(ValueError):
         neighborhood(g, paper_id(99), 1)
+
+
+def _reference_neighborhood(graph, center, radius):
+    """Breadth-first search over the tuple views, then a rebuild from the
+    kept nodes' ids, specs and induced edges."""
+    seen = {center}
+    frontier = deque([(center, 0)])
+    while frontier:
+        node, dist = frontier.popleft()
+        if dist == radius:
+            continue
+        if node.kind == NodeKind.AUTHOR:
+            neighbors = [paper_id(p) for p in graph.papers_of[node.index]]
+        else:
+            neighbors = [author_id(a) for a in graph.authors_of[node.index]]
+            neighbors += [paper_id(p) for p in graph.refs_of[node.index]]
+            neighbors += [paper_id(p) for p in graph.cited_by[node.index]]
+        for nb in neighbors:
+            if nb not in seen:
+                seen.add(nb)
+                frontier.append((nb, dist + 1))
+    kept_a = sorted(n.index for n in seen if n.kind == NodeKind.AUTHOR)
+    kept_p = sorted(n.index for n in seen if n.kind == NodeKind.PAPER)
+    a, p = graph.authors, graph.papers
+    return build_graph(
+        [(a[i].ext_id, a[i].name, a[i].in_dblp) for i in kept_a],
+        [(p[i].ext_id, p[i].title, p[i].in_dblp) for i in kept_p],
+        [(a[i].ext_id, p[j].ext_id) for i in kept_a for j in graph.papers_of[i] if j in kept_p],
+        [(p[i].ext_id, p[j].ext_id) for i in kept_p for j in graph.refs_of[i] if j in kept_p],
+    )
+
+
+def _assert_neighborhoods_match_the_reference(g):
+    centers = [author_id(i) for i in range(g.n_authors)] + [paper_id(i) for i in range(g.n_papers)]
+    for center in centers:
+        for radius in range(4):
+            sub = neighborhood(g, center, radius)
+            ref = _reference_neighborhood(g, center, radius)
+            assert sub == ref and sub.report == ref.report, (center, radius)
+            assert export_dot(sub) == export_dot(ref)
+
+
+def test_neighborhood_matches_a_tuple_view_search_on_the_fixtures(fixture_graphs):
+    for g in fixture_graphs.values():
+        _assert_neighborhoods_match_the_reference(g)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(small_graphs)
+def test_neighborhood_matches_a_tuple_view_search_on_random_graphs(draw):
+    _assert_neighborhoods_match_the_reference(small_graph(draw))
 
 
 def test_node_ordering():

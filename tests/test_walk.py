@@ -313,7 +313,7 @@ def test_equal_arrivals_tie_exactly_with_non_dyadic_weights():
         if len(members) > 1 and np.count_nonzero(counts[members[0]]) >= 2:
             mixed_ties += 1
     assert mixed_ties > 0
-    ranking = rank(table, subset=lambda row: True)
+    ranking = rank(table, subset=lambda t: np.ones(len(t), dtype=bool))
     by_score: dict[float, list[str]] = {}
     for entry in ranking.entries:
         by_score.setdefault(entry.score, []).append(entry.node)
