@@ -319,20 +319,22 @@ def export_dot(graph: CitationGraph, scores: Optional[ScoreTable] = None) -> str
         return "\\n".join(_dot_escape(p) for p in parts)
 
     lines = ["digraph citations {"]
-    for kind, prefix, shape, ext_ids, labels in (
-        (NodeKind.AUTHOR, "a", "ellipse", graph.author_ext_ids, graph.author_names),
-        (NodeKind.PAPER, "p", "box", graph.paper_ext_ids, graph.paper_titles),
+    for kind, prefix, shape, ext_ids, labels, order in (
+        (NodeKind.AUTHOR, "a", "ellipse", graph.author_ext_ids, graph.author_names,
+         graph.author_id_order),
+        (NodeKind.PAPER, "p", "box", graph.paper_ext_ids, graph.paper_titles,
+         graph.paper_id_order),
     ):
-        # ids are distinct within a kind, so the pairs sort by id alone
-        for ext, text in sorted(zip(ext_ids, labels)):
+        for i in order.tolist():
+            ext = ext_ids[i]
             lines.append(
                 f'  "{prefix}:{_dot_escape(ext)}" [shape={shape}, '
-                f'label="{label(kind, ext, text)}"];'
+                f'label="{label(kind, ext, labels[i])}"];'
             )
     wrote, cites = edge_ext_ids(graph)
-    for a_ext, p_ext in wrote:
+    for a_ext, p_ext in zip(*wrote):
         lines.append(f'  "a:{_dot_escape(a_ext)}" -> "p:{_dot_escape(p_ext)}" [dir=none];')
-    for s_ext, d_ext in cites:
+    for s_ext, d_ext in zip(*cites):
         lines.append(f'  "p:{_dot_escape(s_ext)}" -> "p:{_dot_escape(d_ext)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -18,10 +18,11 @@ The adjacency is stored once, as two read-only CSR incidence matrices:
 ``wrote`` (authors x papers) and ``cite`` (papers x papers).  ``build_graph``
 looks every edge id up once and makes each matrix from one numpy sort of the
 edge keys ``source * n_targets + target``, which also finds the duplicates.
-The exact measures, the counts, the edge listings and ``neighborhood`` read
-the matrices; the tuple views ``papers_of``, ``authors_of``, ``refs_of`` and
-``cited_by`` are derived from them (the reverse two from the transposes) on
-first use, for callers that walk Python sequences.
+The exact measures, the counts, the edge listings, ``neighborhood`` and the
+merge suggestions read the matrices; the one tuple view, ``cited_by``, is
+derived from the transpose of ``cite`` on first use.  The edge listings and
+the saved files sort by the ids' order, taken once per kind
+(``author_id_order``, ``paper_id_order``), as integer keys.
 """
 
 from __future__ import annotations
@@ -109,10 +110,11 @@ class CitationGraph:
     Node data is held in per-kind columns in dense-index order: ids and
     names (titles) as tuples of str, DBLP flags as read-only bool arrays.
     ``authors`` and ``papers`` are record views built from them on first
-    read.  The edges are two read-only 0/1 CSR matrices with sorted,
-    distinct column indices per row; the four tuple views derive from them,
-    so every view is consistent by construction.  Safe for concurrent
-    readers.
+    read, and ``author_id_order`` / ``paper_id_order`` are the read-only
+    index permutations that sort each kind by id.  The edges are two
+    read-only 0/1 CSR matrices with sorted, distinct column indices per
+    row; the ``cited_by`` tuple view derives from them, so it is consistent
+    by construction.  Safe for concurrent readers.
     """
 
     author_ext_ids: tuple[str, ...]
@@ -176,24 +178,20 @@ class CitationGraph:
                          self.paper_titles, self.paper_in_dblp.tolist()))
 
     @cached_property
+    def author_id_order(self) -> np.ndarray:  # author indices sorted by ext_id
+        return _id_order(self.author_ext_ids)
+
+    @cached_property
+    def paper_id_order(self) -> np.ndarray:  # paper indices sorted by ext_id
+        return _id_order(self.paper_ext_ids)
+
+    @cached_property
     def _wrote_t(self) -> sp.csr_matrix:  # papers x authors
         return self.wrote.T.tocsr()
 
     @cached_property
     def _cite_t(self) -> sp.csr_matrix:  # cited paper x citing paper
         return self.cite.T.tocsr()
-
-    @cached_property
-    def papers_of(self) -> tuple[tuple[int, ...], ...]:  # author index -> paper indices
-        return _rows(self.wrote)
-
-    @cached_property
-    def authors_of(self) -> tuple[tuple[int, ...], ...]:  # paper index -> author indices
-        return _rows(self._wrote_t)
-
-    @cached_property
-    def refs_of(self) -> tuple[tuple[int, ...], ...]:  # paper index -> papers it cites
-        return _rows(self.cite)
 
     @cached_property
     def cited_by(self) -> tuple[tuple[int, ...], ...]:  # paper index -> papers citing it
@@ -223,18 +221,41 @@ def _rows(m: sp.csr_matrix) -> tuple[tuple[int, ...], ...]:
     return tuple([cols[a:b] for a, b in zip(bounds, bounds[1:])])
 
 
-def edge_ext_ids(
-    graph: CitationGraph,
-) -> tuple[list[tuple[str, str]], list[tuple[str, str]]]:
-    """The wrote and the cite edges as sorted (source, target) external-id pairs."""
-    paper_ext = graph.paper_ext_ids
+def _id_order(ext_ids: tuple[str, ...]) -> np.ndarray:
+    order = np.array(sorted(range(len(ext_ids)), key=ext_ids.__getitem__), dtype=np.int64)
+    order.flags.writeable = False  # shared by every reader of the graph
+    return order
 
-    def pairs(m: sp.csr_matrix, source_ext: tuple[str, ...]) -> list[tuple[str, str]]:
-        rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)).tolist()
-        return sorted(zip(map(source_ext.__getitem__, rows),
-                          map(paper_ext.__getitem__, m.indices.tolist())))
 
-    return pairs(graph.wrote, graph.author_ext_ids), pairs(graph.cite, paper_ext)
+def _ranks(order: np.ndarray) -> np.ndarray:
+    """The place of each index in the permutation `order`."""
+    ranks = np.empty_like(order)
+    ranks[order] = np.arange(len(order))
+    return ranks
+
+
+def edge_ext_ids(graph: CitationGraph) -> tuple[EdgeColumns, EdgeColumns]:
+    """The wrote and the cite edges as id columns, sorted by (source id,
+    target id).
+
+    Ids are distinct within a kind, so an edge's place in that order is its
+    integer key ``source rank * n_papers + target rank``, a node's rank
+    being its place in ``author_id_order`` / ``paper_id_order``.  The keys
+    are sorted and split back into ranks.
+    """
+    n_p, paper_ext, paper_order = graph.n_papers, graph.paper_ext_ids, graph.paper_id_order
+    paper_rank = _ranks(paper_order)
+
+    def columns(m: sp.csr_matrix, source_ext: tuple[str, ...],
+                source_order: np.ndarray) -> EdgeColumns:
+        rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+        keys = np.sort(_ranks(source_order)[rows] * n_p + paper_rank[m.indices])
+        source, target = np.divmod(keys, max(n_p, 1))
+        return EdgeColumns(list(map(source_ext.__getitem__, source_order[source].tolist())),
+                           list(map(paper_ext.__getitem__, paper_order[target].tolist())))
+
+    return (columns(graph.wrote, graph.author_ext_ids, graph.author_id_order),
+            columns(graph.cite, paper_ext, paper_order))
 
 
 def _checked_specs(specs: Iterable[NodeSpec], kind: str) -> list[tuple[str, str, bool]]:

@@ -18,8 +18,12 @@ fixed point of the serialization.
 Merge suggestions flag author pairs whose names are initial-compatible
 (same last token, every leading token of the shorter name a prefix of its
 counterpart) and that either cite one another's papers or share a
-co-author.  Suggestions are never applied: duplicate authors are preferred
-over accidentally merging two distinct people.
+co-author.  Candidates are found by blocking on the last-name token: each
+rule is one sparse product over the graph's matrices in which only authors
+of the same block can meet, so the cost follows the edges rather than the
+square of the largest block, and the name check runs only on the pairs the
+products yield.  Suggestions are never applied: duplicate authors are
+preferred over accidentally merging two distinct people.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DanglingEdgeError, MissingFileError, ParseError
 from .graph import (CitationGraph, EdgeColumns, NodeColumns, NodeId, author_id, build_graph,
@@ -168,20 +173,22 @@ def save_graph(graph: CitationGraph, directory: str | Path) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     wrote, cites = edge_ext_ids(graph)
-    for name, ext_ids, labels, flags in (
-        (AUTHORS_FILE, graph.author_ext_ids, graph.author_names, graph.author_in_dblp),
-        (PAPERS_FILE, graph.paper_ext_ids, graph.paper_titles, graph.paper_in_dblp),
+    for name, ext_ids, labels, flags, order in (
+        (AUTHORS_FILE, graph.author_ext_ids, graph.author_names, graph.author_in_dblp,
+         graph.author_id_order),
+        (PAPERS_FILE, graph.paper_ext_ids, graph.paper_titles, graph.paper_in_dblp,
+         graph.paper_id_order),
     ):
-        # ids are distinct within a kind, so the rows sort by id alone
-        rows = sorted(zip(ext_ids, labels, flags.view(np.uint8).tolist()))
+        flag_of = flags.view(np.uint8).tolist()
         (directory / name).write_text(
-            "".join(f"{e}\t{label}\t{f}\n" for e, label, f in rows), encoding="utf-8"
+            "".join(f"{ext_ids[i]}\t{labels[i]}\t{flag_of[i]}\n" for i in order.tolist()),
+            encoding="utf-8",
         )
     (directory / WROTE_FILE).write_text(
-        "".join(f"{a}\t{p}\n" for a, p in wrote), encoding="utf-8"
+        "".join([f"{a}\t{p}\n" for a, p in zip(*wrote)]), encoding="utf-8"
     )
     (directory / CITES_FILE).write_text(
-        "".join(f"{s}\t{d}\n" for s, d in cites), encoding="utf-8"
+        "".join([f"{s}\t{d}\n" for s, d in zip(*cites)]), encoding="utf-8"
     )
 
 
@@ -208,10 +215,8 @@ def _name_tokens(name: str) -> list[str]:
     return [t.rstrip(".").casefold() for t in name.split() if t.rstrip(".")]
 
 
-def initial_compatible(name_a: str, name_b: str) -> bool:
-    """True when the names agree on the last token and every leading token of
-    the shorter form is a prefix of its counterpart ("J. YYY" vs "John YYY")."""
-    ta, tb = _name_tokens(name_a), _name_tokens(name_b)
+def _tokens_compatible(ta: list[str], tb: list[str]) -> bool:
+    """``initial_compatible`` on names already split by ``_name_tokens``."""
     if not ta or not tb:
         return False
     if ta[-1] != tb[-1]:
@@ -224,41 +229,102 @@ def initial_compatible(name_a: str, name_b: str) -> bool:
     return True
 
 
+def initial_compatible(name_a: str, name_b: str) -> bool:
+    """True when the names agree on the last token and every leading token of
+    the shorter form is a prefix of its counterpart ("J. YYY" vs "John YYY")."""
+    return _tokens_compatible(_name_tokens(name_a), _name_tokens(name_b))
+
+
+def _entry_rows(m: sp.csr_matrix) -> np.ndarray:
+    """The row of each stored entry of `m`, in storage order."""
+    return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+
+
+def _bool_csr(indptr: np.ndarray, cols: np.ndarray, keep: np.ndarray,
+              shape: tuple[int, int]) -> sp.csr_matrix:
+    """The 0/1 matrix of the entries ``cols[keep]``, in the rows that
+    `indptr` lays out over all of `cols`."""
+    kept = np.flatnonzero(keep)
+    # a row starts after the kept entries that come before its first position
+    indptr = np.searchsorted(kept, indptr)
+    return sp.csr_matrix((np.ones(len(kept), dtype=bool), cols[kept], indptr), shape=shape)
+
+
+def _same_group_pairs(
+    left: sp.csr_matrix, right: sp.csr_matrix, group: np.ndarray, width: int
+) -> np.ndarray:
+    """Keys ``a * n + b`` (a < b, sorted) of the author pairs in one group
+    where ``left @ right.T`` is non-zero at [a, b] or at [b, a].
+
+    Both operands have one row per author and `width` columns.  The product
+    runs over keys, not columns: the entry (row, col) moves to the key of
+    (col, group[row]), so two rows meet only on a column they share within
+    one group.  The keys number the (col, group) pairs the right operand
+    has, so the inner dimension is at most its entry count, not
+    ``n_groups * width`` (scipy gives the transposed operand an index
+    pointer that long); a left entry whose pair the right operand lacks
+    meets nothing.
+    """
+    n = len(group)
+
+    def entry_groups(m: sp.csr_matrix) -> np.ndarray:
+        return np.repeat(group, np.diff(m.indptr))
+
+    # key number + 1 of each (col, group) pair, as a width x n_groups matrix,
+    # so looking keys up is one sparse indexing call
+    key_of = sp.csr_matrix(
+        (np.ones(right.nnz, dtype=np.int64), (right.indices, entry_groups(right))),
+        shape=(width, int(group.max(initial=-1)) + 1))
+    key_of.data = np.arange(1, key_of.nnz + 1, dtype=key_of.indptr.dtype)
+
+    def shifted(m: sp.csr_matrix) -> sp.csr_matrix:
+        if not m.nnz:  # scipy's indexing returns a sparse matrix for no points
+            return sp.csr_matrix((n, key_of.nnz), dtype=bool)
+        keys = np.asarray(key_of[m.indices, entry_groups(m)]).ravel()
+        keys -= 1
+        return _bool_csr(m.indptr, keys, keys >= 0, (n, key_of.nnz))
+
+    right_k = shifted(right)
+    left_k = right_k if left is right else shifted(left)  # co @ co: one operand
+    product = left_k @ right_k.T
+    a, b = _entry_rows(product), product.indices
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    return np.unique(lo[lo != hi] * n + hi[lo != hi])
+
+
 def suggest_merges(graph: CitationGraph) -> list[MergeSuggestion]:
     """Author pairs that are probably the same person, by the two heuristics.
 
+    Candidates are blocked by last name: each rule is one sparse product
+    restricted to authors who share a casefolded last-name token (see
+    ``_same_group_pairs``), and ``initial_compatible``'s check runs only on
+    the pairs it yields.  The self-citation rule fires where
+    ``wrote @ cite @ wrote.T`` is non-zero at [a, b] or [b, a]; the
+    co-author rule where ``co @ co`` is, ``co`` being ``wrote @ wrote.T``
+    without its diagonal, so the shared co-author is neither a nor b.
     Pairs are unordered (smaller index first), one suggestion per rule that
     fires, sorted by (rule, author_a, author_b).  Nothing is merged.
     """
-    # candidate pairs share a casefolded last name token
-    by_last: dict[str, list[int]] = {}
-    names = graph.author_names
-    for a, name in enumerate(names):
-        tokens = _name_tokens(name)
-        if tokens:
-            by_last.setdefault(tokens[-1], []).append(a)
-
-    cite_targets: list[set[int]] = [
-        {r for p in papers for r in graph.refs_of[p]} for papers in graph.papers_of
-    ]
-    paper_sets: list[set[int]] = [set(papers) for papers in graph.papers_of]
-    coauthors: list[set[int]] = []
-    for a, papers in enumerate(graph.papers_of):
-        co = {b for p in papers for b in graph.authors_of[p]}
-        co.discard(a)
-        coauthors.append(co)
-
+    n = graph.n_authors
+    tokens = list(map(_name_tokens, graph.author_names))
+    # a name without tokens is a group of its own (its author's index as the
+    # key), so it never pairs
+    group_of: dict[object, int] = {}
+    group = np.fromiter(
+        (group_of.setdefault(t[-1] if t else a, len(group_of)) for a, t in enumerate(tokens)),
+        dtype=np.int32, count=n)
+    wrote = graph.wrote.astype(bool)  # 0/1 products need no float counts
+    shared = wrote @ wrote.T  # authors x authors: 1 where they share a paper
+    co = _bool_csr(shared.indptr, shared.indices, _entry_rows(shared) != shared.indices, (n, n))
+    del shared
+    rules = (
+        (MergeRule.SELF_CITATION_INITIAL_MATCH,
+         _same_group_pairs(wrote @ graph.cite.astype(bool), wrote, group, graph.n_papers)),
+        (MergeRule.COMMON_COAUTHOR_INITIAL_MATCH, _same_group_pairs(co, co, group, n)),
+    )
     suggestions = []
-    for group in by_last.values():
-        for i, a in enumerate(group):
-            for b in group[i + 1:]:
-                if not initial_compatible(names[a], names[b]):
-                    continue
-                if cite_targets[a] & paper_sets[b] or cite_targets[b] & paper_sets[a]:
-                    suggestions.append(MergeSuggestion(
-                        author_id(a), author_id(b), MergeRule.SELF_CITATION_INITIAL_MATCH))
-                if coauthors[a] & coauthors[b]:
-                    suggestions.append(MergeSuggestion(
-                        author_id(a), author_id(b), MergeRule.COMMON_COAUTHOR_INITIAL_MATCH))
-    suggestions.sort(key=lambda s: (s.rule, s.author_a.index, s.author_b.index))
+    for rule, pairs in rules:
+        for a, b in zip(*(half.tolist() for half in np.divmod(pairs, max(n, 1)))):
+            if _tokens_compatible(tokens[a], tokens[b]):
+                suggestions.append(MergeSuggestion(author_id(a), author_id(b), rule))
     return suggestions

@@ -9,6 +9,20 @@ from pira import WalkParams, build_graph, pira_rank
 from pira.graph import CitationGraph
 
 
+def rows(m) -> tuple[tuple[int, ...], ...]:
+    """The column indices of each row of a sparse matrix, in stored order,
+    as tuples of ints."""
+    m = m.tocsr()
+    cols, bounds = m.indices.tolist(), m.indptr.tolist()
+    return tuple(tuple(cols[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+
+def adjacency(graph: CitationGraph) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """(papers_of, authors_of, refs_of): each author's papers, each paper's
+    authors and each paper's references, read from the matrix rows."""
+    return rows(graph.wrote), rows(graph.wrote.T), rows(graph.cite)
+
+
 def minimal_graph() -> CitationGraph:
     return build_graph(
         authors=[("a0", "Solo Author", True)],

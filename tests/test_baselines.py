@@ -17,7 +17,7 @@ from pira.baselines import (
 from pira.errors import ConvergenceError
 from pira.scenarios import ScenarioKind, ScenarioSpec, generate
 
-from conftest import small_graph, small_graphs
+from conftest import adjacency, rows, small_graph, small_graphs
 
 
 def _graph_with_citations(author_papers, cite_pairs):
@@ -188,8 +188,9 @@ def test_pr_p_mass_conservation():
         {"a": ["p1", "p2"], "b": ["p2"]}, [("x", "p1"), ("p1", "p2")]
     )
     paper_scores = paper_pagerank(g)
+    authors_of = rows(g.wrote.T)
     authored_mass = sum(
-        paper_scores[p] for p in range(g.n_papers) if g.authors_of[p]
+        paper_scores[p] for p in range(g.n_papers) if authors_of[p]
     )
     assert pr_p(g).sum() == pytest.approx(authored_mass, abs=1e-12)
 
@@ -237,10 +238,11 @@ def test_author_graph_row_sums_at_most_one():
     assert np.all(sums <= 1.0 + 1e-12)
     # equality exactly when every paper of the author has a reference and
     # every cited paper has an author
+    papers_of, authors_of, refs_of = adjacency(g)
     for a in range(g.n_authors):
-        papers = g.papers_of[a]
+        papers = papers_of[a]
         if papers and all(
-            g.refs_of[p] and all(g.authors_of[r] for r in g.refs_of[p])
+            refs_of[p] and all(authors_of[r] for r in refs_of[p])
             for p in papers
         ):
             assert sums[a] == pytest.approx(1.0, abs=1e-12)

@@ -14,7 +14,7 @@ from pira.errors import DanglingEdgeError, GraphBuildError
 from pira.graph import EdgeColumns, NodeId, NodeKind, author_id, paper_id
 from pira.ingest import save_graph
 
-from conftest import small_graph, small_graphs
+from conftest import adjacency, rows, small_graph, small_graphs
 
 
 def test_minimal_graph():
@@ -64,8 +64,8 @@ def test_duplicate_cites_deduped_and_build_idempotent():
     args2 = dict(args)
     args2["wrote"] = args["wrote"] * 2
     g2 = build_graph(**args2)
-    assert g2.papers_of == g1.papers_of
-    assert g2.refs_of == g1.refs_of
+    assert rows(g2.wrote) == rows(g1.wrote)
+    assert rows(g2.cite) == rows(g1.cite)
 
 
 def test_dangling_endpoints_rejected():
@@ -90,13 +90,14 @@ def test_inverse_adjacency_consistent():
         wrote=[("a0", "p0"), ("a1", "p0"), ("a1", "p1")],
         cites=[("p0", "p1"), ("p2", "p1"), ("p2", "p0")],
     )
-    for a, papers in enumerate(g.papers_of):
+    papers_of, authors_of, refs_of = adjacency(g)
+    for a, papers in enumerate(papers_of):
         for p in papers:
-            assert a in g.authors_of[p]
-    for p, authors in enumerate(g.authors_of):
+            assert a in authors_of[p]
+    for p, authors in enumerate(authors_of):
         for a in authors:
-            assert p in g.papers_of[a]
-    for s, refs in enumerate(g.refs_of):
+            assert p in papers_of[a]
+    for s, refs in enumerate(refs_of):
         for d in refs:
             assert s in g.cited_by[d]
 
@@ -150,8 +151,9 @@ def test_p_weights_sum_to_one_per_paper():
             if rng.random() < 0.4
         ]
         g = build_graph(authors, papers, wrote)
+        authors_of = rows(g.wrote.T)
         for p in range(n_p):
-            owners = g.authors_of[p]
+            owners = authors_of[p]
             if not owners:
                 continue
             total = sum(p_weight(g, author_id(a), paper_id(p)) for a in owners)
@@ -224,8 +226,9 @@ def test_neighborhood_unknown_center():
 
 
 def _reference_neighborhood(graph, center, radius):
-    """Breadth-first search over the tuple views, then a rebuild from the
-    kept nodes' ids, specs and induced edges."""
+    """Breadth-first search over the matrix rows as tuples, then a rebuild
+    from the kept nodes' ids, specs and induced edges."""
+    papers_of, authors_of, refs_of = adjacency(graph)
     seen = {center}
     frontier = deque([(center, 0)])
     while frontier:
@@ -233,10 +236,10 @@ def _reference_neighborhood(graph, center, radius):
         if dist == radius:
             continue
         if node.kind == NodeKind.AUTHOR:
-            neighbors = [paper_id(p) for p in graph.papers_of[node.index]]
+            neighbors = [paper_id(p) for p in papers_of[node.index]]
         else:
-            neighbors = [author_id(a) for a in graph.authors_of[node.index]]
-            neighbors += [paper_id(p) for p in graph.refs_of[node.index]]
+            neighbors = [author_id(a) for a in authors_of[node.index]]
+            neighbors += [paper_id(p) for p in refs_of[node.index]]
             neighbors += [paper_id(p) for p in graph.cited_by[node.index]]
         for nb in neighbors:
             if nb not in seen:
@@ -248,8 +251,8 @@ def _reference_neighborhood(graph, center, radius):
     return build_graph(
         [(a[i].ext_id, a[i].name, a[i].in_dblp) for i in kept_a],
         [(p[i].ext_id, p[i].title, p[i].in_dblp) for i in kept_p],
-        [(a[i].ext_id, p[j].ext_id) for i in kept_a for j in graph.papers_of[i] if j in kept_p],
-        [(p[i].ext_id, p[j].ext_id) for i in kept_p for j in graph.refs_of[i] if j in kept_p],
+        [(a[i].ext_id, p[j].ext_id) for i in kept_a for j in papers_of[i] if j in kept_p],
+        [(p[i].ext_id, p[j].ext_id) for i in kept_p for j in refs_of[i] if j in kept_p],
     )
 
 
@@ -304,7 +307,7 @@ def test_edge_columns_build_like_pairs_and_dangling_edges_say_where():
     assert build_graph(authors, papers, columns(wrote), columns(cites)) == g
     assert g.report.dropped_duplicate_wrote == 1
     assert (g.report.dropped_self_citations, g.report.dropped_duplicate_cites) == (1, 1)
-    assert g.refs_of == ((), (0,), (0,)) and g.cited_by == ((1, 2), (), ())
+    assert rows(g.cite) == ((), (0,), (0,)) and g.cited_by == ((1, 2), (), ())
 
     # the first bad edge wins; on one edge the source is named first
     bad_wrote = wrote[:2] + [("zz", "p9"), ("a0", "p8")]
@@ -363,13 +366,13 @@ def test_matrix_graph_matches_a_plain_recount(draw):
     wrote = sorted(set(wrote_idx))
     cites = sorted({(s, d) for s, d in cites_idx if s != d})
 
-    # each view is the rows of its matrix or of the transpose, in plain ints
+    # the matrices store sorted, distinct column indices per row, and
+    # cited_by is the rows of cite's transpose, in plain ints
     w, c = g.wrote.toarray(), g.cite.toarray()
-    assert g.papers_of == _rows_of(w) and g.authors_of == _rows_of(w.T)
-    assert g.refs_of == _rows_of(c) and g.cited_by == _rows_of(c.T)
-    for view in (g.papers_of, g.authors_of, g.refs_of, g.cited_by):
-        assert all(type(i) is int for row in view for i in row)
-    assert g.papers_of == tuple(tuple(p for x, p in wrote if x == a) for a in range(n_a))
+    assert rows(g.wrote) == _rows_of(w) and rows(g.cite) == _rows_of(c)
+    assert g.cited_by == _rows_of(c.T)
+    assert all(type(i) is int for row in g.cited_by for i in row)
+    assert rows(g.wrote) == tuple(tuple(p for x, p in wrote if x == a) for a in range(n_a))
     assert g.cited_by == tuple(tuple(s for s, d in cites if d == p) for p in range(n_p))
     assert (g.n_wrote_edges, g.n_cite_edges) == (len(wrote), len(cites))
     assert g.report.authors_without_papers == n_a - len({a for a, _ in wrote})

@@ -16,6 +16,8 @@ from pira.scenarios import (
     measure_scores,
 )
 
+from conftest import rows
+
 
 def test_generation_is_deterministic():
     for kind in ScenarioKind:
@@ -52,11 +54,12 @@ def test_self_citation_counts_match_design():
     assert counts[a2] == 3
     assert pub_count(g)[a1] == 10
     # a1's citations all come from his own papers; a2's are all external
-    own = set(g.papers_of[a1])
-    for p in g.papers_of[a1]:
+    papers_of = rows(g.wrote)
+    own = set(papers_of[a1])
+    for p in papers_of[a1]:
         assert set(g.cited_by[p]) <= own
-    for p in g.papers_of[a2]:
-        assert not set(g.cited_by[p]) & set(g.papers_of[a2])
+    for p in papers_of[a2]:
+        assert not set(g.cited_by[p]) & set(papers_of[a2])
 
 
 def test_citation_loop_has_fourteen_external_citers():
@@ -65,16 +68,17 @@ def test_citation_loop_has_fourteen_external_citers():
     external = (set(g.cited_by[x]) | set(g.cited_by[y])) - {x, y}
     assert len(external) == 14
     # the loop papers cite each other and nothing else
-    assert g.refs_of[x] == (y,)
-    assert g.refs_of[y] == (x,)
+    assert rows(g.cite)[x] == (y,)
+    assert rows(g.cite)[y] == (x,)
 
 
 def test_single_ref_chain_structure():
     g = generate(ScenarioSpec(ScenarioKind.SINGLE_REF_CHAIN)).graph
     chain = [g.paper_index[f"ch{i:02d}"] for i in range(1, 6)]
-    assert g.refs_of[chain[0]] == ()
+    refs_of = rows(g.cite)
+    assert refs_of[chain[0]] == ()
     for prev, cur in zip(chain, chain[1:]):
-        assert g.refs_of[cur] == (prev,)
+        assert refs_of[cur] == (prev,)
 
 
 def test_padding_adds_isolated_pairs():
@@ -84,7 +88,7 @@ def test_padding_adds_isolated_pairs():
     assert padded.n_papers == bare.n_papers + 25
     assert padded.n_cite_edges == bare.n_cite_edges
     pad_author = padded.author_index["pad_a_000"]
-    assert len(padded.papers_of[pad_author]) == 1
+    assert len(rows(padded.wrote)[pad_author]) == 1
 
 
 @pytest.mark.parametrize("kind", list(ScenarioKind))

@@ -20,8 +20,9 @@ from pira.oracle import build_transition_system, expected_scores
 import pira.walk as walk
 from pira.walk import ScoreTable, walker_seed
 
-from conftest import (ACCEPTANCE_SEED, ACCEPTANCE_STEPS, FIXTURE_BUILDERS, communities_graph,
-                      mixed_graph, pair_graph, ring_graph, small_graph, small_graphs)
+from conftest import (ACCEPTANCE_SEED, ACCEPTANCE_STEPS, FIXTURE_BUILDERS, adjacency,
+                      communities_graph, mixed_graph, pair_graph, ring_graph, small_graph,
+                      small_graphs)
 
 
 def test_params_validation():
@@ -344,6 +345,7 @@ def _dense_reference_scores(graph, params) -> np.ndarray:
     paper_dist[n_a:n] = 1.0 / max(n_p, 1)
     restart, fake, wrote, cite, iswb = range(5)
     moves = np.zeros((5, s, s))  # class, from, to
+    papers_of, authors_of, refs_of = adjacency(graph)
 
     def to_authors(i, authors, p):
         if not authors:
@@ -354,15 +356,15 @@ def _dense_reference_scores(graph, params) -> np.ndarray:
     for i in range(s):
         moves[restart, i] += df * restart_dist
         if i < n_a:
-            papers = graph.papers_of[i]
+            papers = papers_of[i]
             if not papers:
                 moves[restart, i] += keep * restart_dist
-            p_weight = {q: 1.0 / len(graph.authors_of[q]) for q in papers}
+            p_weight = {q: 1.0 / len(authors_of[q]) for q in papers}
             for q, w in p_weight.items():
                 moves[wrote, i, n_a + q] += keep * w / sum(p_weight.values())
         elif i < n:
             q = i - n_a
-            refs = graph.refs_of[q]
+            refs = refs_of[q]
             slots = max(len(refs), k)
             follow = 1.0 if literal else theta  # literal draws the slot first
             if not refs:
@@ -374,9 +376,9 @@ def _dense_reference_scores(graph, params) -> np.ndarray:
             if literal and refs:
                 moves[cite, i, n + q] += keep * (1.0 - theta) * len(refs) / slots
             elif not literal:
-                to_authors(i, graph.authors_of[q], keep * (1.0 - theta))
+                to_authors(i, authors_of[q], keep * (1.0 - theta))
         else:
-            to_authors(i, graph.authors_of[i - n], keep)
+            to_authors(i, authors_of[i - n], keep)
 
     a = np.vstack([moves.sum(axis=0).T - np.eye(s), np.ones(s)])
     b = np.zeros(s + 1)
