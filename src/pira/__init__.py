@@ -19,7 +19,6 @@ from .graph import (
     author_id,
     build_graph,
     neighborhood,
-    p_weight,
     paper_id,
 )
 from .walk import (
@@ -44,7 +43,6 @@ __all__ = [
     "author_id",
     "build_graph",
     "neighborhood",
-    "p_weight",
     "paper_id",
     "ScoreTable",
     "WalkMode",

@@ -23,6 +23,10 @@ merge suggestions read the matrices; the one tuple view, ``cited_by``, is
 derived from the transpose of ``cite`` on first use.  The edge listings and
 the saved files sort by the ids' order, taken once per kind
 (``author_id_order``, ``paper_id_order``), as integer keys.
+
+``hop_matrices`` is the package's one definition of the walk's three
+one-hop moves (p-weighted paper pick, uniform reference and author picks):
+the incidence matrices with their stored data scaled row by row.
 """
 
 from __future__ import annotations
@@ -445,18 +449,34 @@ def build_graph(
     return _assemble(a_nodes, p_nodes, (w_src, w_dst), (c_src, c_dst), self_cites)
 
 
-def p_weight(graph: CitationGraph, author: NodeId, paper: NodeId) -> float:
-    """Probability weight of a wrote edge: 1 / number of co-authors of the paper."""
-    if author.kind != NodeKind.AUTHOR or paper.kind != NodeKind.PAPER:
-        raise ValueError("p_weight expects an (author, paper) pair")
-    graph.node(author)
-    graph.node(paper)
-    w = graph.wrote
-    if paper.index not in w.indices[w.indptr[author.index]:w.indptr[author.index + 1]]:
-        raise ValueError(
-            f"no wrote edge between {graph.ext_id(author)!r} and {graph.ext_id(paper)!r}"
-        )
-    return 1.0 / int(np.count_nonzero(w.indices == paper.index))
+def row_stochastic(m: sp.csr_matrix) -> sp.csr_matrix:
+    """`m` (non-negative) with each row scaled to sum to one.
+
+    The stored entries keep their order: each entry is multiplied by its
+    row's factor.  A row without weight becomes all zero.
+    """
+    sums = m @ np.ones(m.shape[1])
+    scale = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums > 0)
+    return sp.csr_matrix((m.data * np.repeat(scale, np.diff(m.indptr)), m.indices, m.indptr),
+                         shape=m.shape)
+
+
+def hop_matrices(graph: CitationGraph) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
+    """The row-stochastic one-hop matrices of the walk's three link classes.
+
+    Returns (``to_paper``: author -> paper, proportional to the paper's
+    p-weight 1 / co-author count; ``to_ref``: paper -> cited paper, uniform;
+    ``to_author``: paper -> author, uniform).  They are ``wrote``, ``cite``
+    and the transpose of ``wrote`` with their stored data scaled, so each
+    keeps its source's sorted column indices.  A node without a link of the
+    class has an empty row.  The walk's outcome table (hence the exact
+    oracle), PR-P and PR-A all read them.
+    """
+    wrote, wrote_t = graph.wrote, graph._wrote_t
+    coauthors = np.diff(wrote_t.indptr)
+    p_weight = sp.csr_matrix((wrote.data / coauthors[wrote.indices], wrote.indices, wrote.indptr),
+                             shape=wrote.shape)
+    return row_stochastic(p_weight), row_stochastic(graph.cite), row_stochastic(wrote_t)
 
 
 def _row_entries(m: sp.csr_matrix, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

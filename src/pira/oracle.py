@@ -13,9 +13,9 @@ The transition matrix is held as three sparse class matrices (wrote, cite,
 isWrittenBy) plus two rank-1 restart components: reinitialization mass times
 the restart distribution, and fake-citation mass times the uniform paper
 distribution.  Rows sum to one.  The class matrices hold the table's link
-outcomes, one entry per edge of the graph's stored incidence matrices
-(``CitationGraph.wrote`` and ``cite``) plus, in literal mode, one per copy,
-so no dense matrix is built.
+outcomes: the graph's one-hop matrices (``graph.hop_matrices``, one entry
+per edge of ``CitationGraph.wrote`` and ``cite``) scaled per row, plus, in
+literal mode, one cite entry per copy, so no dense matrix is built.
 
 ``stationary_distribution`` is the package's one power-iteration solver:
 the PageRank baselines run through it too, with teleport and dangling mass
@@ -24,6 +24,7 @@ as a rank-1 jump.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -46,13 +47,12 @@ class TransitionSystem:
     States are the outcome table's: authors [0, A), papers [A, A+P) and, in
     literal mode only, one pending-isWrittenBy copy per paper [A+P, A+2P).
     A literal paper's move to its own copy is a cite entry, and the copy's
-    moves to the paper's authors are isWrittenBy entries.  For each row the
-    class matrices plus ``init_mass * restart_dist + fake_mass * paper_dist``
-    sum to one.
+    moves to the paper's authors are isWrittenBy entries.  Every other class
+    entry is an entry of the graph's hop matrices (``graph.hop_matrices``)
+    times its row's share of that hop.  For each row the class matrices plus
+    ``init_mass * restart_dist + fake_mass * paper_dist`` sum to one.
     """
 
-    n_authors: int
-    n_papers: int
     wrote_m: sp.csr_matrix    # author rows -> paper columns
     cite_m: sp.csr_matrix     # paper rows -> paper (and literal copy) columns
     iswb_m: sp.csr_matrix     # paper (literal: copy) rows -> author columns
@@ -60,11 +60,6 @@ class TransitionSystem:
     fake_mass: np.ndarray     # per-row mass sent to a uniformly random paper
     restart_dist: np.ndarray  # distribution over the nodes, zero on the copies
     paper_dist: np.ndarray    # uniform distribution over paper states
-
-    @property
-    def n(self) -> int:
-        """Number of states, literal copies included."""
-        return self.wrote_m.shape[0]
 
     @property
     def link(self) -> sp.csr_matrix:
@@ -75,20 +70,6 @@ class TransitionSystem:
     def jumps(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Rank-one terms (per-row mass, landing distribution) of the chain."""
         return ((self.init_mass, self.restart_dist), (self.fake_mass, self.paper_dist))
-
-    def step(self, pi: np.ndarray) -> np.ndarray:
-        """One application of the chain: returns pi @ M."""
-        return _apply(pi, self.link.T, self.jumps)
-
-    def row_sums(self) -> np.ndarray:
-        return np.asarray(self.link.sum(axis=1)).ravel() + self.init_mass + self.fake_mass
-
-    def to_dense(self) -> np.ndarray:
-        """Materialized transition matrix; intended for small test systems."""
-        m = self.link.toarray()
-        for mass, dist in self.jumps:
-            m += np.outer(mass, dist)
-        return m
 
 
 def build_transition_system(graph: CitationGraph, params: WalkParams) -> TransitionSystem:
@@ -121,8 +102,6 @@ def build_transition_system(graph: CitationGraph, params: WalkParams) -> Transit
     restart_dist[n_a:n] = (1.0 - p_author) / max(n - n_a, 1)
     paper_dist[n_a:n] = 1.0 / max(n - n_a, 1)
     return TransitionSystem(
-        n_authors=n_a,
-        n_papers=table.n_papers,
         wrote_m=links(WROTE),
         cite_m=links(CITE),
         iswb_m=links(ISWB),
@@ -145,10 +124,11 @@ def stationary_distribution(
     TransitionSystem, which supplies its own link matrix and jumps.  Each
     jump is a rank-one term: the row-wise ``mass`` that leaves through it
     and the ``dist`` it lands on.  Power-iterates from the uniform vector,
-    renormalizing to sum 1, until the L1 change drops below tol.
+    renormalizing to sum 1, until the L1 change drops below tol, which must
+    be a positive finite number.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be a positive finite number, got {tol}")
     if isinstance(link, TransitionSystem):
         link, jumps = link.link, link.jumps + tuple(jumps)
     link = sp.csr_matrix(link, dtype=float)

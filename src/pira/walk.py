@@ -32,8 +32,10 @@ The engine samples one ``OutcomeTable`` built per call: a row per walk
 state listing each move as (next state, edge class, probability).  The
 states are the authors, the papers and, in literal mode, one "pending
 isWrittenBy" copy per paper, the state after the 1-theta re-arrival; the
-two modes differ only in how the table is built.  Restart and fake moves
-are sentinel outcomes whose landing node is drawn by arithmetic.
+two modes differ only in how the table is built.  The link moves are the
+graph's one-hop matrices (``graph.hop_matrices``) scaled per row; restart
+and fake moves are sentinel outcomes whose landing node is drawn by
+arithmetic.
 
 Restarts are regeneration points: the arrivals from one restart outcome up
 to the next form a restart cycle, and one surfer's arrivals are i.i.d.
@@ -53,13 +55,14 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .graph import CitationGraph, NodeId, NodeKind
+from .graph import CitationGraph, NodeId, NodeKind, hop_matrices
 
 _MASK64 = (1 << 64) - 1
 
@@ -110,10 +113,16 @@ class WalkParams:
                 f"restart_author_prob must be in [0, 1], got {self.restart_author_prob}"
             )
         weights = (self.restarting_weight, self.cite_weight, self.wrote_weight, self.iswb_weight)
-        if any(w < 0 for w in weights):
-            raise ValueError("c-weights must be non-negative")
+        if not all(0 <= w < math.inf for w in weights):
+            raise ValueError("c-weights must be finite and non-negative")
         if all(w == 0 for w in weights):
             raise ValueError("at least one c-weight must be positive")
+        for name in ("min_citation_count", "step_budget", "walkers", "seed"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, "
+                                 f"got {getattr(self, name)!r}") from None
         if self.min_citation_count < 0:
             raise ValueError("min_citation_count must be non-negative")
         if self.step_budget < 1:
@@ -148,7 +157,6 @@ class ScoreTable:
     in_dblp: np.ndarray   # bool
     raw: np.ndarray
     normalized: np.ndarray
-    total_arrivals: int = 0
 
     def __len__(self) -> int:
         return len(self.ext_ids)
@@ -165,9 +173,6 @@ class ScoreTable:
     @cached_property
     def _pos(self) -> dict[NodeId, int]:
         return {n: i for i, n in enumerate(self.nodes)}
-
-    def raw_of(self, node: NodeId) -> float:
-        return float(self.raw[self._pos[node]])
 
     def normalized_of(self, node: NodeId) -> float:
         return float(self.normalized[self._pos[node]])
@@ -196,14 +201,7 @@ class ScoreTable:
         return "\n".join(lines) + "\n" if lines else ""
 
     @classmethod
-    def from_raw(
-        cls,
-        kinds,
-        ext_ids: Sequence[str],
-        in_dblp,
-        raw,
-        total_arrivals: int = 0,
-    ) -> "ScoreTable":
+    def from_raw(cls, kinds, ext_ids: Sequence[str], in_dblp, raw) -> "ScoreTable":
         """Table with ``normalize``d scores; all-zero raw scores stay zero.
 
         ``kinds`` (NodeKind codes), ``ext_ids``, ``in_dblp`` and ``raw``
@@ -221,7 +219,7 @@ class ScoreTable:
         if not np.isfinite(raw).all():
             raise ValueError("raw scores must be finite, got NaN or infinity")
         normalized = normalize(raw, n) if raw.sum() > 0 else raw.copy()
-        return cls(kinds, ext_ids, in_dblp, raw, normalized, total_arrivals)
+        return cls(kinds, ext_ids, in_dblp, raw, normalized)
 
     @classmethod
     def over_authors(cls, graph: CitationGraph, values) -> "ScoreTable":
@@ -236,15 +234,12 @@ class ScoreTable:
                             graph.paper_ext_ids, graph.paper_in_dblp, values)
 
     @classmethod
-    def over_all(
-        cls, graph: CitationGraph, raw: np.ndarray, total_arrivals: int = 0
-    ) -> "ScoreTable":
+    def over_all(cls, graph: CitationGraph, raw: np.ndarray) -> "ScoreTable":
         """Scores over authors followed by papers, in index order."""
         kinds = np.repeat(np.array([NodeKind.AUTHOR, NodeKind.PAPER], dtype=np.int8),
                           [graph.n_authors, graph.n_papers])
         return cls.from_raw(kinds, graph.author_ext_ids + graph.paper_ext_ids,
-                            np.concatenate((graph.author_in_dblp, graph.paper_in_dblp)),
-                            raw, total_arrivals)
+                            np.concatenate((graph.author_in_dblp, graph.paper_in_dblp)), raw)
 
 
 def normalize(raw, n_nodes: int | None = None) -> np.ndarray:
@@ -360,7 +355,9 @@ def outcome_table(graph: CitationGraph, params: WalkParams) -> OutcomeTable:
     """The walk's outcome table, in row order, in O(nodes + edges).
 
     This is the package's one definition of the walk's chain: the engine
-    samples it and the exact oracle solves it.
+    samples it and the exact oracle solves it.  Its link outcomes are the
+    graph's one-hop matrices (``graph.hop_matrices``), each row scaled by
+    the share of its row's mass that takes that hop.
     """
     n_a, n_p = graph.n_authors, graph.n_papers
     n = n_a + n_p
@@ -368,21 +365,16 @@ def outcome_table(graph: CitationGraph, params: WalkParams) -> OutcomeTable:
     n_states = n + n_p if literal else n
     df, theta = params.damping_df, params.theta
     keep = 1.0 - df
-    wrote, cite = graph.wrote, graph.cite
-    by_paper = wrote.T.tocsr()
-    n_pubs = np.diff(wrote.indptr)
-    n_auth = np.diff(by_paper.indptr)
-    n_refs = np.diff(cite.indptr)
+    to_paper, to_ref, to_author = hop_matrices(graph)
+    n_pubs = np.diff(to_paper.indptr)
+    n_refs = np.diff(to_ref.indptr)
+    n_auth = np.diff(to_author.indptr)
+    # a citation pick is uniform over max(|refs|, K) slots: the real share
+    # goes to the references, and a slot beyond them is a fake pick (a
+    # uniform paper)
     slots = np.maximum(n_refs, params.min_citation_count)
-
-    # author -> paper, proportional to the p-weight 1 / co-author count
-    p_weight = 1.0 / n_auth[wrote.indices]
-    per_author = np.bincount(np.repeat(np.arange(n_a), n_pubs), p_weight, minlength=n_a)
-    wrote_p = keep * p_weight / np.repeat(per_author, n_pubs)
-    # a citation pick is uniform over max(|refs|, K) slots, and a slot
-    # beyond the real references is a fake pick (a uniform paper)
-    per_slot = np.divide(1.0, slots, out=np.zeros(n_p), where=n_refs > 0)
-    fake = keep * per_slot * (slots - n_refs)
+    real = np.divide(n_refs, slots, out=np.zeros(n_p), where=n_refs > 0)
+    fake = keep * np.divide(slots - n_refs, slots, out=np.zeros(n_p), where=n_refs > 0)
     no_refs, no_authors = n_refs == 0, n_auth == 0
     if literal:
         # the slot is drawn before the theta test, so the 1-theta share of
@@ -406,14 +398,14 @@ def outcome_table(graph: CitationGraph, params: WalkParams) -> OutcomeTable:
     blocks = [
         (1, TO_RESTART, RESTART, rows(df + keep * (n_pubs == 0), paper_restart, copy_restart, 1.0)),
         (1, TO_FAKE, FAKE, rows(0.0, paper_fake, 0.0)),
-        (rows(n_pubs, 0, 0), n_a + wrote.indices, WROTE, wrote_p),
-        (rows(0, n_refs, 0), n_a + cite.indices, CITE, np.repeat(keep * theta * per_slot, n_refs)),
-        (rows(0, 0, n_auth) if literal else rows(0, n_auth, 0), by_paper.indices, ISWB,
-         np.repeat(iswb_share / np.maximum(n_auth, 1), n_auth)),
+        (rows(n_pubs, 0, 0), n_a + to_paper.indices, WROTE, keep * to_paper.data),
+        (rows(0, n_refs, 0), n_a + to_ref.indices, CITE,
+         np.repeat(keep * theta * real, n_refs) * to_ref.data),
+        (rows(0, 0, n_auth) if literal else rows(0, n_auth, 0), to_author.indices, ISWB,
+         iswb_share * to_author.data),
     ]
     if literal:
-        blocks.append((rows(0, 1, 0), np.arange(n, n_states), CITE,
-                       keep * (1.0 - theta) * per_slot * n_refs))
+        blocks.append((rows(0, 1, 0), np.arange(n, n_states), CITE, keep * (1.0 - theta) * real))
     indptr, target, cls, prob = _stack_rows(n_states + 1, blocks)
     return OutcomeTable(n_a, n_p, n_states, indptr, target, cls, prob)
 
@@ -731,5 +723,5 @@ def pira_rank(graph: CitationGraph, params: WalkParams) -> ScoreTable:
     raw = (_arrival_counts(graph, params) * (weights / weights.max())).sum(axis=1)
     if raw.sum() <= 0:
         raise ValueError("walk accumulated no score mass (all c-weights on unused edges?)")
-    return ScoreTable.over_all(graph, raw, total_arrivals=params.step_budget)
+    return ScoreTable.over_all(graph, raw)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -15,6 +16,15 @@ def rows(m) -> tuple[tuple[int, ...], ...]:
     m = m.tocsr()
     cols, bounds = m.indices.tolist(), m.indptr.tolist()
     return tuple(tuple(cols[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+
+def dense_chain(ts) -> np.ndarray:
+    """The transition matrix of an ``oracle.TransitionSystem``, materialized:
+    its three class matrices plus the rank-one jumps.  For small systems."""
+    m = ts.link.toarray()
+    for mass, dist in ts.jumps:
+        m += np.outer(mass, dist)
+    return m
 
 
 def adjacency(graph: CitationGraph) -> tuple[tuple[tuple[int, ...], ...], ...]:

@@ -153,6 +153,9 @@ def test_pagerank_validation_and_convergence_cap():
         pagerank(_weights(2, [(0, 1, -1.0)]))
     with pytest.raises(ConvergenceError):
         pagerank(_weights(3, [(0, 1, 1.0), (1, 0, 1.0)]), tol=1e-15, max_iterations=3)
+    for tol in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tol"):
+            pagerank(_weights(2, [(0, 1, 1.0)]), tol=tol)
 
 
 def test_pagerank_weighted_edges_respected():

@@ -102,6 +102,16 @@ def test_rank_validates_flags(dataset, capsys):
     assert main(["rank", str(dataset), "--method", "pub", "--papers"]) == 2
 
 
+def test_rank_rejects_non_finite_weights_before_loading(tmp_path, capsys):
+    # the weights are checked before the (missing) dataset is read
+    missing = str(tmp_path / "missing")
+    for spec in ("cite=nan", "iswb=inf", "restart=-inf"):
+        assert main(["rank", missing, "--method", "pira", "--weights", spec]) == 2
+        assert "c-weights must be finite" in capsys.readouterr().err
+    assert main(["rank", missing, "--method", "pira"]) == 2
+    assert "c-weights" not in capsys.readouterr().err
+
+
 def test_rank_papers_subset(dataset, capsys):
     assert main(["rank", str(dataset), "--method", "cit", "--papers",
                  "--all-nodes"]) == 0

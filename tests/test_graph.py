@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pira import build_graph, neighborhood, p_weight
+from pira import build_graph, neighborhood
 from pira.analysis import StatsReport, dataset_stats, export_dot
 from pira.errors import DanglingEdgeError, GraphBuildError
-from pira.graph import EdgeColumns, NodeId, NodeKind, author_id, paper_id
+from pira.graph import EdgeColumns, NodeId, NodeKind, author_id, hop_matrices, paper_id
 from pira.ingest import save_graph
 
 from conftest import adjacency, rows, small_graph, small_graphs
@@ -113,6 +113,8 @@ def test_orphans_flagged():
 
 
 def test_p_weight_values():
+    # to_paper spreads an author's step over its papers in proportion to the
+    # p-weight 1 / co-author count
     g = build_graph(
         authors=[(f"a{i}", f"A{i}", True) for i in range(4)],
         papers=[("three", "Three Authors", True), ("solo", "One Author", True),
@@ -121,24 +123,31 @@ def test_p_weight_values():
                ("a0", "solo"),
                ("a0", "four"), ("a1", "four"), ("a2", "four"), ("a3", "four")],
     )
-    three = paper_id(g.paper_index["three"])
-    assert p_weight(g, author_id(0), three) == pytest.approx(1 / 3)
-    assert p_weight(g, author_id(0), paper_id(g.paper_index["solo"])) == 1.0
-    assert p_weight(g, author_id(3), paper_id(g.paper_index["four"])) == 0.25
+    to_paper = hop_matrices(g)[0].toarray()
+    three, solo, four = (g.paper_index[p] for p in ("three", "solo", "four"))
+    a0 = to_paper[0] / to_paper[0, solo]  # p-weight of the solo paper: 1
+    assert a0[three] == pytest.approx(1 / 3)
+    assert a0[solo] == 1.0
+    assert a0[four] == pytest.approx(0.25)
+    assert to_paper[0].sum() == pytest.approx(1.0)
+    assert to_paper[3, four] == 1.0  # a3's only paper
 
 
 def test_p_weight_requires_edge():
+    # only wrote edges carry a p-weight, and an author without papers has none
     g = build_graph(
         authors=[("a0", "A", True), ("a1", "B", True)],
         papers=[("p0", "P", True)],
         wrote=[("a0", "p0")],
     )
-    with pytest.raises(ValueError, match="no wrote edge"):
-        p_weight(g, author_id(1), paper_id(0))
+    to_paper = hop_matrices(g)[0]
+    assert rows(to_paper) == ((0,), ())
+    assert to_paper.toarray().tolist() == [[1.0], [0.0]]
 
 
 def test_p_weights_sum_to_one_per_paper():
-    # random graphs: the p-weights of a paper's authors always sum to 1
+    # random graphs: the p-weights of a paper's authors, its to_author row,
+    # always sum to 1
     rng = random.Random(7)
     for _ in range(20):
         n_a, n_p = rng.randint(1, 8), rng.randint(1, 8)
@@ -151,13 +160,41 @@ def test_p_weights_sum_to_one_per_paper():
             if rng.random() < 0.4
         ]
         g = build_graph(authors, papers, wrote)
+        to_author = hop_matrices(g)[2]
         authors_of = rows(g.wrote.T)
+        assert rows(to_author) == authors_of
         for p in range(n_p):
-            owners = authors_of[p]
-            if not owners:
-                continue
-            total = sum(p_weight(g, author_id(a), paper_id(p)) for a in owners)
-            assert total == pytest.approx(1.0, abs=1e-12)
+            weights = to_author[p].data
+            if authors_of[p]:
+                assert weights == pytest.approx([1 / len(authors_of[p])] * len(authors_of[p]))
+                assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def _assert_hops_keep_their_sources(g):
+    """Each hop matrix has its source's stored pattern, with sorted column
+    indices, and each of its rows sums to one or is empty."""
+    sources = (g.wrote, g.cite, g.wrote.T.tocsr())
+    for hop, source in zip(hop_matrices(g), sources):
+        assert hop.shape == source.shape
+        assert np.array_equal(hop.indptr, source.indptr)
+        assert np.array_equal(hop.indices, source.indices)
+        assert all(list(r) == sorted(set(r)) for r in rows(hop))
+        assert (hop.data > 0).all()
+        sums = np.asarray(hop.sum(axis=1)).ravel()
+        empty = np.diff(hop.indptr) == 0
+        assert (sums[empty] == 0).all()
+        assert np.abs(sums[~empty] - 1.0).max(initial=0.0) <= 1e-12
+
+
+def test_hop_matrices_keep_their_sources_on_the_fixtures(fixture_graphs):
+    for g in fixture_graphs.values():
+        _assert_hops_keep_their_sources(g)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(small_graphs)
+def test_hop_matrices_keep_their_sources(draw):
+    _assert_hops_keep_their_sources(small_graph(draw))
 
 
 def _six_node_fixture():

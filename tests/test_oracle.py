@@ -12,7 +12,7 @@ from pira.oracle import (
     stationary_distribution,
 )
 
-from conftest import FIXTURE_BUILDERS, pair_graph, star_graph
+from conftest import FIXTURE_BUILDERS, dense_chain, pair_graph, star_graph
 
 
 def _solve_stationary_directly(matrix: np.ndarray) -> np.ndarray:
@@ -34,7 +34,7 @@ def test_two_state_system_hand_enumerated():
     )
     params = WalkParams(damping_df=0.0, theta=0.7)
     ts = build_transition_system(g, params)
-    m = ts.to_dense()
+    m = dense_chain(ts)
     # author row sends everything to the paper
     assert m[0].tolist() == pytest.approx([0.0, 1.0])
     # paper row: theta mass has no references and restarts (uniform over the
@@ -49,8 +49,7 @@ def test_rows_sum_to_one_on_all_fixtures():
     for build in FIXTURE_BUILDERS.values():
         g = build()
         ts = build_transition_system(g, params)
-        assert np.allclose(ts.row_sums(), 1.0, atol=1e-12)
-        dense = ts.to_dense()
+        dense = dense_chain(ts)
         assert np.all(dense >= 0)
         assert np.allclose(dense.sum(axis=1), 1.0, atol=1e-12)
 
@@ -58,7 +57,7 @@ def test_rows_sum_to_one_on_all_fixtures():
 def test_mutual_pair_rows():
     g = pair_graph()
     ts = build_transition_system(g, WalkParams(theta=1.0, damping_df=0.15))
-    m = ts.to_dense()
+    m = dense_chain(ts)
     # paper rows: 0.15 through the restart distribution, 0.85 to the other paper
     restart = ts.restart_dist
     assert m[1] == pytest.approx(0.15 * restart + 0.85 * np.array([0, 0, 1.0]))
@@ -88,7 +87,7 @@ def test_stationary_star_matches_direct_solve():
     g = star_graph()
     ts = build_transition_system(g, WalkParams())
     pi = stationary_distribution(ts)
-    direct = _solve_stationary_directly(ts.to_dense())
+    direct = _solve_stationary_directly(dense_chain(ts))
     assert pi == pytest.approx(direct, abs=1e-9)
     hub = g.n_authors + g.paper_index["hub"]
     leaves = [g.n_authors + g.paper_index[f"leaf{i}"] for i in range(6)]
@@ -100,7 +99,7 @@ def test_stationary_is_fixed_point():
     for build in FIXTURE_BUILDERS.values():
         ts = build_transition_system(build(), WalkParams())
         pi = stationary_distribution(ts, tol=tol)
-        assert np.abs(ts.step(pi) - pi).sum() < 10 * tol
+        assert np.abs(pi @ dense_chain(ts) - pi).sum() < 10 * tol
         assert pi.sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -110,6 +109,16 @@ def test_stationary_convergence_error():
     with pytest.raises(ConvergenceError) as err:
         stationary_distribution(periodic, tol=1e-15, max_iterations=500)
     assert err.value.residual > 0
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])
+def test_tol_must_be_positive_and_finite(tol):
+    # a NaN tol used to pass the check and run every iteration before
+    # failing to converge with a residual of 0
+    with pytest.raises(ValueError, match="tol"):
+        stationary_distribution(np.array([[0.5, 0.5], [0.5, 0.5]]), tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        expected_scores(star_graph(), WalkParams(), tol=tol)
 
 
 def test_unit_weights_proportional_to_pi():
@@ -170,7 +179,7 @@ def test_fake_mass_with_min_citation_count():
     src = 0
     assert ts.cite_m[src].sum() == pytest.approx(0.1)
     assert ts.fake_mass[src] == pytest.approx(0.9)
-    m = ts.to_dense()
+    m = dense_chain(ts)
     assert np.allclose(m.sum(axis=1), 1.0)
 
 
@@ -266,13 +275,13 @@ def test_transition_rows_exact(case):
     row = state(node)
     classes = {"wrote": ts.wrote_m, "cite": ts.cite_m, "iswb": ts.iswb_m}
     for name, matrix in classes.items():
-        want = np.zeros(ts.n)
+        want = np.zeros(matrix.shape[1])
         for target, p in expected.get(name, {}).items():
             want[state(target)] = p
         assert matrix[row].toarray().ravel() == pytest.approx(want, abs=1e-15), name
     assert ts.init_mass[row] == pytest.approx(init_mass, abs=1e-15)
     assert ts.fake_mass[row] == pytest.approx(fake_mass, abs=1e-15)
-    assert ts.row_sums()[row] == pytest.approx(1.0, abs=1e-15)
+    assert dense_chain(ts)[row].sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_oracle_has_no_size_cap():
@@ -288,7 +297,9 @@ def test_oracle_has_no_size_cap():
     for mode in WalkMode:
         params = WalkParams(mode=mode, min_citation_count=3)
         ts = build_transition_system(g, params)
-        assert np.abs(ts.row_sums() - 1.0).max() <= 1e-12
+        # too large for dense_chain: each jump's dist sums to one (or its mass is 0)
+        sums = np.asarray(ts.link.sum(axis=1)).ravel() + ts.init_mass + ts.fake_mass
+        assert np.abs(sums - 1.0).max() <= 1e-12
         table = expected_scores(g, params)
         assert len(table) == g.n_nodes
         assert table.normalized.sum() == pytest.approx(g.n_nodes)

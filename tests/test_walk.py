@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,13 +17,14 @@ from pira import (
 )
 from pira.analysis import rank
 from pira.baselines import h_index
+from pira.graph import hop_matrices
 from pira.oracle import build_transition_system, expected_scores
 import pira.walk as walk
 from pira.walk import ScoreTable, walker_seed
 
 from conftest import (ACCEPTANCE_SEED, ACCEPTANCE_STEPS, FIXTURE_BUILDERS, adjacency,
-                      communities_graph, mixed_graph, pair_graph, ring_graph, small_graph,
-                      small_graphs)
+                      communities_graph, dense_chain, mixed_graph, pair_graph, ring_graph,
+                      small_graph, small_graphs)
 
 
 def test_params_validation():
@@ -42,6 +44,21 @@ def test_params_validation():
         WalkParams(walkers=0).validate()
     with pytest.raises(ValueError):
         WalkParams(min_citation_count=-1).validate()
+    # non-finite c-weights and a K that is not an integer: before they were
+    # rejected, a NaN or infinite weight ran the whole walk, and a NaN or
+    # infinite K made rows that did not sum to one
+    for weight in ("restarting_weight", "cite_weight", "wrote_weight", "iswb_weight"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="c-weights"):
+                replace(WalkParams(), **{weight: value}).validate()
+    for k in (math.nan, math.inf, 2.5, 3.0, "3"):
+        with pytest.raises(ValueError, match="min_citation_count"):
+            WalkParams(min_citation_count=k).validate()
+    WalkParams(min_citation_count=np.int64(3)).validate()
+    # a fractional budget used to pass and count fewer arrivals than asked
+    for name in ("step_budget", "walkers", "seed"):
+        with pytest.raises(ValueError, match=name):
+            replace(WalkParams(), **{name: 1000.5}).validate()
 
 
 # --- normalize ------------------------------------------------------------
@@ -230,7 +247,7 @@ def _expected_first_arrivals(graph, params, budget: int) -> np.ndarray:
     per-class chain."""
     ts = build_transition_system(graph, params)
     x = ts.restart_dist.copy()  # where the first arrival lands
-    expected = np.zeros((ts.n, walk.N_CLASSES))
+    expected = np.zeros((len(x), walk.N_CLASSES))
     expected[:, walk.RESTART] = x
     for _ in range(budget - 1):
         flows = {
@@ -397,7 +414,54 @@ def _assert_rows_sum_to_one(graph, params):
     assert (t.prob > 0).all()
     sums = np.bincount(np.repeat(np.arange(len(t.indptr) - 1), np.diff(t.indptr)), t.prob)
     assert np.abs(sums - 1.0).max() <= 1e-12
-    assert np.abs(build_transition_system(graph, params).row_sums() - 1.0).max() <= 1e-12
+    chain = dense_chain(build_transition_system(graph, params))
+    assert np.abs(chain.sum(axis=1) - 1.0).max() <= 1e-12
+
+
+def _assert_links_are_scaled_hops(graph, params):
+    """The table's link outcomes are the graph's hop matrices with each row
+    scaled: wrote by 1-df, cite by (1-df) theta |refs| / max(|refs|, K) and
+    isWrittenBy by the mode's share."""
+    t = walk.outcome_table(graph, params)
+    to_paper, to_ref, to_author = hop_matrices(graph)
+    n_a, n_p, n = graph.n_authors, graph.n_papers, graph.n_nodes
+    keep, theta = 1.0 - params.damping_df, params.theta
+    literal = params.mode == WalkMode.LITERAL
+    refs = np.diff(to_ref.indptr)
+    real = refs / np.maximum(np.maximum(refs, params.min_citation_count), 1)
+    row = np.repeat(np.arange(len(t.indptr) - 1), np.diff(t.indptr))
+    authors, papers, copies = range(n_a), range(n_a, n), range(n, n + n_p)
+    expected = [
+        (walk.WROTE, authors, papers, keep * to_paper),
+        (walk.CITE, papers, papers, sp.diags(keep * theta * real) @ to_ref),
+        (walk.ISWB, copies if literal else papers, authors,
+         (keep if literal else keep * (1.0 - theta)) * to_author),
+    ]
+    for cls, rows_, cols, want in expected:
+        # a literal paper's move to its own copy is the one cite outcome
+        # that is not a hop
+        of_cls = (t.cls == cls) & (t.target < n)
+        got = of_cls & np.isin(row, rows_) & np.isin(t.target, cols)
+        assert np.count_nonzero(got) == np.count_nonzero(of_cls), cls
+        got = sp.csr_matrix((t.prob[got], (row[got] - rows_.start, t.target[got] - cols.start)),
+                            shape=want.shape)
+        assert np.abs(got.toarray() - want.toarray()).max(initial=0.0) <= 1e-15, cls
+        assert got.nnz == np.count_nonzero(want.toarray()), cls
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_outcome_table_links_are_scaled_hops(fixture_graphs, k):
+    for g in fixture_graphs.values():
+        for mode in WalkMode:
+            _assert_links_are_scaled_hops(g, WalkParams(mode=mode, min_citation_count=k))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(small_graphs, st.sampled_from([0, 3]), st.sampled_from([0.0, 0.5, 1.0]),
+       st.sampled_from([0.0, 0.15, 1.0]), st.sampled_from(list(WalkMode)))
+def test_outcome_table_links_are_scaled_hops_on_random_graphs(draw, k, theta, df, mode):
+    params = WalkParams(min_citation_count=k, theta=theta, damping_df=df, mode=mode)
+    _assert_links_are_scaled_hops(small_graph(draw), params)
 
 
 def _assert_oracle_equals_the_reference(graph, params):
