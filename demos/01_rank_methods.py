@@ -45,13 +45,13 @@ exact = expected_scores(graph, WalkParams())
 
 print(f"{'author':8s} {'Pub':>4s} {'Cit':>4s} {'Hind':>4s} "
       f"{'PR-P':>8s} {'PR-A':>8s} {'walk':>8s} {'exact':>8s}")
-for author in graph.authors:
-    i = author.id.index
+# the score tables list the authors first, in index order
+for i, ext in enumerate(graph.author_ext_ids):
     print(
-        f"{author.ext_id:8s} {pub[i]:4.0f} {cit[i]:4.0f} {hind[i]:4.0f} "
+        f"{ext:8s} {pub[i]:4.0f} {cit[i]:4.0f} {hind[i]:4.0f} "
         f"{prp[i]:8.4f} {pra[i]:8.4f} "
-        f"{walk.normalized_of(author.id):8.4f} "
-        f"{exact.normalized_of(author.id):8.4f}"
+        f"{walk.normalized[i]:8.4f} "
+        f"{exact.normalized[i]:8.4f}"
     )
 
 print()

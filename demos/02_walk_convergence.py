@@ -24,8 +24,9 @@ exact = expected_scores(graph, params)
 print("stationary arrival distribution:")
 ts = build_transition_system(graph, params)
 pi = stationary_distribution(ts)
-for state, (node, ext) in enumerate(zip(exact.nodes, exact.ext_ids)):
-    print(f"  {ext}: pi={pi[state]:.4f}  expected score={exact.normalized_of(node):.4f}")
+# one state per node, authors then papers, as the score table's rows
+for state, ext in enumerate(exact.ext_ids):
+    print(f"  {ext}: pi={pi[state]:.4f}  expected score={exact.normalized[state]:.4f}")
 
 print("\nL1 distance of the Monte Carlo scores to the oracle:")
 for budget in (10**4, 10**5, 10**6, 10**7):

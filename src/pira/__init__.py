@@ -8,14 +8,12 @@ generators, and ranking-comparison analytics.
 """
 
 from .graph import (
-    Author,
     BuildReport,
     CitationGraph,
     EdgeColumns,
     NodeColumns,
     NodeId,
     NodeKind,
-    Paper,
     author_id,
     build_graph,
     neighborhood,
@@ -32,14 +30,12 @@ from .walk import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Author",
     "BuildReport",
     "CitationGraph",
     "EdgeColumns",
     "NodeColumns",
     "NodeId",
     "NodeKind",
-    "Paper",
     "author_id",
     "build_graph",
     "neighborhood",

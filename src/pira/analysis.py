@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -19,19 +19,11 @@ from .graph import CitationGraph, NodeKind, edge_ext_ids
 from .walk import ScoreTable
 
 
-@dataclass(frozen=True)
-class RankEntry:
-    rank: int
-    node: str  # external node id
-    score: float
-
-
 @dataclass(frozen=True, eq=False)  # holds arrays; __eq__ below
 class Ranking:
     """A ranking as three parallel columns, best first: the external node
     ids, their scores and their ranks (positions 1..N for computed
-    rankings; a parsed file keeps its own numbers).  ``entries`` builds one
-    ``RankEntry`` per row on first read."""
+    rankings; a parsed file keeps its own numbers)."""
 
     ids: tuple[str, ...]
     scores: np.ndarray  # float64
@@ -47,13 +39,6 @@ class Ranking:
                 and np.array_equal(self.ranks, other.ranks))
 
     @cached_property
-    def entries(self) -> tuple[RankEntry, ...]:
-        return tuple(map(RankEntry, self.ranks.tolist(), self.ids, self.scores.tolist()))
-
-    def nodes(self) -> list[str]:
-        return list(self.ids)
-
-    @cached_property
     def _rank_of(self) -> dict[str, int]:
         return dict(zip(self.ids, self.ranks.tolist()))
 
@@ -66,24 +51,12 @@ class Ranking:
                            self.ranks.tolist(), self.ids, self.scores.tolist()))
 
     @classmethod
-    def _ordered(cls, ids: Sequence[str], scores: np.ndarray) -> "Ranking":
-        """Rows by descending score, ties by ascending id, ranked 1..N."""
-        order = np.lexsort((np.array(ids, dtype=object), -scores))
-        return cls(tuple(map(ids.__getitem__, order.tolist())), scores[order],
-                   np.arange(1, len(ids) + 1))
-
-    @classmethod
-    def from_scores(cls, pairs: Iterable[tuple[str, float]]) -> "Ranking":
-        pairs = list(pairs)
-        return cls._ordered([n for n, _ in pairs], np.array([s for _, s in pairs], dtype=float))
-
-    @classmethod
     def from_tsv(cls, text: str, source: str = "<ranking>") -> "Ranking":
         """Parse `rank<TAB>node_id<TAB>score` lines, skipping blank ones; a
         malformed line, or a node listed twice, raises ParseError naming
         `source` and the line (both lines for a repeated node)."""
-        entries = []
-        first_line: dict[str, int] = {}
+        ranks, scores = [], []
+        first_line: dict[str, int] = {}  # node id -> its line, in file order
         for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
@@ -91,17 +64,16 @@ class Ranking:
             try:
                 if len(fields) != 3:
                     raise ValueError(f"expected 3 tab-separated fields, got {len(fields)}")
-                entry = RankEntry(int(fields[0]), fields[1], float(fields[2]))
-                if entry.node in first_line:
-                    raise ValueError(f"node {entry.node!r} already listed at line "
-                                     f"{first_line[entry.node]}")
-                first_line[entry.node] = lineno
-                entries.append(entry)
+                position, node, score = int(fields[0]), fields[1], float(fields[2])
+                if node in first_line:
+                    raise ValueError(f"node {node!r} already listed at line {first_line[node]}")
+                first_line[node] = lineno
+                ranks.append(position)
+                scores.append(score)
             except ValueError as exc:
                 raise ParseError(f"{source}:{lineno}: {exc}", path=source, line=lineno) from None
-        return cls(tuple(e.node for e in entries),
-                   np.array([e.score for e in entries], dtype=float),
-                   np.array([e.rank for e in entries], dtype=np.int64))
+        return cls(tuple(first_line), np.array(scores, dtype=float),
+                   np.array(ranks, dtype=np.int64))
 
 
 # common subsets for rank(): each builds a row mask of a score table
@@ -145,7 +117,10 @@ def rank(
             "duplicate node ids in ranking input (an author and a paper share "
             "an id?); filter to a single node kind"
         )
-    return Ranking._ordered(ids, scores.normalized[rows])
+    kept = scores.normalized[rows]
+    order = np.lexsort((np.array(ids, dtype=object), -kept))
+    return Ranking(tuple(map(ids.__getitem__, order.tolist())), kept[order],
+                   np.arange(1, len(ids) + 1))
 
 
 @dataclass(frozen=True)

@@ -89,19 +89,15 @@ def pagerank(
     )
 
 
-def paper_pagerank(
-    graph: CitationGraph, damping: float = DEFAULT_DAMPING, tol: float = DEFAULT_TOL
-) -> np.ndarray:
+def paper_pagerank(graph: CitationGraph, damping: float = DEFAULT_DAMPING) -> np.ndarray:
     """PageRank over the paper citation graph (every cite edge weight 1)."""
-    return pagerank(graph.cite, damping=damping, tol=tol)
+    return pagerank(graph.cite, damping=damping)
 
 
-def pr_p(
-    graph: CitationGraph, damping: float = DEFAULT_DAMPING, tol: float = DEFAULT_TOL
-) -> np.ndarray:
+def pr_p(graph: CitationGraph, damping: float = DEFAULT_DAMPING) -> np.ndarray:
     """Author scores from paper-graph PageRank, split evenly among co-authors."""
     _, _, to_author = hop_matrices(graph)
-    return to_author.T @ paper_pagerank(graph, damping=damping, tol=tol)
+    return to_author.T @ paper_pagerank(graph, damping=damping)
 
 
 @dataclass(frozen=True, eq=False)  # holds a matrix; compare by identity
@@ -137,8 +133,6 @@ def build_author_graph(graph: CitationGraph) -> AuthorGraph:
     return AuthorGraph(sp.csr_matrix(to_paper @ to_ref @ to_author))
 
 
-def pr_a(
-    graph: CitationGraph, damping: float = DEFAULT_DAMPING, tol: float = DEFAULT_TOL
-) -> np.ndarray:
+def pr_a(graph: CitationGraph, damping: float = DEFAULT_DAMPING) -> np.ndarray:
     """PageRank of each author on the derived author graph."""
-    return pagerank(build_author_graph(graph).matrix, damping=damping, tol=tol)
+    return pagerank(build_author_graph(graph).matrix, damping=damping)

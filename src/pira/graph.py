@@ -11,8 +11,8 @@ subgraph extraction, where dense indices are reassigned.
 
 The node data is stored as columns, one set per kind: the external ids and
 the names (titles for papers) as tuples of ``str``, and the DBLP flags as a
-read-only numpy bool array, all in dense-index order.  The ``Author`` and
-``Paper`` records are views built from the columns on first read.
+read-only numpy bool array, all in dense-index order: node ``i`` of a kind
+is row ``i`` of that kind's columns.
 
 The adjacency is stored once, as two read-only CSR incidence matrices:
 ``wrote`` (authors x papers) and ``cite`` (papers x papers).  ``build_graph``
@@ -54,9 +54,6 @@ class NodeId:
     kind: NodeKind
     index: int
 
-    def __str__(self) -> str:
-        return f"{'a' if self.kind == NodeKind.AUTHOR else 'p'}{self.index}"
-
 
 def author_id(index: int) -> NodeId:
     return NodeId(NodeKind.AUTHOR, index)
@@ -64,22 +61,6 @@ def author_id(index: int) -> NodeId:
 
 def paper_id(index: int) -> NodeId:
     return NodeId(NodeKind.PAPER, index)
-
-
-@dataclass(frozen=True)
-class Author:
-    id: NodeId
-    ext_id: str
-    name: str
-    in_dblp: bool = True
-
-
-@dataclass(frozen=True)
-class Paper:
-    id: NodeId
-    ext_id: str
-    title: str
-    in_dblp: bool = True
 
 
 @dataclass(frozen=True)
@@ -113,8 +94,7 @@ class CitationGraph:
 
     Node data is held in per-kind columns in dense-index order: ids and
     names (titles) as tuples of str, DBLP flags as read-only bool arrays.
-    ``authors`` and ``papers`` are record views built from them on first
-    read, and ``author_id_order`` / ``paper_id_order`` are the read-only
+    ``author_id_order`` / ``paper_id_order`` are the read-only
     index permutations that sort each kind by id.  The edges are two
     read-only 0/1 CSR matrices with sorted, distinct column indices per
     row; the ``cited_by`` tuple view derives from them, so it is consistent
@@ -172,16 +152,6 @@ class CitationGraph:
         return self.cite.nnz
 
     @cached_property
-    def authors(self) -> tuple[Author, ...]:
-        return tuple(map(Author, map(author_id, range(self.n_authors)), self.author_ext_ids,
-                         self.author_names, self.author_in_dblp.tolist()))
-
-    @cached_property
-    def papers(self) -> tuple[Paper, ...]:
-        return tuple(map(Paper, map(paper_id, range(self.n_papers)), self.paper_ext_ids,
-                         self.paper_titles, self.paper_in_dblp.tolist()))
-
-    @cached_property
     def author_id_order(self) -> np.ndarray:  # author indices sorted by ext_id
         return _id_order(self.author_ext_ids)
 
@@ -200,22 +170,6 @@ class CitationGraph:
     @cached_property
     def cited_by(self) -> tuple[tuple[int, ...], ...]:  # paper index -> papers citing it
         return _rows(self._cite_t)
-
-    def node(self, node: NodeId) -> Author | Paper:
-        """Look up the Author or Paper record for a NodeId."""
-        i = node.index
-        if node.kind == NodeKind.AUTHOR:
-            if not 0 <= i < self.n_authors:
-                raise ValueError(f"unknown author index {i}")
-            return Author(node, self.author_ext_ids[i], self.author_names[i],
-                          bool(self.author_in_dblp[i]))
-        if not 0 <= i < self.n_papers:
-            raise ValueError(f"unknown paper index {i}")
-        return Paper(node, self.paper_ext_ids[i], self.paper_titles[i],
-                     bool(self.paper_in_dblp[i]))
-
-    def ext_id(self, node: NodeId) -> str:
-        return self.node(node).ext_id
 
 
 def _rows(m: sp.csr_matrix) -> tuple[tuple[int, ...], ...]:
@@ -511,9 +465,9 @@ def neighborhood(graph: CitationGraph, center: NodeId, radius: int) -> CitationG
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    graph.node(center)  # validates existence
-
     a, p = NodeKind.AUTHOR, NodeKind.PAPER
+    if not 0 <= center.index < (graph.n_authors, graph.n_papers)[center.kind]:
+        raise ValueError(f"unknown {center.kind.name.lower()} index {center.index}")
     seen = [np.zeros(graph.n_authors, dtype=bool), np.zeros(graph.n_papers, dtype=bool)]
     seen[center.kind][center.index] = True
     front = [np.array([center.index] if center.kind == kind else [], dtype=np.int64)

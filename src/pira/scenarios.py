@@ -31,8 +31,8 @@ class ScenarioKind(enum.Enum):
     SINGLE_REF_CHAIN = "single-ref-chain"
 
 
-# measures usable in assertions; *_paper variants score paper nodes
-MEASURES = ("pub", "cit", "hindex", "pr_a", "pr_p", "pira", "pr_p_paper", "pira_paper")
+# relative tolerance of an assertion's relation, scaled by the larger score
+REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -389,17 +389,14 @@ def assertions_from_tsv(text: str) -> tuple[Assertion, ...]:
     return tuple(out)
 
 
-def measure_scores(
-    graph: CitationGraph,
-    measure: str,
-    pira_params: Optional[WalkParams] = None,
-) -> ScoreTable:
+def measure_scores(graph: CitationGraph, measure: str) -> ScoreTable:
     """Score table for one measure name.
 
-    PIRA measures are the exact stationary oracle's scores, at any size.
+    ``pira_paper`` and ``pr_p_paper`` score the papers, every other measure
+    the authors.  The PIRA measures are the exact stationary oracle's
+    scores at the default walk parameters, at any size, renormalized over
+    their node kind.
     """
-    if pira_params is None:
-        pira_params = WalkParams()
     if measure == "pub":
         return ScoreTable.over_authors(graph, baselines.pub_count(graph))
     if measure == "cit":
@@ -412,8 +409,12 @@ def measure_scores(
         return ScoreTable.over_authors(graph, baselines.pr_p(graph))
     if measure == "pr_p_paper":
         return ScoreTable.over_papers(graph, baselines.paper_pagerank(graph))
-    if measure in ("pira", "pira_paper"):
-        return expected_scores(graph, pira_params)
+    if measure == "pira":
+        raw = expected_scores(graph, WalkParams()).raw
+        return ScoreTable.over_authors(graph, raw[:graph.n_authors])
+    if measure == "pira_paper":
+        raw = expected_scores(graph, WalkParams()).raw
+        return ScoreTable.over_papers(graph, raw[graph.n_authors:])
     raise ValueError(f"unknown measure {measure!r}")
 
 
@@ -426,25 +427,31 @@ class AssertionResult:
 
 
 def evaluate_assertions(
-    graph: CitationGraph,
-    assertions: tuple[Assertion, ...],
-    pira_params: Optional[WalkParams] = None,
-    rel_tol: float = 1e-9,
+    graph: CitationGraph, assertions: tuple[Assertion, ...]
 ) -> list[AssertionResult]:
-    """Check each assertion against freshly computed measure scores."""
+    """Check each assertion against freshly computed measure scores.
+
+    A node that the assertion's measure does not score (see
+    ``measure_scores`` for the node kind of each) raises ValueError.
+    """
     cache: dict[str, dict[str, float]] = {}
     results = []
     for a in assertions:
         if a.measure not in cache:
-            cache[a.measure] = measure_scores(graph, a.measure, pira_params).by_ext_id()
-        va, vb = cache[a.measure][a.node_a], cache[a.measure][a.node_b]
+            cache[a.measure] = measure_scores(graph, a.measure).by_ext_id()
+        scores = cache[a.measure]
+        for node in (a.node_a, a.node_b):
+            if node not in scores:
+                raise ValueError(f"assertion '{a.measure} {a.node_a} {a.relation} {a.node_b}': "
+                                 f"measure {a.measure!r} scores no node {node!r}")
+        va, vb = scores[a.node_a], scores[a.node_b]
         scale = max(abs(va), abs(vb), 1e-300)
         if a.relation == "=":
-            ok = abs(va - vb) <= rel_tol * scale
+            ok = abs(va - vb) <= REL_TOL * scale
         elif a.relation == ">":
-            ok = va - vb > rel_tol * scale
+            ok = va - vb > REL_TOL * scale
         elif a.relation == "<":
-            ok = vb - va > rel_tol * scale
+            ok = vb - va > REL_TOL * scale
         else:
             raise ValueError(f"unknown relation {a.relation!r}")
         results.append(AssertionResult(a, va, vb, ok))

@@ -57,12 +57,11 @@ import enum
 import math
 import operator
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .graph import CitationGraph, NodeId, NodeKind, hop_matrices
+from .graph import CitationGraph, NodeKind, hop_matrices
 
 _MASK64 = (1 << 64) - 1
 
@@ -148,8 +147,7 @@ class ScoreTable:
     The table is columnar, one row per node: ``kinds`` (a ``NodeKind`` code
     per row), ``ext_ids``, ``in_dblp`` (a bool array), ``raw`` and
     ``normalized``.  Tables made from a graph reference its id and flag
-    columns rather than copying node records.  ``nodes`` (the rows'
-    ``NodeId``s) is a view derived on first read.
+    columns rather than copying them.
     """
 
     kinds: np.ndarray     # int8 NodeKind code per row
@@ -160,22 +158,6 @@ class ScoreTable:
 
     def __len__(self) -> int:
         return len(self.ext_ids)
-
-    @cached_property
-    def nodes(self) -> tuple[NodeId, ...]:
-        """The rows' NodeIds; a row's index counts the rows of its kind above it."""
-        index = np.zeros(len(self), dtype=np.int64)
-        for kind in NodeKind:
-            rows = self.kinds == kind
-            index[rows] = np.arange(np.count_nonzero(rows))
-        return tuple(map(NodeId, map(NodeKind, self.kinds.tolist()), index.tolist()))
-
-    @cached_property
-    def _pos(self) -> dict[NodeId, int]:
-        return {n: i for i, n in enumerate(self.nodes)}
-
-    def normalized_of(self, node: NodeId) -> float:
-        return float(self.normalized[self._pos[node]])
 
     def by_ext_id(self) -> dict[str, float]:
         """Normalized score per external id.
@@ -190,15 +172,6 @@ class ScoreTable:
                                  "filter to a single node kind")
             out[e] = s
         return out
-
-    def to_tsv(self) -> str:
-        """`node_id<TAB>raw<TAB>normalized` lines, sorted by node id."""
-        order = sorted(range(len(self)), key=self.ext_ids.__getitem__)
-        lines = [
-            f"{self.ext_ids[i]}\t{self.raw[i]:.6f}\t{self.normalized[i]:.6f}"
-            for i in order
-        ]
-        return "\n".join(lines) + "\n" if lines else ""
 
     @classmethod
     def from_raw(cls, kinds, ext_ids: Sequence[str], in_dblp, raw) -> "ScoreTable":

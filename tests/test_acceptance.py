@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from pira import WalkParams, pira_rank
-from pira.analysis import Ranking, all_papers, dblp_authors, rank, topx_difference
+from pira.analysis import all_papers, dblp_authors, rank, topx_difference
 from pira.baselines import pagerank, paper_pagerank
 from pira.cli import main
 from pira.ingest import load_graph, save_graph
@@ -73,9 +73,8 @@ def test_criterion_3_scale_invariance(fixture_graphs):
     for name, graph in fixture_graphs.items():
         r1 = rank(pira_rank(graph, base), subset=everything)
         r2 = rank(pira_rank(graph, scaled), subset=everything)
-        assert [(e.rank, e.node) for e in r1.entries] == [
-            (e.rank, e.node) for e in r2.entries
-        ], name
+        assert r1.ids == r2.ids, name
+        assert np.array_equal(r1.ranks, r2.ranks), name
 
 
 def test_criterion_4_comparison_matrix():
@@ -145,15 +144,16 @@ def test_criterion_7_pagerank_correctness():
 
 def test_criterion_8_topx_difference_properties():
     """Identical rankings give an all-zero curve; any pair is zero at 100%."""
+    def ranking(ids, raw):
+        return rank(ScoreTable.from_raw(np.zeros(len(ids)), ids, np.ones(len(ids)), raw))
+
     nodes = [f"n{i:02d}" for i in range(40)]
-    scores = [(n, float(40 - i)) for i, n in enumerate(nodes)]
-    r1 = Ranking.from_scores(scores)
+    r1 = ranking(nodes, np.arange(40.0, 0.0, -1.0))
     curve = topx_difference(r1, r1, [1, 5, 10, 25, 50, 100])
     assert all(d == 0.0 for _, d in curve.points)
 
     rng = np.random.default_rng(8)
-    shuffled = [(n, float(s)) for n, s in zip(rng.permutation(nodes), range(40))]
-    r2 = Ranking.from_scores(shuffled)
+    r2 = ranking(rng.permutation(nodes).tolist(), np.arange(40.0))
     mixed = topx_difference(r1, r2, [10, 50, 100])
     assert mixed.points[-1] == (100.0, 0.0)
 

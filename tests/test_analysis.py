@@ -44,17 +44,18 @@ def _table(pairs, dblp=None):
 
 def test_rank_orders_by_score():
     r = rank(_table([("a", 2.0), ("b", 1.0)]))
-    assert [(e.rank, e.node) for e in r.entries] == [(1, "a"), (2, "b")]
+    assert r.ids == ("a", "b")
+    assert r.ranks.tolist() == [1, 2]
 
 
 def test_rank_breaks_ties_by_node_id():
     r = rank(_table([("b", 1.0), ("a", 1.0)]))
-    assert [e.node for e in r.entries] == ["a", "b"]
+    assert r.ids == ("a", "b")
 
 
 def test_rank_default_filter_is_dblp():
     r = rank(_table([("in", 1.0), ("out", 5.0)], dblp=[True, False]))
-    assert [e.node for e in r.entries] == ["in"]
+    assert r.ids == ("in",)
 
 
 def test_rank_empty_after_filter():
@@ -69,16 +70,17 @@ def test_rank_kind_subsets():
     table = pira_rank(g, WalkParams(step_budget=50_000, seed=0))
     authors = rank(table, subset=all_authors)
     papers = rank(table, subset=all_papers)
-    assert [e.node for e in authors.entries] == ["a0"]
-    assert {e.node for e in papers.entries} == {"p0", "p1"}
+    assert authors.ids == ("a0",)
+    assert set(papers.ids) == {"p0", "p1"}
 
 
 def test_rank_positions_are_dense_and_rerankable():
     table = _table([("c", 3.0), ("a", 1.0), ("b", 1.0), ("d", 0.5)])
     r = rank(table)
-    assert [e.rank for e in r.entries] == [1, 2, 3, 4]
-    again = Ranking.from_scores([(e.node, e.score) for e in r.entries])
-    assert again == r
+    assert r.ranks.tolist() == [1, 2, 3, 4]
+    again = rank(_table(list(zip(r.ids, r.scores.tolist()))))
+    assert again.ids == r.ids
+    assert np.array_equal(again.ranks, r.ranks)
 
 
 def test_score_table_rejects_a_vector_of_the_wrong_length():
@@ -112,7 +114,7 @@ def test_ranking_tsv_round_trip():
     r = rank(_table([("a", 1.5), ("b", 0.5)]))
     text = r.to_tsv()
     assert text == "1\ta\t1.500000\n2\tb\t0.500000\n"
-    assert Ranking.from_tsv(text).nodes() == ["a", "b"]
+    assert Ranking.from_tsv(text) == r
 
 
 def test_ranking_from_tsv_names_source_and_line_of_a_bad_line():
@@ -142,7 +144,9 @@ def test_ranking_from_tsv_rejects_a_node_listed_twice():
 # --- topx_difference -------------------------------------------------------
 
 def _ranking(nodes):
-    return Ranking.from_scores((n, float(len(nodes) - i)) for i, n in enumerate(nodes, 1))
+    """The ranking of `nodes` in the given order, with descending scores."""
+    return Ranking(tuple(nodes), np.arange(len(nodes), 0, -1, dtype=float),
+                   np.arange(1, len(nodes) + 1))
 
 
 def test_topx_identical_rankings_zero_curve():
@@ -193,7 +197,7 @@ def test_topx_rejects_mismatched_sets_and_bad_cutoffs():
 
 def test_topx_rejects_empty_rankings():
     with pytest.raises(ValueError, match="empty"):
-        topx_difference(Ranking.from_scores([]), Ranking.from_scores([]), [10])
+        topx_difference(_ranking([]), _ranking([]), [10])
 
 
 def test_diff_curve_csv():
@@ -414,9 +418,9 @@ def test_rank_matches_a_sorted_reference_and_save_load_is_a_fixed_point(draw, da
             continue
         expected = sorted(kept, key=lambda es: (-es[1], es[0]))
         got = rank(table, subset=subset)
-        assert [(e.rank, e.node, e.score) for e in got.entries] == [
-            (i, e, s) for i, (e, s) in enumerate(expected, 1)], name
-        assert got.nodes() == [e for e, _ in expected], name
+        assert got.ids == tuple(e for e, _ in expected), name
+        assert got.scores.tolist() == [s for _, s in expected], name
+        assert got.ranks.tolist() == list(range(1, len(expected) + 1)), name
         assert got.to_tsv() == "".join(
             f"{i}\t{e}\t{s:.6f}\n" for i, (e, s) in enumerate(expected, 1)), name
 

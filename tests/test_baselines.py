@@ -34,7 +34,7 @@ def _graph_with_citations(author_papers, cite_pairs):
 
 def test_pub_count():
     g = _graph_with_citations({"idle": [], "busy": [f"w{i}" for i in range(21)]}, [])
-    pubs = dict(zip((a.ext_id for a in g.authors), pub_count(g)))
+    pubs = dict(zip(g.author_ext_ids, pub_count(g)))
     assert pubs["idle"] == 0
     assert pubs["busy"] == 21
 

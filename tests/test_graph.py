@@ -213,14 +213,14 @@ def test_neighborhood_radius_zero():
     g = _six_node_fixture()
     sub = neighborhood(g, paper_id(g.paper_index["x"]), 0)
     assert sub.n_nodes == 1
-    assert sub.papers[0].ext_id == "x"
+    assert sub.paper_ext_ids == ("x",)
 
 
 def test_neighborhood_radius_one_hand_enumerated():
     g = _six_node_fixture()
     sub = neighborhood(g, paper_id(g.paper_index["x"]), 1)
-    assert {a.ext_id for a in sub.authors} == {"ax"}
-    assert {p.ext_id for p in sub.papers} == {"x", "y", "c"}
+    assert set(sub.author_ext_ids) == {"ax"}
+    assert set(sub.paper_ext_ids) == {"x", "y", "c"}
     # induced edges: the mutual pair plus the citer's edge; ax-x wrote
     assert sub.n_cite_edges == 3
     assert sub.n_wrote_edges == 1
@@ -230,7 +230,7 @@ def test_neighborhood_saturates_to_component():
     g = _six_node_fixture()
     sub = neighborhood(g, paper_id(g.paper_index["x"]), 10)
     assert sub.n_nodes == g.n_nodes
-    assert {a.ext_id for a in sub.authors} == {a.ext_id for a in g.authors}
+    assert set(sub.author_ext_ids) == set(g.author_ext_ids)
 
 
 def test_neighborhood_monotone_in_radius():
@@ -238,7 +238,7 @@ def test_neighborhood_monotone_in_radius():
     previous: set[str] = set()
     for radius in range(4):
         sub = neighborhood(g, author_id(g.author_index["ca"]), radius)
-        current = {a.ext_id for a in sub.authors} | {p.ext_id for p in sub.papers}
+        current = set(sub.author_ext_ids) | set(sub.paper_ext_ids)
         assert previous <= current
         previous = current
 
@@ -250,16 +250,19 @@ def test_neighborhood_preserves_flags_and_ids():
         wrote=[("a0", "p0")],
     )
     sub = neighborhood(g, author_id(0), 1)
-    assert sub.authors[0].ext_id == "a0"
-    assert sub.authors[0].name == "Keep Me"
-    assert sub.authors[0].in_dblp is False
-    assert sub.papers[0].in_dblp is False
+    assert sub.author_ext_ids == ("a0",)
+    assert sub.author_names == ("Keep Me",)
+    assert sub.paper_titles == ("Keep Title",)
+    assert sub.author_in_dblp.tolist() == [False]
+    assert sub.paper_in_dblp.tolist() == [False]
 
 
 def test_neighborhood_unknown_center():
     g = _six_node_fixture()
-    with pytest.raises(ValueError):
-        neighborhood(g, paper_id(99), 1)
+    for center, name in ((paper_id(99), "paper index 99"), (paper_id(3), "paper index 3"),
+                         (author_id(3), "author index 3"), (author_id(-1), "author index -1")):
+        with pytest.raises(ValueError, match=f"unknown {name}"):
+            neighborhood(g, center, 1)
 
 
 def _reference_neighborhood(graph, center, radius):
@@ -284,12 +287,12 @@ def _reference_neighborhood(graph, center, radius):
                 frontier.append((nb, dist + 1))
     kept_a = sorted(n.index for n in seen if n.kind == NodeKind.AUTHOR)
     kept_p = sorted(n.index for n in seen if n.kind == NodeKind.PAPER)
-    a, p = graph.authors, graph.papers
+    a, p = graph.author_ext_ids, graph.paper_ext_ids
     return build_graph(
-        [(a[i].ext_id, a[i].name, a[i].in_dblp) for i in kept_a],
-        [(p[i].ext_id, p[i].title, p[i].in_dblp) for i in kept_p],
-        [(a[i].ext_id, p[j].ext_id) for i in kept_a for j in papers_of[i] if j in kept_p],
-        [(p[i].ext_id, p[j].ext_id) for i in kept_p for j in refs_of[i] if j in kept_p],
+        [(a[i], graph.author_names[i], graph.author_in_dblp[i]) for i in kept_a],
+        [(p[i], graph.paper_titles[i], graph.paper_in_dblp[i]) for i in kept_p],
+        [(a[i], p[j]) for i in kept_a for j in papers_of[i] if j in kept_p],
+        [(p[i], p[j]) for i in kept_p for j in refs_of[i] if j in kept_p],
     )
 
 
@@ -317,8 +320,6 @@ def test_neighborhood_matches_a_tuple_view_search_on_random_graphs(draw):
 def test_node_ordering():
     assert NodeId(NodeKind.AUTHOR, 5) < NodeId(NodeKind.PAPER, 0)
     assert NodeId(NodeKind.PAPER, 1) < NodeId(NodeKind.PAPER, 2)
-    assert str(author_id(3)) == "a3"
-    assert str(paper_id(4)) == "p4"
 
 
 @pytest.mark.parametrize("sep", ["\t", "\n", "\r"], ids=["tab", "newline", "carriage_return"])

@@ -52,7 +52,7 @@ def test_load_small_fixture(tmp_path):
     assert report.papers == 2
     assert report.wrote_edges == 2
     assert report.cite_edges == 1
-    assert graph.authors[graph.author_index["w2"]].in_dblp is False
+    assert graph.author_in_dblp[graph.author_index["w2"]].item() is False
     text = report.to_text()
     assert "authors=2" in text and "cite_edges=1" in text
 
@@ -121,11 +121,10 @@ def test_save_then_load_is_fixed_point(tmp_path):
     for name in ("authors.tsv", "papers.tsv", "wrote.tsv", "cites.tsv"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
     # same nodes, flags and edges after the round trip
-    assert {(a.ext_id, a.name, a.in_dblp) for a in reloaded.authors} == {
-        (a.ext_id, a.name, a.in_dblp) for a in g.authors
-    }
+    authors = lambda gr: set(zip(gr.author_ext_ids, gr.author_names, gr.author_in_dblp.tolist()))
+    assert authors(reloaded) == authors(g)
     edges = lambda gr: {
-        (gr.papers[s].ext_id, gr.papers[d].ext_id)
+        (gr.paper_ext_ids[s], gr.paper_ext_ids[d])
         for s, refs in enumerate(rows(gr.cite)) for d in refs
     }
     assert edges(reloaded) == edges(g)
@@ -223,8 +222,8 @@ def test_self_citation_merge_suggestion():
     assert len(suggestions) == 1
     s = suggestions[0]
     assert s.rule == MergeRule.SELF_CITATION_INITIAL_MATCH
-    assert {g.authors[s.author_a.index].ext_id,
-            g.authors[s.author_b.index].ext_id} == {"short", "long"}
+    assert {g.author_ext_ids[s.author_a.index],
+            g.author_ext_ids[s.author_b.index]} == {"short", "long"}
 
 
 def test_common_coauthor_merge_suggestion():
@@ -278,7 +277,7 @@ def test_suggestions_only_for_compatible_names_never_mutate():
     before = (adjacency(g), g.cited_by)
     for s in suggest_merges(g):
         assert initial_compatible(
-            g.authors[s.author_a.index].name, g.authors[s.author_b.index].name
+            g.author_names[s.author_a.index], g.author_names[s.author_b.index]
         )
     assert (adjacency(g), g.cited_by) == before
 
@@ -372,10 +371,9 @@ def test_library_graph_with_unusual_text_is_a_save_load_fixed_point(tmp_path):
     save_graph(reloaded, second)
     for name in ("authors.tsv", "papers.tsv", "wrote.tsv", "cites.tsv"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
-    assert {(a.ext_id, a.name, a.in_dblp) for a in reloaded.authors} == {
-        (a.ext_id, a.name, a.in_dblp) for a in g.authors
-    }
-    titles = lambda gr: {(p.ext_id, p.title) for p in gr.papers}
+    authors = lambda gr: set(zip(gr.author_ext_ids, gr.author_names, gr.author_in_dblp.tolist()))
+    assert authors(reloaded) == authors(g)
+    titles = lambda gr: set(zip(gr.paper_ext_ids, gr.paper_titles))
     assert titles(reloaded) == titles(g)
 
 

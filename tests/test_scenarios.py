@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pira import WalkParams
+from pira import WalkParams, build_graph, normalize
 from pira.baselines import cit_count, pub_count
 from pira.ingest import load_graph, save_graph
 from pira.oracle import expected_scores
@@ -105,7 +105,10 @@ def test_scenarios_beyond_ten_thousand_nodes_are_exact():
     g = scenario.graph
     assert g.n_nodes > 10_000
     exact = expected_scores(g, WalkParams())
-    assert np.array_equal(measure_scores(g, "pira").normalized, exact.normalized)
+    authors, papers = measure_scores(g, "pira"), measure_scores(g, "pira_paper")
+    assert authors.ext_ids == g.author_ext_ids and papers.ext_ids == g.paper_ext_ids
+    assert np.array_equal(authors.raw, exact.raw[:g.n_authors])
+    assert np.array_equal(papers.raw, exact.raw[g.n_authors:])
     results = evaluate_assertions(g, scenario.assertions)
     assert results and all(r.passed for r in results), [r for r in results if not r.passed]
 
@@ -135,6 +138,28 @@ def test_measure_scores_unknown_measure():
     g = generate(ScenarioSpec(ScenarioKind.PAPER_QUALITY)).graph
     with pytest.raises(ValueError):
         measure_scores(g, "nope")
+
+
+def test_pira_measures_score_one_node_kind_when_an_author_and_a_paper_share_an_id():
+    g = build_graph([("u", "Author U", True), ("v", "Author V", True)],
+                    [("u", "Paper U", True), ("w", "Paper W", True)],
+                    [("u", "u"), ("v", "w")], [("w", "u")])
+    exact = expected_scores(g, WalkParams())
+    for measure, first, kind_rows in (("pira", "v", slice(0, 2)), ("pira_paper", "w", slice(2, 4))):
+        (result,) = evaluate_assertions(g, (Assertion(measure, first, "<", "u"),))
+        a, b = normalize(exact.raw[kind_rows])[[1, 0]]
+        assert (result.value_a, result.value_b) == (a, b), measure
+        assert result.passed, measure
+
+
+def test_evaluate_names_the_assertion_and_a_node_its_measure_does_not_score():
+    g = generate(ScenarioSpec(ScenarioKind.PAPER_QUALITY)).graph
+    for assertion, node in ((Assertion("pub", "a1", ">", "nope"), "nope"),
+                            (Assertion("pira", "pa1", ">", "a2"), "pa1"),
+                            (Assertion("pira_paper", "a1", "<", "pa1"), "a1")):
+        with pytest.raises(ValueError, match=f"assertion '{assertion.measure} "
+                                             f".*scores no node '{node}'"):
+            evaluate_assertions(g, (assertion,))
 
 
 def test_evaluate_rejects_unknown_relation():
