@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ParseError
-from .graph import CitationGraph, NodeKind, edge_ext_ids
+from .graph import CitationGraph, NodeKind, edge_columns
 from .walk import ScoreTable
 
 
@@ -286,30 +286,23 @@ def export_dot(graph: CitationGraph, scores: Optional[ScoreTable] = None) -> str
         score_by_key = dict(zip(zip(scores.kinds.tolist(), scores.ext_ids),
                                 scores.normalized.tolist()))
 
-    def label(kind: NodeKind, ext: str, text: str) -> str:
-        parts = [ext, text]
-        key = (kind, ext)
-        if key in score_by_key:
-            parts.append(f"{score_by_key[key]:.6f}")
-        return "\\n".join(_dot_escape(p) for p in parts)
-
     lines = ["digraph citations {"]
+    quoted: dict[NodeKind, list[str]] = {}  # per kind, by index: the quoted, escaped id
     for kind, prefix, shape, ext_ids, labels, order in (
         (NodeKind.AUTHOR, "a", "ellipse", graph.author_ext_ids, graph.author_names,
          graph.author_id_order),
         (NodeKind.PAPER, "p", "box", graph.paper_ext_ids, graph.paper_titles,
          graph.paper_id_order),
     ):
+        escaped = list(map(_dot_escape, ext_ids))
+        quoted[kind] = [f'"{prefix}:{e}"' for e in escaped]
         for i in order.tolist():
-            ext = ext_ids[i]
-            lines.append(
-                f'  "{prefix}:{_dot_escape(ext)}" [shape={shape}, '
-                f'label="{label(kind, ext, labels[i])}"];'
-            )
-    wrote, cites = edge_ext_ids(graph)
-    for a_ext, p_ext in zip(*wrote):
-        lines.append(f'  "a:{_dot_escape(a_ext)}" -> "p:{_dot_escape(p_ext)}" [dir=none];')
-    for s_ext, d_ext in zip(*cites):
-        lines.append(f'  "p:{_dot_escape(s_ext)}" -> "p:{_dot_escape(d_ext)}";')
+            label = f"{escaped[i]}\\n{_dot_escape(labels[i])}"
+            if (kind, ext_ids[i]) in score_by_key:
+                label += f"\\n{score_by_key[kind, ext_ids[i]]:.6f}"
+            lines.append(f'  {quoted[kind][i]} [shape={shape}, label="{label}"];')
+    wrote, cites = edge_columns(graph, quoted[NodeKind.AUTHOR], quoted[NodeKind.PAPER])
+    lines += [f"  {a} -> {p} [dir=none];" for a, p in zip(*wrote)]
+    lines += [f"  {s} -> {d};" for s, d in zip(*cites)]
     lines.append("}")
     return "\n".join(lines) + "\n"

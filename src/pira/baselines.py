@@ -96,7 +96,7 @@ def paper_pagerank(graph: CitationGraph, damping: float = DEFAULT_DAMPING) -> np
 
 def pr_p(graph: CitationGraph, damping: float = DEFAULT_DAMPING) -> np.ndarray:
     """Author scores from paper-graph PageRank, split evenly among co-authors."""
-    _, _, to_author = hop_matrices(graph)
+    to_author = row_stochastic(graph._wrote_t)  # hop_matrices' paper -> author hop
     return to_author.T @ paper_pagerank(graph, damping=damping)
 
 

@@ -192,28 +192,30 @@ def _ranks(order: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def edge_ext_ids(graph: CitationGraph) -> tuple[EdgeColumns, EdgeColumns]:
-    """The wrote and the cite edges as id columns, sorted by (source id,
-    target id).
+def edge_columns(graph: CitationGraph, author_col: Sequence[str],
+                 paper_col: Sequence[str]) -> tuple[EdgeColumns, EdgeColumns]:
+    """The wrote and the cite edges sorted by (source id, target id), each
+    endpoint given as its entry of `author_col` / `paper_col` (one entry per
+    node index).
 
     Ids are distinct within a kind, so an edge's place in that order is its
     integer key ``source rank * n_papers + target rank``, a node's rank
     being its place in ``author_id_order`` / ``paper_id_order``.  The keys
     are sorted and split back into ranks.
     """
-    n_p, paper_ext, paper_order = graph.n_papers, graph.paper_ext_ids, graph.paper_id_order
+    n_p, paper_order = graph.n_papers, graph.paper_id_order
     paper_rank = _ranks(paper_order)
 
-    def columns(m: sp.csr_matrix, source_ext: tuple[str, ...],
+    def columns(m: sp.csr_matrix, source_col: Sequence[str],
                 source_order: np.ndarray) -> EdgeColumns:
         rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
         keys = np.sort(_ranks(source_order)[rows] * n_p + paper_rank[m.indices])
         source, target = np.divmod(keys, max(n_p, 1))
-        return EdgeColumns(list(map(source_ext.__getitem__, source_order[source].tolist())),
-                           list(map(paper_ext.__getitem__, paper_order[target].tolist())))
+        return EdgeColumns(list(map(source_col.__getitem__, source_order[source].tolist())),
+                           list(map(paper_col.__getitem__, paper_order[target].tolist())))
 
-    return (columns(graph.wrote, graph.author_ext_ids, graph.author_id_order),
-            columns(graph.cite, paper_ext, paper_order))
+    return (columns(graph.wrote, author_col, graph.author_id_order),
+            columns(graph.cite, paper_col, paper_order))
 
 
 def _checked_specs(specs: Iterable[NodeSpec], kind: str) -> list[tuple[str, str, bool]]:

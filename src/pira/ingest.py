@@ -9,11 +9,15 @@ A dataset directory holds four UTF-8 tab-separated files without headers:
 
 Ids are arbitrary non-empty strings without tabs or newlines.  Blank lines
 are skipped (they still count in error line numbers), and ``\r\n`` and a
-bare ``\r`` end a line like ``\n``.  Each file is read once and split into
-columns; the field checks run on whole columns.  Edge ids are checked once,
-by ``build_graph``'s index lookup, and an unknown one becomes a ParseError
-naming its file and line.  Saving sorts every file, so load -> save is a
-fixed point of the serialization.
+bare ``\r`` end a line like ``\n``.  Each file is read once and checked as a
+whole: one pass over its UTF-8 bytes finds every tab and line end and
+checks each line's field count and its two leading fields at once, then
+one split makes the columns.  Only when that check fails is the file
+looked at line by line, to name the first bad line; a file that is not
+valid UTF-8 is reported at the line of its first bad byte.  Edge ids are
+checked once, by ``build_graph``'s index lookup, and an unknown one becomes
+a ParseError naming its file and line.  Saving sorts every file, so load ->
+save is a fixed point of the serialization.
 
 Merge suggestions flag author pairs whose names are initial-compatible
 (same last token, every leading token of the shorter name a prefix of its
@@ -29,8 +33,9 @@ preferred over accidentally merging two distinct people.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -38,12 +43,14 @@ import scipy.sparse as sp
 
 from .errors import DanglingEdgeError, MissingFileError, ParseError
 from .graph import (CitationGraph, EdgeColumns, NodeColumns, NodeId, author_id, build_graph,
-                    edge_ext_ids)
+                    edge_columns)
 
 AUTHORS_FILE = "authors.tsv"
 PAPERS_FILE = "papers.tsv"
 WROTE_FILE = "wrote.tsv"
 CITES_FILE = "cites.tsv"
+
+_BLANK_RUNS = re.compile("\n\n+")
 
 
 @dataclass(frozen=True)
@@ -108,25 +115,71 @@ def _first_bad_row(rows: list[str], n_cols: int) -> tuple[int, str]:
     raise AssertionError("no bad row")
 
 
+def _well_formed(body: str, n_cols: int) -> bool:
+    """Whether every line of `body` has `n_cols` (at least 2) tab-separated
+    fields whose first two are non-empty; a blank line fails.
+
+    The check runs on the UTF-8 bytes: a tab or LF byte is never part of a
+    multi-byte sequence, so byte positions mark the same fields as the text
+    does.  With exactly n_cols - 1 tabs per line in all, each line's tabs
+    lie in that line when its first and its last tab do.
+    """
+    data = np.frombuffer(body.encode("utf-8"), dtype=np.uint8)
+    tabs = np.flatnonzero(data == 9)
+    line_ends = np.flatnonzero(data == 10)
+    if len(tabs) != (n_cols - 1) * (len(line_ends) + 1):
+        return False
+    tabs = tabs.reshape(-1, n_cols - 1)  # row i: the tabs that belong to line i
+    starts = np.append(0, line_ends + 1)
+    ends = np.append(line_ends, len(data))  # the text's end closes the last line
+    # a line's first tab after its first byte: the first field is non-empty
+    if not ((tabs[:, 0] > starts).all() and (tabs[:, -1] < ends).all()):
+        return False
+    second_end = tabs[:, 1] if n_cols > 2 else ends
+    return bool((second_end > tabs[:, 0] + 1).all())
+
+
+def _decode_error(path: Path) -> ParseError:
+    """ParseError at the line of the first byte of `path` that is not UTF-8."""
+    raw = path.read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = raw[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        lineno = head.count(b"\n") + 1
+        return ParseError(
+            f"{path.name}:{lineno}: not valid UTF-8: byte 0x{raw[exc.start]:02x} ({exc.reason})",
+            path=str(path), line=lineno)
+    raise AssertionError("the file decodes")
+
+
 def _read_table(path: Path, n_cols: int) -> _Table:
     """Read a file once and split it into `n_cols` columns.
 
     Every non-blank line must have `n_cols` fields and non-empty first two
-    fields (the ids; a node's name).  The checks run on whole columns; the
-    first failing line is only looked for when one fails.
+    fields (the ids; a node's name).  One check over the text's bytes
+    covers every line (``_well_formed``) and one split makes the columns.
+    Blank lines fail the check: the text then drops them as a whole and is
+    checked again.  The first failing line is only looked for when that
+    check fails too.
     """
     if not path.is_file():
         raise MissingFileError(f"missing dataset file {path.name} in {path.parent}",
                                path=str(path))
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()  # text mode reads \r\n and a bare \r as \n
-    rows = list(filter(None, text.split("\n")))
-    fields = "\t".join(rows).split("\t") if rows else []
-    table = _Table(path, text, [fields[i::n_cols] for i in range(n_cols)])
-    tabs = list(map(str.count, rows, repeat("\t")))
-    if tabs.count(n_cols - 1) != len(rows) or any("" in col for col in table.columns[:2]):
-        raise table.error(*_first_bad_row(rows, n_cols))
-    return table
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()  # text mode reads \r\n and a bare \r as \n
+    except UnicodeDecodeError:
+        raise _decode_error(path) from None
+    body = text.strip("\n")
+    if not body:
+        return _Table(path, text, [[] for _ in range(n_cols)])
+    if not _well_formed(body, n_cols):
+        body = _BLANK_RUNS.sub("\n", body)  # blank lines fail the check too
+        if not _well_formed(body, n_cols):
+            raise _Table(path, text, []).error(*_first_bad_row(body.split("\n"), n_cols))
+    fields = body.replace("\n", "\t").split("\t")
+    return _Table(path, text, [fields[i::n_cols] for i in range(n_cols)])
 
 
 def _nodes(table: _Table) -> NodeColumns:
@@ -172,7 +225,7 @@ def save_graph(graph: CitationGraph, directory: str | Path) -> None:
     """Write the four dataset files, each sorted, to `directory`."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    wrote, cites = edge_ext_ids(graph)
+    wrote, cites = edge_columns(graph, graph.author_ext_ids, graph.paper_ext_ids)
     for name, ext_ids, labels, flags, order in (
         (AUTHORS_FILE, graph.author_ext_ids, graph.author_names, graph.author_in_dblp,
          graph.author_id_order),
@@ -213,6 +266,13 @@ class MergeSuggestion:
 
 def _name_tokens(name: str) -> list[str]:
     return [t.rstrip(".").casefold() for t in name.split() if t.rstrip(".")]
+
+
+def _name_key(name: str) -> str:
+    """The name's tokens joined by single spaces (a token holds no
+    whitespace).  Kept as one string per name: a list per name sets off
+    cyclic garbage collection passes when there are many names."""
+    return " ".join(_name_tokens(name))
 
 
 def _tokens_compatible(ta: list[str], tb: list[str]) -> bool:
@@ -306,12 +366,13 @@ def suggest_merges(graph: CitationGraph) -> list[MergeSuggestion]:
     fires, sorted by (rule, author_a, author_b).  Nothing is merged.
     """
     n = graph.n_authors
-    tokens = list(map(_name_tokens, graph.author_names))
-    # a name without tokens is a group of its own (its author's index as the
-    # key), so it never pairs
+    keys = list(map(_name_key, graph.author_names))
+    # the group is the last token; a name without tokens is a group of its
+    # own (its author's index as the key), so it never pairs
     group_of: dict[object, int] = {}
     group = np.fromiter(
-        (group_of.setdefault(t[-1] if t else a, len(group_of)) for a, t in enumerate(tokens)),
+        (group_of.setdefault(k[k.rfind(" ") + 1:] if k else a, len(group_of))
+         for a, k in enumerate(keys)),
         dtype=np.int32, count=n)
     wrote = graph.wrote.astype(bool)  # 0/1 products need no float counts
     shared = wrote @ wrote.T  # authors x authors: 1 where they share a paper
@@ -325,6 +386,6 @@ def suggest_merges(graph: CitationGraph) -> list[MergeSuggestion]:
     suggestions = []
     for rule, pairs in rules:
         for a, b in zip(*(half.tolist() for half in np.divmod(pairs, max(n, 1)))):
-            if _tokens_compatible(tokens[a], tokens[b]):
+            if _tokens_compatible(keys[a].split(" "), keys[b].split(" ")):
                 suggestions.append(MergeSuggestion(author_id(a), author_id(b), rule))
     return suggestions

@@ -343,6 +343,30 @@ def test_dot_escapes_quotes():
     assert '\\"Hi\\"' in export_dot(g)
 
 
+def test_dot_escapes_ids_in_node_and_edge_lines_and_scores_one_kind():
+    # an author and a paper share an id; ids and labels hold quotes and backslashes
+    g = build_graph(
+        authors=[('x"1', "Ann \\ Bo", True), ("b", "Cy", False)],
+        papers=[('x"1', 'On "Q"', True), ("p\\2", "R", True)],
+        wrote=[('x"1', 'x"1'), ("b", "p\\2"), ('x"1', "p\\2")],
+        cites=[("p\\2", 'x"1')],
+    )
+    table = ScoreTable.from_raw([NodeKind.AUTHOR, NodeKind.AUTHOR], ['x"1', "b"], [True, False],
+                                [3.0, 1.0])
+    assert export_dot(g, table) == (
+        "digraph citations {\n"
+        '  "a:b" [shape=ellipse, label="b\\nCy\\n0.500000"];\n'
+        '  "a:x\\"1" [shape=ellipse, label="x\\"1\\nAnn \\\\ Bo\\n1.500000"];\n'
+        '  "p:p\\\\2" [shape=box, label="p\\\\2\\nR"];\n'
+        '  "p:x\\"1" [shape=box, label="x\\"1\\nOn \\"Q\\""];\n'
+        '  "a:b" -> "p:p\\\\2" [dir=none];\n'
+        '  "a:x\\"1" -> "p:p\\\\2" [dir=none];\n'
+        '  "a:x\\"1" -> "p:x\\"1" [dir=none];\n'
+        '  "p:p\\\\2" -> "p:x\\"1";\n'
+        "}\n"
+    )
+
+
 # --- rank against a sorted reference -----------------------------------------
 
 MASKS = {

@@ -31,6 +31,13 @@ def test_ingest_missing_file(dataset, capsys):
     assert "cites.tsv" in capsys.readouterr().err
 
 
+def test_ingest_invalid_utf8_is_an_input_error_naming_file_and_line(dataset, capsys):
+    papers = dataset / "papers.tsv"
+    papers.write_bytes(papers.read_bytes().replace(b"\n", b"\xff\xfe\n", 2))
+    assert main(["ingest", str(dataset)]) == 2
+    assert capsys.readouterr().err.startswith("error: papers.tsv:1: not valid UTF-8: byte 0xff")
+
+
 def test_ingest_reports_drops(tmp_path, capsys):
     d = tmp_path / "dup"
     d.mkdir()

@@ -4,7 +4,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pira import build_graph
@@ -12,6 +12,7 @@ from pira.analysis import dataset_stats
 from pira.errors import GraphBuildError, MissingFileError, ParseError
 from pira.ingest import (
     MergeRule,
+    _read_table,
     initial_compatible,
     load_graph,
     save_graph,
@@ -467,6 +468,117 @@ def test_duplicate_author_id_in_file_raises_graph_build_error(tmp_path):
                                    encoding="utf-8")
     with pytest.raises(GraphBuildError, match="duplicate author id 'a1'"):
         load_graph(d)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "bare_cr"])
+def test_invalid_utf8_names_file_and_line(tmp_path, newline):
+    d = _small_dataset(tmp_path / "ds")
+    (d / "papers.tsv").write_bytes(newline.join(["p1\tFirst\t1", "", "p2\tSec\xff\xfeond\t0",
+                                                 "p3\tThird\t1", ""]).encode("latin-1"))
+    with pytest.raises(ParseError, match=r"^papers\.tsv:3: not valid UTF-8: byte 0xff ") as err:
+        load_graph(d)
+    assert (err.value.path, err.value.line) == (str(d / "papers.tsv"), 3)
+
+
+def test_empty_files_load_as_an_empty_graph(tmp_path):
+    d = _write_dataset(tmp_path / "ds", [], [], [], [])
+    assert all(path.read_bytes() == b"" for path in d.iterdir())
+    graph, report = load_graph(d)
+    assert graph == build_graph([], [])
+    assert (report.authors, report.papers, report.wrote_lines, report.cites_lines) == (0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("text, n_cols, expected", [
+    ("", 2, [[], []]),
+    ("\n\n", 3, [[], [], []]),
+    ("a\tb", 2, [["a"], ["b"]]),
+    ("a\tb\n", 2, [["a"], ["b"]]),
+    ("a\tb\t\r\n", 3, [["a"], ["b"], [""]]),
+    ("a\tb", 3, "f.tsv:1: expected 3 tab-separated fields, got 2"),
+    ("\n\n\tb\n", 2, "f.tsv:3: empty field"),
+])
+def test_empty_and_one_line_tables(tmp_path, text, n_cols, expected):
+    path = tmp_path / "f.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    if isinstance(expected, str):
+        with pytest.raises(ParseError) as err:
+            _read_table(path, n_cols)
+        assert str(err.value) == expected
+    else:
+        assert _read_table(path, n_cols).columns == expected
+
+
+def _per_line_table(path: Path, n_cols: int) -> list[list[str]]:
+    """``_read_table`` one line at a time: the columns, or the ParseError."""
+    text = path.read_text(encoding="utf-8")  # reads \r\n and a bare \r as \n
+    lines = [(no, line) for no, line in enumerate(text.split("\n"), start=1) if line]
+    for no, line in lines:
+        fields = line.split("\t")
+        if len(fields) != n_cols:
+            message = f"expected {n_cols} tab-separated fields, got {len(fields)}"
+        elif "" in fields[:2]:
+            message = "empty field"
+        else:
+            continue
+        raise ParseError(f"{path.name}:{no}: {message}", path=str(path), line=no)
+    return [[line.split("\t")[i] for _, line in lines] for i in range(n_cols)]
+
+
+# multi-byte UTF-8 (2, 3 and 4 bytes), quotes, dots, and characters that
+# str.splitlines would take for line breaks but a text-mode read does not
+_field_text = st.text(st.sampled_from(["a", "Z", "0", " ", ".", '"', "\\", "é", "名", "😀",
+                                       "\x0b", "\x1c", "\x85", "\u2028"]), max_size=3)
+
+
+@st.composite
+def _tsv_files(draw) -> tuple[int, str]:
+    """A 2- or 3-column file whose lines are all well-formed, mixed with
+    flawed ones, or all flawed (an extra or a missing tab, an empty first or
+    second field, blank lines before the line).  Each line ends with LF,
+    CRLF or a bare CR; the last one may end with nothing."""
+    n_cols = draw(st.sampled_from([2, 3]))
+    flaws = ["extra_tab", "missing_tab", "empty_first", "empty_second", "blank_lines"]
+    flaws = draw(st.sampled_from([["none"], ["none"] * 4 + flaws, flaws]))
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        fields = [draw(_field_text.filter(bool)) for _ in range(2)]
+        fields += [draw(_field_text) for _ in range(n_cols - 2)]
+        flaw = draw(st.sampled_from(flaws))
+        if flaw == "extra_tab":
+            fields.insert(draw(st.integers(0, n_cols)), draw(_field_text))
+        elif flaw == "missing_tab":
+            at = draw(st.integers(0, n_cols - 2))
+            fields[at:at + 2] = [fields[at] + fields[at + 1]]
+        elif flaw == "empty_first":
+            fields[0] = ""
+        elif flaw == "empty_second":
+            fields[1] = ""
+        elif flaw == "blank_lines":
+            lines += [""] * draw(st.integers(1, 3))
+        lines.append("\t".join(fields))
+    lines += [""] * draw(st.integers(0, 2))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    if lines and draw(st.booleans()):
+        ends[-1] = ""
+    return n_cols, "".join(line + end for line, end in zip(lines, ends))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_tsv_files())
+# line 1 is a tab short and line 2 a tab over: the right number of tabs in all
+@example((3, "a\tb\nc\td\te\tf\n"))
+def test_whole_file_check_accepts_and_rejects_like_a_per_line_check(tmp_path_factory, drawn):
+    n_cols, text = drawn
+    path = tmp_path_factory.mktemp("tsv") / "f.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        expected = _per_line_table(path, n_cols)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            _read_table(path, n_cols)
+        assert (str(err.value), err.value.path, err.value.line) == (str(exc), exc.path, exc.line)
+    else:
+        assert _read_table(path, n_cols).columns == expected
 
 
 # --- load_graph against build_graph on random datasets ------------------------
