@@ -1,18 +1,20 @@
 """Comparison measures: Pub, Cit, H-index, PR-P and PR-A.
 
 PR-P runs PageRank on the paper citation graph and splits each paper's score
-evenly among its co-authors.  PR-A runs PageRank on a derived author graph
-whose edge weights are the exact one-citation-hop path probabilities of the
+evenly among its co-authors.  PR-A runs PageRank on an author graph whose
+edge weights are the exact one-citation-hop path probabilities of the
 bipartite walk: leave the author through a p-weight-proportional paper pick,
 follow one uniformly chosen reference, land on a uniformly chosen author of
 the cited paper.
 
 Every measure here is sparse algebra on the graph's stored incidence
 matrices, ``CitationGraph.wrote`` and ``cite``: the counts are their degree
-sums, PR-P's paper graph is ``cite`` itself, PR-A's author graph is the
-sparse product of the walk's three one-hop matrices (``graph.hop_matrices``,
-from which the walk's outcome table is built too), and PageRank runs on the
-oracle's stationary solver.
+sums, PR-P's paper graph is ``cite`` itself, and PR-A's author graph is the
+product of the walk's three cached one-hop matrices (``graph.hop_matrices``,
+from which the walk's outcome table is built too).  PageRank runs on the
+oracle's stationary solver, which takes that product as its three factors,
+so PR-A never forms the author graph; ``build_author_graph`` gives its
+explicit matrix.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from typing import Mapping
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import CitationGraph, hop_matrices, row_stochastic
-from .oracle import DEFAULT_TOL, MAX_ITERATIONS, stationary_distribution
+from .graph import CitationGraph, hop_matrices
+from .oracle import DEFAULT_TOL, MAX_ITERATIONS, link_factors, stationary_distribution
 
 DEFAULT_DAMPING = 0.15
 
@@ -68,24 +70,34 @@ def pagerank(
     """PageRank with uniform teleport over a weighted directed graph.
 
     ``weights`` is a square non-negative matrix, sparse or dense: entry
-    (i, j) is the weight of the edge i -> j.  ``damping`` is the restart
-    probability at each step (links are followed with probability
-    1 - damping).  Transitions from a node are proportional to its outgoing
-    edge weights; nodes without outgoing weight spread their mass
-    uniformly.  The result sums to 1.
+    (i, j) is the weight of the edge i -> j.  It may also be a list or
+    tuple of non-negative matrices whose product is that matrix
+    (``oracle.link_factors``); the product is never formed.  ``damping`` is
+    the restart probability at each step (links are followed with
+    probability 1 - damping).  Transitions from a node are proportional to
+    its outgoing edge weights; nodes without outgoing weight spread their
+    mass uniformly.  The result sums to 1.  A negative, NaN or infinite
+    weight raises ValueError.
     """
     if not 0.0 < damping < 1.0:
         raise ValueError(f"damping must be in (0, 1), got {damping}")
-    m = sp.csr_matrix(weights, dtype=float)
-    n = m.shape[0]
-    if n == 0 or m.shape[1] != n:
-        raise ValueError(f"weights must be a non-empty square matrix, got shape {m.shape}")
-    if (m.data < 0).any():
+    factors = link_factors(weights, "weights")
+    if any((f.data < 0).any() for f in factors):
         raise ValueError("negative edge weight")
-    dangling = np.asarray(m.sum(axis=1)).ravel() == 0
+    # each row's total weight, from one mat-vec per factor
+    sums = np.ones(factors[-1].shape[1])
+    for f in reversed(factors):
+        sums = f @ sums
+    n = len(sums)
+    dangling = sums == 0
+    # the damping and the row scale, folded into one copy of the first factor
+    scale = (1.0 - damping) * np.divide(1.0, sums, out=np.zeros(n), where=~dangling)
+    first = factors[0]
+    first = sp.csr_matrix((first.data * np.repeat(scale, np.diff(first.indptr)),
+                           first.indices, first.indptr), shape=first.shape)
     teleport = (damping + (1.0 - damping) * dangling, np.full(n, 1.0 / n))
     return stationary_distribution(
-        (1.0 - damping) * row_stochastic(m), (teleport,), tol=tol, max_iterations=max_iterations
+        [first, *factors[1:]], (teleport,), tol=tol, max_iterations=max_iterations
     )
 
 
@@ -96,8 +108,7 @@ def paper_pagerank(graph: CitationGraph, damping: float = DEFAULT_DAMPING) -> np
 
 def pr_p(graph: CitationGraph, damping: float = DEFAULT_DAMPING) -> np.ndarray:
     """Author scores from paper-graph PageRank, split evenly among co-authors."""
-    to_author = row_stochastic(graph._wrote_t)  # hop_matrices' paper -> author hop
-    return to_author.T @ paper_pagerank(graph, damping=damping)
+    return graph.to_author.T @ paper_pagerank(graph, damping=damping)
 
 
 @dataclass(frozen=True, eq=False)  # holds a matrix; compare by identity
@@ -120,19 +131,21 @@ class AuthorGraph:
 
 
 def build_author_graph(graph: CitationGraph) -> AuthorGraph:
-    """One-citation-hop transition probabilities between authors.
+    """One-citation-hop transition probabilities between authors, as an
+    explicit matrix.
 
     w(A -> B) sums, over A's papers p and p's references r, the probability
     of the path A -> p -> r -> B: normalized p-weight of p among A's papers,
     times 1/|refs(p)|, times 1/|authors(r)|, i.e. the product of the walk's
     three one-hop matrices.  Row sums stay at or below one; the gap is the
     probability of stalling at a paper without references or a cited paper
-    without authors.
+    without authors.  ``pr_a`` runs on the same product without forming it.
     """
     to_paper, to_ref, to_author = hop_matrices(graph)
     return AuthorGraph(sp.csr_matrix(to_paper @ to_ref @ to_author))
 
 
 def pr_a(graph: CitationGraph, damping: float = DEFAULT_DAMPING) -> np.ndarray:
-    """PageRank of each author on the derived author graph."""
-    return pagerank(build_author_graph(graph).matrix, damping=damping)
+    """PageRank of each author on the author graph of ``build_author_graph``,
+    iterated through its three hop-matrix factors."""
+    return pagerank(hop_matrices(graph), damping=damping)

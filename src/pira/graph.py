@@ -24,9 +24,12 @@ derived from the transpose of ``cite`` on first use.  The edge listings and
 the saved files sort by the ids' order, taken once per kind
 (``author_id_order``, ``paper_id_order``), as integer keys.
 
-``hop_matrices`` is the package's one definition of the walk's three
-one-hop moves (p-weighted paper pick, uniform reference and author picks):
-the incidence matrices with their stored data scaled row by row.
+The walk's three one-hop moves (p-weighted paper pick, uniform reference
+and author picks) are the package's one definition of its chain's links:
+``to_paper``, ``to_ref`` and ``to_author``, the incidence matrices with
+their stored data scaled row by row.  Each is a read-only matrix cached on
+the graph on first use, so the walk's outcome table, the exact oracle,
+PR-P and PR-A share one copy; ``hop_matrices`` returns the three.
 """
 
 from __future__ import annotations
@@ -97,8 +100,10 @@ class CitationGraph:
     ``author_id_order`` / ``paper_id_order`` are the read-only
     index permutations that sort each kind by id.  The edges are two
     read-only 0/1 CSR matrices with sorted, distinct column indices per
-    row; the ``cited_by`` tuple view derives from them, so it is consistent
-    by construction.  Safe for concurrent readers.
+    row; the ``cited_by`` tuple view and the walk's read-only hop matrices
+    (``to_paper``, ``to_ref``, ``to_author``) derive from them on first
+    use, so they are consistent by construction.  Safe for concurrent
+    readers.
     """
 
     author_ext_ids: tuple[str, ...]
@@ -161,15 +166,43 @@ class CitationGraph:
 
     @cached_property
     def _wrote_t(self) -> sp.csr_matrix:  # papers x authors
-        return self.wrote.T.tocsr()
+        return _read_only(self.wrote.T.tocsr())
 
     @cached_property
     def _cite_t(self) -> sp.csr_matrix:  # cited paper x citing paper
-        return self.cite.T.tocsr()
+        return _read_only(self.cite.T.tocsr())
+
+    @cached_property
+    def to_paper(self) -> sp.csr_matrix:
+        """Author -> paper hop, proportional to the paper's p-weight
+        1 / co-author count (``wrote`` weighted, then scaled per row)."""
+        wrote, coauthors = self.wrote, np.diff(self._wrote_t.indptr)
+        p_weight = sp.csr_matrix(
+            (wrote.data / coauthors[wrote.indices], wrote.indices, wrote.indptr),
+            shape=wrote.shape)
+        return _read_only(row_stochastic(p_weight))
+
+    @cached_property
+    def to_ref(self) -> sp.csr_matrix:
+        """Paper -> cited paper hop, uniform over the references."""
+        return _read_only(row_stochastic(self.cite))
+
+    @cached_property
+    def to_author(self) -> sp.csr_matrix:
+        """Paper -> author hop, uniform over the paper's authors."""
+        return _read_only(row_stochastic(self._wrote_t))
 
     @cached_property
     def cited_by(self) -> tuple[tuple[int, ...], ...]:  # paper index -> papers citing it
         return _rows(self._cite_t)
+
+
+def _read_only(m: sp.csr_matrix) -> sp.csr_matrix:
+    """`m`, with its arrays made read-only: it is shared by every reader of
+    the graph."""
+    for a in (m.data, m.indices, m.indptr):
+        a.flags.writeable = False
+    return m
 
 
 def _rows(m: sp.csr_matrix) -> tuple[tuple[int, ...], ...]:
@@ -343,9 +376,7 @@ def _edge_matrix(
     indptr = np.searchsorted(keys, np.arange(n_src + 1) * n_dst)
     indices = keys % n_dst if n_dst else keys
     m = sp.csr_matrix((np.ones(len(keys)), indices, indptr), shape=(n_src, n_dst))
-    for a in (m.data, m.indices, m.indptr):
-        a.flags.writeable = False  # shared by every reader of the graph
-    return m, len(src) - len(keys)
+    return _read_only(m), len(src) - len(keys)
 
 
 def _assemble(
@@ -420,19 +451,16 @@ def row_stochastic(m: sp.csr_matrix) -> sp.csr_matrix:
 def hop_matrices(graph: CitationGraph) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
     """The row-stochastic one-hop matrices of the walk's three link classes.
 
-    Returns (``to_paper``: author -> paper, proportional to the paper's
-    p-weight 1 / co-author count; ``to_ref``: paper -> cited paper, uniform;
-    ``to_author``: paper -> author, uniform).  They are ``wrote``, ``cite``
-    and the transpose of ``wrote`` with their stored data scaled, so each
-    keeps its source's sorted column indices.  A node without a link of the
-    class has an empty row.  The walk's outcome table (hence the exact
-    oracle), PR-P and PR-A all read them.
+    Returns the graph's cached ``(to_paper, to_ref, to_author)``:
+    author -> paper, proportional to the paper's p-weight 1 / co-author
+    count; paper -> cited paper, uniform; paper -> author, uniform.  They
+    are ``wrote``, ``cite`` and the transpose of ``wrote`` with their
+    stored data scaled, so each keeps its source's sorted column indices,
+    and they are read-only.  A node without a link of the class has an
+    empty row.  The walk's outcome table (hence the exact oracle), PR-P
+    and PR-A all read them; each is built once per graph.
     """
-    wrote, wrote_t = graph.wrote, graph._wrote_t
-    coauthors = np.diff(wrote_t.indptr)
-    p_weight = sp.csr_matrix((wrote.data / coauthors[wrote.indices], wrote.indices, wrote.indptr),
-                             shape=wrote.shape)
-    return row_stochastic(p_weight), row_stochastic(graph.cite), row_stochastic(wrote_t)
+    return graph.to_paper, graph.to_ref, graph.to_author
 
 
 def _row_entries(m: sp.csr_matrix, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

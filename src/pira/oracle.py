@@ -17,9 +17,16 @@ outcomes: the graph's one-hop matrices (``graph.hop_matrices``, one entry
 per edge of ``CitationGraph.wrote`` and ``cite``) scaled per row, plus, in
 literal mode, one cite entry per copy, so no dense matrix is built.
 
+The system's ``link`` (the three classes summed) and the class matrices
+are each made straight from the table's row-ordered entries, as CSR by
+per-row counts.
+
 ``stationary_distribution`` is the package's one power-iteration solver:
 the PageRank baselines run through it too, with teleport and dangling mass
-as a rank-1 jump.
+as a rank-1 jump.  Its link may be given as a sequence of factors whose
+product is the square link matrix; each iteration then applies the factors'
+transposes in turn, so PR-A iterates through the three hop matrices and
+never forms the author graph.
 """
 
 from __future__ import annotations
@@ -53,6 +60,7 @@ class TransitionSystem:
     ``init_mass * restart_dist + fake_mass * paper_dist`` sum to one.
     """
 
+    link: sp.csr_matrix       # sum of the three class matrices, in table order
     wrote_m: sp.csr_matrix    # author rows -> paper columns
     cite_m: sp.csr_matrix     # paper rows -> paper (and literal copy) columns
     iswb_m: sp.csr_matrix     # paper (literal: copy) rows -> author columns
@@ -60,11 +68,6 @@ class TransitionSystem:
     fake_mass: np.ndarray     # per-row mass sent to a uniformly random paper
     restart_dist: np.ndarray  # distribution over the nodes, zero on the copies
     paper_dist: np.ndarray    # uniform distribution over paper states
-
-    @property
-    def link(self) -> sp.csr_matrix:
-        """Sum of the three class matrices."""
-        return self.wrote_m + self.cite_m + self.iswb_m
 
     @property
     def jumps(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -76,7 +79,9 @@ def build_transition_system(graph: CitationGraph, params: WalkParams) -> Transit
     """Exact per-state transition probabilities of the walk, in either mode.
 
     The walk's outcome table without its entry row: link outcomes become the
-    class matrices, restart and fake outcomes the rank-one jumps.
+    link and class matrices, restart and fake outcomes the rank-one jumps.
+    The table lists each row's outcomes together, so each matrix keeps the
+    entries of one selection in table order and counts them per row.
     """
     params.validate()
     if graph.n_nodes == 0:
@@ -84,17 +89,19 @@ def build_transition_system(graph: CitationGraph, params: WalkParams) -> Transit
     table = outcome_table(graph, params)
     s, n_a, n = table.n_states, table.n_authors, graph.n_nodes
     # the entry row comes last and is never re-entered
-    row = np.repeat(np.arange(s), np.diff(table.indptr[:s + 1]))
-    end = table.indptr[s]
+    bounds = table.indptr[:s + 1]
+    end = bounds[-1]
     target, cls, prob = table.target[:end], table.cls[:end], table.prob[:end]
 
-    def links(c: int) -> sp.csr_matrix:
-        m = cls == c
-        return sp.csr_matrix((prob[m], (row[m], target[m])), shape=(s, s))
+    def links(kept: np.ndarray) -> sp.csr_matrix:
+        indptr = np.concatenate(([0], np.cumsum(kept)))[bounds]
+        return sp.csr_matrix((prob[kept], target[kept], indptr), shape=(s, s))
 
     def mass(c: int) -> np.ndarray:
-        m = cls == c
-        return np.bincount(row[m], prob[m], minlength=s)
+        m = cls == c  # at most one outcome of the class per row
+        out = np.zeros(s)
+        out[np.searchsorted(bounds, np.flatnonzero(m), side="right") - 1] = prob[m]
+        return out
 
     p_author = restart_author_share(graph, params)
     restart_dist, paper_dist = np.zeros(s), np.zeros(s)
@@ -102,9 +109,10 @@ def build_transition_system(graph: CitationGraph, params: WalkParams) -> Transit
     restart_dist[n_a:n] = (1.0 - p_author) / max(n - n_a, 1)
     paper_dist[n_a:n] = 1.0 / max(n - n_a, 1)
     return TransitionSystem(
-        wrote_m=links(WROTE),
-        cite_m=links(CITE),
-        iswb_m=links(ISWB),
+        link=links(target >= 0),  # the restart and fake sentinels are negative
+        wrote_m=links(cls == WROTE),
+        cite_m=links(cls == CITE),
+        iswb_m=links(cls == ISWB),
         init_mass=mass(RESTART),
         fake_mass=mass(FAKE),
         restart_dist=restart_dist,
@@ -120,26 +128,30 @@ def stationary_distribution(
 ) -> np.ndarray:
     """Stationary distribution of the chain pi -> pi @ link + sum((pi @ mass) * dist).
 
-    ``link`` is a square non-negative matrix (sparse or dense) or a
+    ``link`` is a square non-negative matrix (sparse or dense), a sequence
+    of matrices whose product is that matrix (see ``link_factors``), or a
     TransitionSystem, which supplies its own link matrix and jumps.  Each
     jump is a rank-one term: the row-wise ``mass`` that leaves through it
     and the ``dist`` it lands on.  Power-iterates from the uniform vector,
     renormalizing to sum 1, until the L1 change drops below tol, which must
-    be a positive finite number.
+    be a positive finite number.  A NaN or infinite link or jump entry
+    raises ValueError.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be a positive finite number, got {tol}")
     if isinstance(link, TransitionSystem):
         link, jumps = link.link, link.jumps + tuple(jumps)
-    link = sp.csr_matrix(link, dtype=float)
-    n = link.shape[0]
-    if n == 0 or link.shape[1] != n:
-        raise ValueError(f"link must be a non-empty square matrix, got shape {link.shape}")
-    link_t = link.T.tocsr()
+    factors = link_factors(link, "link")
+    for mass, dist in jumps:
+        if not (np.isfinite(mass).all() and np.isfinite(dist).all()):
+            raise ValueError("jump masses and distributions must be finite")
+    # pi @ (F1 @ F2 @ ...) = ... F2.T @ (F1.T @ pi): the transposes, in turn
+    factors_t = [f.T.tocsr() for f in factors]
+    n = factors[0].shape[0]
     pi = np.full(n, 1.0 / n)
     residual = float("inf")
     for _ in range(max_iterations):
-        nxt = _apply(pi, link_t, jumps)
+        nxt = _apply(pi, factors_t, jumps)
         nxt /= nxt.sum()
         residual = float(np.abs(nxt - pi).sum())
         pi = nxt
@@ -152,9 +164,35 @@ def stationary_distribution(
     )
 
 
-def _apply(pi: np.ndarray, link_t, jumps) -> np.ndarray:
-    """pi @ M for M = link + sum of outer(mass, dist), given link transposed."""
-    out = link_t @ pi
+def link_factors(link, name: str) -> list[sp.csr_matrix]:
+    """``link`` as a list of float CSR factors whose product is a square
+    matrix.
+
+    A list or tuple of sparse matrices and 2-D arrays is a sequence of
+    factors; anything else is one matrix.  The factors' shapes must chain,
+    their product must be square and non-empty, and every stored entry
+    must be finite; otherwise ValueError, naming the argument as ``name``.
+    """
+    chain = isinstance(link, (list, tuple)) and len(link) > 0 and all(
+        sp.issparse(f) or (isinstance(f, np.ndarray) and f.ndim == 2) for f in link)
+    factors = [sp.csr_matrix(f, dtype=float) for f in (link if chain else (link,))]
+    shapes = [f.shape for f in factors]
+    n, m = shapes[0][0], shapes[-1][1]
+    if any(a[1] != b[0] for a, b in zip(shapes, shapes[1:])):
+        raise ValueError(f"{name} factors do not chain, got shapes {shapes}")
+    if n == 0 or m != n:
+        raise ValueError(f"{name} must be a non-empty square matrix, got shape {(n, m)}")
+    if not all(np.isfinite(f.data).all() for f in factors):
+        raise ValueError(f"{name} entries must be finite, got NaN or infinity")
+    return factors
+
+
+def _apply(pi: np.ndarray, factors_t, jumps) -> np.ndarray:
+    """pi @ M for M = link + sum of outer(mass, dist), given the transposes
+    of link's factors."""
+    out = pi
+    for t in factors_t:
+        out = t @ out
     for mass, dist in jumps:
         out += (pi @ mass) * dist
     return out
@@ -181,9 +219,9 @@ def expected_scores(
     ts = build_transition_system(graph, params)
     pi = stationary_distribution(ts, tol=tol)
     rate = (
-        params.wrote_weight * (pi @ ts.wrote_m)
-        + params.cite_weight * (pi @ ts.cite_m)
-        + params.iswb_weight * (pi @ ts.iswb_m)
+        params.wrote_weight * (ts.wrote_m.T @ pi)
+        + params.cite_weight * (ts.cite_m.T @ pi)
+        + params.iswb_weight * (ts.iswb_m.T @ pi)
         + params.restarting_weight * sum((pi @ mass) * dist for mass, dist in ts.jumps)
     )
     if rate.sum() <= 0:

@@ -16,6 +16,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
+import numpy as np
+
 from . import baselines
 from .graph import CitationGraph, build_graph
 from .oracle import expected_scores
@@ -389,6 +391,10 @@ def assertions_from_tsv(text: str) -> tuple[Assertion, ...]:
     return tuple(out)
 
 
+# the measures that score papers; every other measure scores authors
+PAPER_MEASURES = frozenset({"pira_paper", "pr_p_paper"})
+
+
 def measure_scores(graph: CitationGraph, measure: str) -> ScoreTable:
     """Score table for one measure name.
 
@@ -434,17 +440,18 @@ def evaluate_assertions(
     A node that the assertion's measure does not score (see
     ``measure_scores`` for the node kind of each) raises ValueError.
     """
-    cache: dict[str, dict[str, float]] = {}
+    cache: dict[str, np.ndarray] = {}
     results = []
     for a in assertions:
         if a.measure not in cache:
-            cache[a.measure] = measure_scores(graph, a.measure).by_ext_id()
+            cache[a.measure] = measure_scores(graph, a.measure).normalized
         scores = cache[a.measure]
+        index = graph.paper_index if a.measure in PAPER_MEASURES else graph.author_index
         for node in (a.node_a, a.node_b):
-            if node not in scores:
+            if node not in index:
                 raise ValueError(f"assertion '{a.measure} {a.node_a} {a.relation} {a.node_b}': "
                                  f"measure {a.measure!r} scores no node {node!r}")
-        va, vb = scores[a.node_a], scores[a.node_b]
+        va, vb = float(scores[index[a.node_a]]), float(scores[index[a.node_b]])
         scale = max(abs(va), abs(vb), 1e-300)
         if a.relation == "=":
             ok = abs(va - vb) <= REL_TOL * scale

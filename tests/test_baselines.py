@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import pira.baselines as baselines
 from pira import build_graph
 from pira.baselines import (
     build_author_graph,
@@ -15,6 +16,7 @@ from pira.baselines import (
     pub_count,
 )
 from pira.errors import ConvergenceError
+from pira.graph import hop_matrices
 from pira.scenarios import ScenarioKind, ScenarioSpec, generate
 
 from conftest import adjacency, rows, small_graph, small_graphs
@@ -289,3 +291,72 @@ def test_pr_a_down_weights_pure_self_citation():
     a1, a2 = g.author_index["a1"], g.author_index["a2"]
     assert cit[a1] > cit[a2]       # raw citations prefer the self-citer
     assert pra[a2] > pra[a1]       # the author graph walk does not
+
+
+# --- factored PageRank ---------------------------------------------------------
+
+def _assert_pr_a_matches_formed_author_graph(g):
+    formed = pagerank(build_author_graph(g).matrix)
+    assert pr_a(g) == pytest.approx(formed, rel=1e-12, abs=0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(small_graphs)
+def test_pr_a_matches_formed_author_graph(draw):
+    _assert_pr_a_matches_formed_author_graph(small_graph(draw))
+
+
+@pytest.mark.parametrize("kind", list(ScenarioKind))
+def test_pr_a_matches_formed_author_graph_on_scenarios(kind):
+    for padding in (0, 40):
+        _assert_pr_a_matches_formed_author_graph(generate(ScenarioSpec(kind), padding).graph)
+
+
+def test_pr_a_never_forms_the_author_graph(monkeypatch):
+    def refuse(graph):
+        raise AssertionError("pr_a formed the author graph")
+
+    monkeypatch.setattr(baselines, "build_author_graph", refuse)
+    g = generate(ScenarioSpec(ScenarioKind.SELF_CITATION), padding=5).graph
+    assert pr_a(g).sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_pagerank_of_factors_equals_pagerank_of_their_product():
+    # "idle" wrote only "r", which cites nothing: its row of the first
+    # factor is non-empty, but its row of the product is empty (dangling)
+    g = _graph_with_citations(
+        {"a": ["p"], "b": ["q", "r"], "c": ["q"], "idle": ["r"]},
+        [("p", "q"), ("q", "p"), ("q", "r")],
+    )
+    hops = hop_matrices(g)
+    to_paper = hops[0].toarray()
+    idle = g.author_index["idle"]
+    assert to_paper[idle].sum() == 1.0
+    product = (hops[0] @ hops[1] @ hops[2]).toarray()
+    assert product[idle].sum() == 0.0
+    for damping in (0.15, 0.6):
+        assert pagerank(hops, damping) == pytest.approx(
+            pagerank(product, damping), rel=1e-12, abs=0)
+    # dense factors, in a list, give the same scores
+    assert pagerank([h.toarray() for h in hops]) == pytest.approx(
+        pagerank(product), rel=1e-12, abs=0)
+
+
+def test_pagerank_rejects_bad_factors_at_once():
+    ok = np.ones((2, 3))
+    for factors in ([ok, np.ones((2, 2))],            # 3 columns, then 2 rows
+                    [ok, np.ones((3, 4))],            # product 2 x 4
+                    (np.ones((0, 3)), np.ones((3, 0)))):  # product 0 x 0
+        with pytest.raises(ValueError):
+            pagerank(factors)
+    with pytest.raises(ValueError, match="negative"):
+        pagerank([ok, -np.ones((3, 2))])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_pagerank_rejects_non_finite_weights_at_once(bad):
+    # a NaN weight used to run every iteration before failing to converge
+    with pytest.raises(ValueError, match="finite"):
+        pagerank([[0, 1], [bad, 0]])
+    with pytest.raises(ValueError, match="finite"):
+        pagerank([np.array([[1.0, bad]]), np.ones((2, 1))])

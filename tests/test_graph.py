@@ -186,6 +186,17 @@ def _assert_hops_keep_their_sources(g):
         assert np.abs(sums[~empty] - 1.0).max(initial=0.0) <= 1e-12
 
 
+def test_hop_matrices_are_cached_and_read_only(fixture_graphs):
+    g = fixture_graphs["mixed"]
+    hops = hop_matrices(g)
+    assert all(a is b for a, b in zip(hops, hop_matrices(g)))
+    assert all(a is b for a, b in zip(hops, (g.to_paper, g.to_ref, g.to_author)))
+    for hop in hops:
+        for array in (hop.data, hop.indices, hop.indptr):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
+
+
 def test_hop_matrices_keep_their_sources_on_the_fixtures(fixture_graphs):
     for g in fixture_graphs.values():
         _assert_hops_keep_their_sources(g)

@@ -306,3 +306,52 @@ def test_oracle_has_no_size_cap():
     # a cap applies only when the caller asks for one
     with pytest.raises(ValueError, match="max_nodes"):
         expected_scores(g, WalkParams(), max_nodes=g.n_nodes - 1)
+
+
+def test_stationary_of_factors_equals_stationary_of_their_product():
+    # "idle" wrote only a paper without references, so its row of the
+    # product is empty although its row of the first factor is not
+    g = build_graph(
+        authors=[("a", "A", True), ("b", "B", True), ("idle", "Idle", True)],
+        papers=[("p", "P", True), ("q", "Q", True), ("r", "R", True)],
+        wrote=[("a", "p"), ("b", "q"), ("b", "r"), ("idle", "r")],
+        cites=[("p", "q"), ("q", "p"), ("q", "r")],
+    )
+    hops = (g.to_paper, g.to_ref, g.to_author)
+    product = (hops[0] @ hops[1] @ hops[2]).toarray()
+    assert product[g.author_index["idle"]].sum() == 0.0
+    n = g.n_authors
+    # the mass the links leave, plus a fifth of every row, lands uniformly
+    scaled = [0.8 * hops[0], hops[1], hops[2]]
+    jumps = ((1.0 - 0.8 * product.sum(axis=1), np.full(n, 1.0 / n)),)
+    pi = stationary_distribution(scaled, jumps)
+    assert pi == pytest.approx(stationary_distribution(0.8 * product, jumps), rel=1e-12, abs=0)
+    chain = 0.8 * product + np.outer(*jumps[0])
+    assert pi == pytest.approx(_solve_stationary_directly(chain), abs=1e-9)
+
+
+def test_stationary_rejects_bad_link_and_jumps_at_once():
+    ok = np.full((2, 2), 0.5)
+    uniform = np.full(2, 0.5)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            stationary_distribution(np.array([[0.5, bad], [0.5, 0.5]]))
+        with pytest.raises(ValueError, match="finite"):
+            stationary_distribution([ok, np.array([[1.0, 0.0], [0.0, bad]])])
+        with pytest.raises(ValueError, match="finite"):
+            stationary_distribution(ok, ((np.array([0.0, bad]), uniform),))
+        with pytest.raises(ValueError, match="finite"):
+            stationary_distribution(ok, ((np.zeros(2), np.array([bad, 0.5])),))
+    with pytest.raises(ValueError, match="chain"):
+        stationary_distribution([np.ones((2, 3)), np.ones((2, 2))])
+    with pytest.raises(ValueError, match="square"):
+        stationary_distribution([np.ones((2, 3)), np.ones((3, 1))])
+
+
+def test_link_is_the_sum_of_the_class_matrices():
+    for build in FIXTURE_BUILDERS.values():
+        for mode in WalkMode:
+            ts = build_transition_system(build(), WalkParams(mode=mode))
+            total = ts.wrote_m + ts.cite_m + ts.iswb_m
+            assert np.array_equal(ts.link.toarray(), total.toarray())
+            assert ts.link.nnz == total.nnz
