@@ -23,7 +23,7 @@ exact = expected_scores(graph, params)
 
 print("stationary arrival distribution:")
 ts = build_transition_system(graph, params)
-pi = stationary_distribution(ts)
+pi = stationary_distribution(ts.link, ts.jumps)
 # one state per node, authors then papers, as the score table's rows
 for state, ext in enumerate(exact.ext_ids):
     print(f"  {ext}: pi={pi[state]:.4f}  expected score={exact.normalized[state]:.4f}")

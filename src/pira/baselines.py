@@ -76,14 +76,13 @@ def pagerank(
     the restart probability at each step (links are followed with
     probability 1 - damping).  Transitions from a node are proportional to
     its outgoing edge weights; nodes without outgoing weight spread their
-    mass uniformly.  The result sums to 1.  A negative, NaN or infinite
-    weight raises ValueError.
+    mass uniformly.  The result sums to 1.  ``link_factors`` checks the
+    weights: an empty product, or a negative, NaN or infinite weight,
+    raises ValueError.
     """
     if not 0.0 < damping < 1.0:
         raise ValueError(f"damping must be in (0, 1), got {damping}")
     factors = link_factors(weights, "weights")
-    if any((f.data < 0).any() for f in factors):
-        raise ValueError("negative edge weight")
     # each row's total weight, from one mat-vec per factor
     sums = np.ones(factors[-1].shape[1])
     for f in reversed(factors):
@@ -107,7 +106,10 @@ def paper_pagerank(graph: CitationGraph, damping: float = DEFAULT_DAMPING) -> np
 
 
 def pr_p(graph: CitationGraph, damping: float = DEFAULT_DAMPING) -> np.ndarray:
-    """Author scores from paper-graph PageRank, split evenly among co-authors."""
+    """Author scores from paper-graph PageRank, split evenly among co-authors;
+    every author scores 0 in a graph without papers."""
+    if graph.n_papers == 0 and 0.0 < damping < 1.0:  # a bad damping fails in pagerank
+        return np.zeros(graph.n_authors)
     return graph.to_author.T @ paper_pagerank(graph, damping=damping)
 
 
@@ -147,5 +149,7 @@ def build_author_graph(graph: CitationGraph) -> AuthorGraph:
 
 def pr_a(graph: CitationGraph, damping: float = DEFAULT_DAMPING) -> np.ndarray:
     """PageRank of each author on the author graph of ``build_author_graph``,
-    iterated through its three hop-matrix factors."""
+    iterated through its three hop-matrix factors; empty without authors."""
+    if graph.n_authors == 0 and 0.0 < damping < 1.0:  # a bad damping fails in pagerank
+        return np.zeros(0)
     return pagerank(hop_matrices(graph), damping=damping)

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import islice
 from pathlib import Path
 
@@ -70,20 +70,8 @@ class LoadReport:
     papers_without_authors: int
 
     def to_text(self) -> str:
-        fields = [
-            ("authors", self.authors),
-            ("papers", self.papers),
-            ("wrote_lines", self.wrote_lines),
-            ("cites_lines", self.cites_lines),
-            ("wrote_edges", self.wrote_edges),
-            ("cite_edges", self.cite_edges),
-            ("dropped_duplicate_wrote", self.dropped_duplicate_wrote),
-            ("dropped_duplicate_cites", self.dropped_duplicate_cites),
-            ("dropped_self_citations", self.dropped_self_citations),
-            ("authors_without_papers", self.authors_without_papers),
-            ("papers_without_authors", self.papers_without_authors),
-        ]
-        return "".join(f"{k}={v}\n" for k, v in fields)
+        """One ``field=value`` line per field, in declaration order."""
+        return "".join(f"{f.name}={getattr(self, f.name)}\n" for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -178,8 +166,8 @@ def _read_table(path: Path, n_cols: int) -> _Table:
         body = _BLANK_RUNS.sub("\n", body)  # blank lines fail the check too
         if not _well_formed(body, n_cols):
             raise _Table(path, text, []).error(*_first_bad_row(body.split("\n"), n_cols))
-    fields = body.replace("\n", "\t").split("\t")
-    return _Table(path, text, [fields[i::n_cols] for i in range(n_cols)])
+    cells = body.replace("\n", "\t").split("\t")
+    return _Table(path, text, [cells[i::n_cols] for i in range(n_cols)])
 
 
 def _nodes(table: _Table) -> NodeColumns:
@@ -212,11 +200,7 @@ def load_graph(directory: str | Path) -> tuple[CitationGraph, LoadReport]:
         cites_lines=len(cites_t),
         wrote_edges=graph.n_wrote_edges,
         cite_edges=graph.n_cite_edges,
-        dropped_duplicate_wrote=graph.report.dropped_duplicate_wrote,
-        dropped_duplicate_cites=graph.report.dropped_duplicate_cites,
-        dropped_self_citations=graph.report.dropped_self_citations,
-        authors_without_papers=graph.report.authors_without_papers,
-        papers_without_authors=graph.report.papers_without_authors,
+        **asdict(graph.report),
     )
     return graph, report
 

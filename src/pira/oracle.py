@@ -2,12 +2,12 @@
 
 Solves the chain the walk samples, in either mode and at any size: the
 walk's outcome table (``walk.outcome_table``) read as a sparse transition
-system.  Power iteration gives the stationary arrival distribution, and the
-per-transition inflows weighted by c-weight class give the expected
-per-arrival scores, i.e. the limit of the Monte Carlo scorer as the step
-budget grows.  In literal mode the states include one "pending isWrittenBy"
-copy per paper, and each copy's score rate is folded back onto its paper,
-as the walk folds the copy's arrivals.
+system.  Power iteration gives the stationary arrival distribution; its
+inflow per state and edge class, scored by ``walk.score_arrivals`` as the
+walk's counts are, is the limit of the Monte Carlo scorer's ``raw`` per
+step.  In literal mode the states include one "pending isWrittenBy" copy
+per paper, whose arrivals are folded back onto its paper, as the walk
+folds them.
 
 The transition matrix is held as three sparse class matrices (wrote, cite,
 isWrittenBy) plus two rank-1 restart components: reinitialization mass times
@@ -21,12 +21,12 @@ The system's ``link`` (the three classes summed) and the class matrices
 are each made straight from the table's row-ordered entries, as CSR by
 per-row counts.
 
-``stationary_distribution`` is the package's one power-iteration solver:
-the PageRank baselines run through it too, with teleport and dangling mass
-as a rank-1 jump.  Its link may be given as a sequence of factors whose
-product is the square link matrix; each iteration then applies the factors'
-transposes in turn, so PR-A iterates through the three hop matrices and
-never forms the author graph.
+``stationary_distribution`` is the package's one power-iteration solver and
+its one chain check: the PageRank baselines run through it too, with
+teleport and dangling mass as a rank-1 jump.  Its link may be a sequence of
+factors whose product is the square link matrix; each iteration then applies
+the factors' transposes in turn, so PR-A iterates through the three hop
+matrices and never forms the author graph.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import scipy.sparse as sp
 from .errors import ConvergenceError
 from .graph import CitationGraph
 from .walk import (CITE, FAKE, ISWB, RESTART, WROTE, ScoreTable, WalkParams, fold_copies,
-                   outcome_table, restart_author_share)
+                   outcome_table, restart_author_share, score_arrivals)
 
 DEFAULT_TOL = 1e-12
 MAX_ITERATIONS = 10**6
@@ -128,23 +128,21 @@ def stationary_distribution(
 ) -> np.ndarray:
     """Stationary distribution of the chain pi -> pi @ link + sum((pi @ mass) * dist).
 
-    ``link`` is a square non-negative matrix (sparse or dense), a sequence
-    of matrices whose product is that matrix (see ``link_factors``), or a
-    TransitionSystem, which supplies its own link matrix and jumps.  Each
-    jump is a rank-one term: the row-wise ``mass`` that leaves through it
-    and the ``dist`` it lands on.  Power-iterates from the uniform vector,
-    renormalizing to sum 1, until the L1 change drops below tol, which must
-    be a positive finite number.  A NaN or infinite link or jump entry
-    raises ValueError.
+    ``link`` is a square matrix (sparse or dense) or a sequence of matrices
+    whose product is that matrix (``link_factors``); a transition system
+    passes ``ts.link, ts.jumps``.  Each jump is a rank-one term: the
+    row-wise ``mass`` that leaves through it and the ``dist`` it lands on.
+    Power-iterates from the uniform vector, renormalizing to sum 1, until
+    the L1 change drops below tol, a positive finite number.  A negative,
+    NaN or infinite link or jump entry raises ValueError before the first
+    iteration, and an iterate that does not sum to a positive number (the
+    chain lost its mass) raises ValueError at once.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be a positive finite number, got {tol}")
-    if isinstance(link, TransitionSystem):
-        link, jumps = link.link, link.jumps + tuple(jumps)
     factors = link_factors(link, "link")
-    for mass, dist in jumps:
-        if not (np.isfinite(mass).all() and np.isfinite(dist).all()):
-            raise ValueError("jump masses and distributions must be finite")
+    if not all(_finite_non_negative(a) for jump in jumps for a in jump):
+        raise ValueError("jump masses and distributions must be finite and not negative")
     # pi @ (F1 @ F2 @ ...) = ... F2.T @ (F1.T @ pi): the transposes, in turn
     factors_t = [f.T.tocsr() for f in factors]
     n = factors[0].shape[0]
@@ -152,7 +150,10 @@ def stationary_distribution(
     residual = float("inf")
     for _ in range(max_iterations):
         nxt = _apply(pi, factors_t, jumps)
-        nxt /= nxt.sum()
+        total = nxt.sum()
+        if not 0 < total < math.inf:
+            raise ValueError(f"the chain loses its mass: an iterate sums to {total}")
+        nxt /= total
         residual = float(np.abs(nxt - pi).sum())
         pi = nxt
         if residual < tol:
@@ -171,7 +172,8 @@ def link_factors(link, name: str) -> list[sp.csr_matrix]:
     A list or tuple of sparse matrices and 2-D arrays is a sequence of
     factors; anything else is one matrix.  The factors' shapes must chain,
     their product must be square and non-empty, and every stored entry
-    must be finite; otherwise ValueError, naming the argument as ``name``.
+    must be finite and not negative; otherwise ValueError, naming the
+    argument as ``name``.
     """
     chain = isinstance(link, (list, tuple)) and len(link) > 0 and all(
         sp.issparse(f) or (isinstance(f, np.ndarray) and f.ndim == 2) for f in link)
@@ -182,9 +184,13 @@ def link_factors(link, name: str) -> list[sp.csr_matrix]:
         raise ValueError(f"{name} factors do not chain, got shapes {shapes}")
     if n == 0 or m != n:
         raise ValueError(f"{name} must be a non-empty square matrix, got shape {(n, m)}")
-    if not all(np.isfinite(f.data).all() for f in factors):
-        raise ValueError(f"{name} entries must be finite, got NaN or infinity")
+    if not all(_finite_non_negative(f.data) for f in factors):
+        raise ValueError(f"{name} entries must be finite and not negative")
     return factors
+
+
+def _finite_non_negative(a: np.ndarray) -> bool:
+    return bool(((0 <= a) & (a < math.inf)).all())  # NaN fails both tests
 
 
 def _apply(pi: np.ndarray, factors_t, jumps) -> np.ndarray:
@@ -207,23 +213,17 @@ def expected_scores(
     """Expected per-arrival scores of the walk, in either mode, normalized to
     mean 1.0.
 
-    Each state's score rate sums stationary inflow per transition class times
-    that class's c-weight; restart arrivals (reinitialization and fake
-    citation picks alike) carry the restarting weight.  In literal mode each
-    copy's rate is folded onto its paper, so the table has one row per node.
-    ``max_nodes``, when given, refuses larger graphs; by default any size is
+    The stationary inflows per state and edge class, copies folded onto their
+    papers, are scored by ``walk.score_arrivals`` as the walk's counts are.
+    So ``raw`` is the limit of ``pira_rank(graph, params).raw / step_budget``
+    for any c-weights, and sums to 1 when all four are equal.  ``max_nodes``, when given, refuses larger graphs; by default any size is
     solved.
     """
     if max_nodes is not None and graph.n_nodes > max_nodes:
         raise ValueError(f"graph has {graph.n_nodes} nodes, above max_nodes={max_nodes}")
     ts = build_transition_system(graph, params)
-    pi = stationary_distribution(ts, tol=tol)
-    rate = (
-        params.wrote_weight * (ts.wrote_m.T @ pi)
-        + params.cite_weight * (ts.cite_m.T @ pi)
-        + params.iswb_weight * (ts.iswb_m.T @ pi)
-        + params.restarting_weight * sum((pi @ mass) * dist for mass, dist in ts.jumps)
-    )
-    if rate.sum() <= 0:
-        raise ValueError("the walk accumulates no score mass (all c-weights on unused edges?)")
-    return ScoreTable.over_all(graph, fold_copies(rate, graph))
+    pi = stationary_distribution(ts.link, ts.jumps, tol=tol)
+    # columns in class order: restart and fake jumps, then wrote, cite, isWrittenBy
+    arrivals = np.column_stack([(pi @ mass) * dist for mass, dist in ts.jumps]
+                               + [m.T @ pi for m in (ts.wrote_m, ts.cite_m, ts.iswb_m)])
+    return score_arrivals(graph, fold_copies(arrivals, graph), params)

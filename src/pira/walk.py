@@ -7,8 +7,8 @@ with probability ``theta``, otherwise it jumps to a uniformly random author
 of the paper.  Every arrival is counted per node and per edge class (restart,
 fake pick, wrote, cite, isWrittenBy) and consumes one unit of the step
 budget; the raw score is those counts weighted by the c-weights of the
-classes.  A damping test at each arrival reinitializes the walk from a
-random node.
+classes (``score_arrivals``).  A damping test at each arrival reinitializes
+the walk from a random node.
 
 Two execution modes are provided:
 
@@ -48,7 +48,8 @@ counts therefore have exactly the law of one surfer's first ``budget``
 arrivals, whatever its slot count, which is sized for speed only.  The
 slots of consecutive walkers step in lockstep, and the copies' arrivals are
 folded back onto their papers at the end.  The exact oracle
-(``oracle.expected_scores``) solves the same table.
+(``oracle.expected_scores``) solves the same table and scores its expected
+arrivals per class with the same ``score_arrivals``.
 """
 
 from __future__ import annotations
@@ -191,7 +192,7 @@ class ScoreTable:
                                  "one value per node")
         if not np.isfinite(raw).all():
             raise ValueError("raw scores must be finite, got NaN or infinity")
-        normalized = normalize(raw, n) if raw.sum() > 0 else raw.copy()
+        normalized = normalize(raw) if raw.sum() > 0 else raw.copy()
         return cls(kinds, ext_ids, in_dblp, raw, normalized)
 
     @classmethod
@@ -215,15 +216,13 @@ class ScoreTable:
                             np.concatenate((graph.author_in_dblp, graph.paper_in_dblp)), raw)
 
 
-def normalize(raw, n_nodes: int | None = None) -> np.ndarray:
-    """Scale raw counters so the mean score over all nodes is 1.0."""
+def normalize(raw) -> np.ndarray:
+    """Scale raw counters so their mean is 1.0."""
     raw = np.asarray(raw, dtype=float)
-    if n_nodes is None:
-        n_nodes = len(raw)
     total = raw.sum()
     if total <= 0:
         raise ValueError("cannot normalize all-zero counters")
-    return raw * (n_nodes / total)
+    return raw * (len(raw) / total)
 
 
 def _splitmix64(x: int) -> int:
@@ -673,6 +672,22 @@ def fold_copies(per_state: np.ndarray, graph: CitationGraph) -> np.ndarray:
     return per_state[:n]
 
 
+def score_arrivals(graph: CitationGraph, arrivals: np.ndarray, params: WalkParams) -> ScoreTable:
+    """Scores from arrivals per node (authors, then papers) and edge class
+    (``N_CLASSES`` columns), counted by the walk or expected by the oracle.
+
+    The raw score weights the classes by their c-weights in units of the
+    largest one, restart and fake picks both by the restart weight.  Raw
+    scores that sum to zero raise ValueError.
+    """
+    weights = np.array([params.restarting_weight, params.restarting_weight,
+                        params.wrote_weight, params.cite_weight, params.iswb_weight])
+    raw = (arrivals * (weights / weights.max())).sum(axis=1)
+    if raw.sum() <= 0:
+        raise ValueError("the walk accumulates no score mass (all c-weights on unused edges?)")
+    return ScoreTable.over_all(graph, raw)
+
+
 def pira_rank(graph: CitationGraph, params: WalkParams) -> ScoreTable:
     """Run the walk for `step_budget` arrivals and return normalized scores.
 
@@ -681,20 +696,12 @@ def pira_rank(graph: CitationGraph, params: WalkParams) -> ScoreTable:
     arrivals up to its share, with exactly that surfer's law.  Its restart
     cycles run side by side in lockstep slots, as many as its budget and
     ``damping_df`` give for speed, so the result depends on the params only.
-    Arrivals are counted per node and edge class as integers, and the raw
-    score is those counts weighted once by the c-weights in units of the
-    largest one (restart and fake picks both carry the restart weight).
-    With unit weights the raw scores therefore sum to the step budget
-    exactly, nodes with equal arrivals per class tie exactly, and the
-    counts do not depend on the weights at all.
+    Arrivals are counted per node and edge class as integers and scored by
+    ``score_arrivals``.  With unit weights the raw scores therefore sum to
+    the step budget exactly, nodes with equal arrivals per class tie
+    exactly, and the counts do not depend on the weights at all.
     """
     params.validate()
     if graph.n_nodes == 0:
         raise ValueError("cannot rank an empty graph")
-    weights = np.array([params.restarting_weight, params.restarting_weight,
-                        params.wrote_weight, params.cite_weight, params.iswb_weight])
-    raw = (_arrival_counts(graph, params) * (weights / weights.max())).sum(axis=1)
-    if raw.sum() <= 0:
-        raise ValueError("walk accumulated no score mass (all c-weights on unused edges?)")
-    return ScoreTable.over_all(graph, raw)
-
+    return score_arrivals(graph, _arrival_counts(graph, params), params)

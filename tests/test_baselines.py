@@ -342,6 +342,22 @@ def test_pagerank_of_factors_equals_pagerank_of_their_product():
         pagerank(product), rel=1e-12, abs=0)
 
 
+def test_pr_p_of_a_graph_without_papers_is_zero():
+    # used to fail in the solver: "weights must be a non-empty square matrix"
+    g = build_graph(authors=[("a0", "A", True), ("a1", "B", True)], papers=[])
+    assert pr_p(g).tolist() == [0.0, 0.0]
+    with pytest.raises(ValueError, match="damping"):
+        pr_p(g, damping=1.0)
+
+
+def test_pr_a_of_a_graph_without_authors_is_empty():
+    g = build_graph(authors=[], papers=[("p0", "P", True), ("p1", "Q", True)],
+                    cites=[("p0", "p1")])
+    assert pr_a(g).shape == (0,)
+    with pytest.raises(ValueError, match="damping"):
+        pr_a(g, damping=0.0)
+
+
 def test_pagerank_rejects_bad_factors_at_once():
     ok = np.ones((2, 3))
     for factors in ([ok, np.ones((2, 2))],            # 3 columns, then 2 rows

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from pira import WalkMode, WalkParams
+from pira import WalkMode, WalkParams, build_graph
 from pira.analysis import all_authors, dblp_authors, dblp_papers, rank
 from pira.cli import main
 from pira.ingest import load_graph, save_graph
@@ -117,6 +117,16 @@ def test_rank_rejects_non_finite_weights_before_loading(tmp_path, capsys):
         assert "c-weights must be finite" in capsys.readouterr().err
     assert main(["rank", missing, "--method", "pira"]) == 2
     assert "c-weights" not in capsys.readouterr().err
+
+
+def test_rank_prp_without_papers_scores_zero_like_cit(tmp_path, capsys):
+    d = tmp_path / "paperless"
+    save_graph(build_graph([("a0", "A", True), ("a1", "B", True)], []), d)
+    outputs = []
+    for method in ("cit", "prp"):
+        assert main(["rank", str(d), "--method", method]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] and outputs[1] == outputs[0]
 
 
 def test_rank_papers_subset(dataset, capsys):

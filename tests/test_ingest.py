@@ -58,6 +58,16 @@ def test_load_small_fixture(tmp_path):
     assert "authors=2" in text and "cite_edges=1" in text
 
 
+def test_load_report_text_lists_every_field_in_order(tmp_path):
+    d = _write_dataset(tmp_path / "ds", [("a", "A", 1), ("b", "B", 1)],
+                       [("p", "P", 1), ("q", "Q", 1)],
+                       [("a", "p"), ("a", "p")], [("p", "q"), ("q", "q")])
+    assert load_graph(d)[1].to_text() == (
+        "authors=2\npapers=2\nwrote_lines=2\ncites_lines=2\nwrote_edges=1\n"
+        "cite_edges=1\ndropped_duplicate_wrote=1\ndropped_duplicate_cites=0\n"
+        "dropped_self_citations=1\nauthors_without_papers=1\npapers_without_authors=1\n")
+
+
 def test_missing_file_names_it(tmp_path):
     d = _write_dataset(tmp_path / "ds", [("a", "A", 1)], [("p", "P", 1)], [], [])
     (d / "cites.tsv").unlink()

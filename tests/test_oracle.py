@@ -1,12 +1,13 @@
+import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pira import WalkMode, WalkParams, build_graph
+from pira import WalkMode, WalkParams, build_graph, pira_rank
 from pira.errors import ConvergenceError
 from pira.oracle import (
-    TransitionSystem,
     build_transition_system,
     expected_scores,
     stationary_distribution,
@@ -79,14 +80,14 @@ def test_stationary_of_three_ring():
         cites=[("p0", "p1"), ("p1", "p2"), ("p2", "p0")],
     )
     ts = build_transition_system(g, WalkParams(theta=1.0))
-    pi = stationary_distribution(ts)
+    pi = stationary_distribution(ts.link, ts.jumps)
     assert pi == pytest.approx([1 / 3] * 3, abs=1e-9)
 
 
 def test_stationary_star_matches_direct_solve():
     g = star_graph()
     ts = build_transition_system(g, WalkParams())
-    pi = stationary_distribution(ts)
+    pi = stationary_distribution(ts.link, ts.jumps)
     direct = _solve_stationary_directly(dense_chain(ts))
     assert pi == pytest.approx(direct, abs=1e-9)
     hub = g.n_authors + g.paper_index["hub"]
@@ -98,7 +99,7 @@ def test_stationary_is_fixed_point():
     tol = 1e-12
     for build in FIXTURE_BUILDERS.values():
         ts = build_transition_system(build(), WalkParams())
-        pi = stationary_distribution(ts, tol=tol)
+        pi = stationary_distribution(ts.link, ts.jumps, tol=tol)
         assert np.abs(pi @ dense_chain(ts) - pi).sum() < 10 * tol
         assert pi.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -126,7 +127,7 @@ def test_unit_weights_proportional_to_pi():
     params = WalkParams(cite_weight=1, wrote_weight=1, iswb_weight=1,
                         restarting_weight=1)
     ts = build_transition_system(g, params)
-    pi = stationary_distribution(ts)
+    pi = stationary_distribution(ts.link, ts.jumps)
     table = expected_scores(g, params)
     assert table.normalized == pytest.approx(pi * g.n_nodes, abs=1e-9)
 
@@ -150,12 +151,29 @@ def test_zero_wrote_weight_starves_papers():
 
 def test_zero_score_mass_rejected():
     # theta=1 on a graph without citations: every arrival is a restart or a
-    # wrote move, and both carry zero weight
+    # wrote move, and both carry zero weight; both estimators score through
+    # walk.score_arrivals and say so in the same words
     g = build_graph(authors=[("a0", "A", True)], papers=[("p0", "P", True)],
                     wrote=[("a0", "p0")])
-    params = WalkParams(theta=1.0, wrote_weight=0.0, restarting_weight=0.0)
-    with pytest.raises(ValueError, match="no score mass"):
-        expected_scores(g, params)
+    params = WalkParams(theta=1.0, wrote_weight=0.0, restarting_weight=0.0,
+                        step_budget=1_000)
+    for estimator in (expected_scores, pira_rank):
+        with pytest.raises(ValueError, match="^the walk accumulates no score mass"):
+            estimator(g, params)
+
+
+@pytest.mark.parametrize("mode", list(WalkMode))
+def test_equal_weights_give_each_nodes_share_of_the_arrivals(mode):
+    # raw is in the walk's units, weights relative to the largest: with all
+    # four weights equal it is the stationary share of the arrivals, at any
+    # common value
+    for name, build in FIXTURE_BUILDERS.items():
+        g = build()
+        unit = WalkParams(mode=mode, min_citation_count=3, cite_weight=1, wrote_weight=1,
+                          iswb_weight=1, restarting_weight=1)
+        raw = expected_scores(g, unit).raw
+        assert raw.sum() == pytest.approx(1.0, abs=1e-12), name
+        assert np.array_equal(expected_scores(g, unit.scaled_weights(37.0)).raw, raw), name
 
 
 def test_expected_scores_scale_invariant_in_weights():
@@ -346,6 +364,29 @@ def test_stationary_rejects_bad_link_and_jumps_at_once():
         stationary_distribution([np.ones((2, 3)), np.ones((2, 2))])
     with pytest.raises(ValueError, match="square"):
         stationary_distribution([np.ones((2, 3)), np.ones((3, 1))])
+
+
+_HALF = np.full((2, 2), 0.5)
+_UNIFORM = np.full(2, 0.5)
+
+
+@pytest.mark.parametrize("link, jumps, match", [
+    # a negative entry used to give a "distribution" outside [0, 1]
+    (np.array([[0.5, 0.5], [-0.2, 1.2]]), (), "negative"),
+    ([_HALF, np.array([[1.2, -0.2], [0.0, 1.0]])], (), "negative"),
+    (_HALF, ((np.array([-0.5, 0.0]), _UNIFORM),), "negative"),
+    (0.5 * _HALF, ((_UNIFORM, np.array([1.5, -0.5])),), "negative"),
+    # a chain that loses its mass used to run every iteration, warning at each
+    (np.zeros((2, 2)), (), "mass"),
+    (np.array([[0.0, 1.0], [0.0, 0.0]]), (), "mass"),
+], ids=["link", "factor", "jump-mass", "jump-dist", "zero", "nilpotent"])
+def test_stationary_rejects_an_invalid_chain_at_once(link, jumps, match):
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            stationary_distribution(link, jumps)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_link_is_the_sum_of_the_class_matrices():

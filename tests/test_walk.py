@@ -283,6 +283,23 @@ def test_each_walker_counts_one_surfers_first_arrivals(mode):
     assert np.all(np.abs(mean - expected) <= 5 * stderr + 1e-9), np.abs(mean - expected) / stderr
 
 
+@pytest.mark.parametrize("mode", list(WalkMode))
+def test_walk_raw_per_step_tends_to_the_oracle_raw(fixture_graphs, mode):
+    # both estimators score arrivals with walk.score_arrivals, so the
+    # oracle's raw is the walk's raw per step for any weights, not only up
+    # to scale
+    params = WalkParams(mode=mode, min_citation_count=3, restarting_weight=0.1,
+                        cite_weight=0.3, wrote_weight=0.2, iswb_weight=0.7, step_budget=10_000)
+    batches = 20
+    for name, g in fixture_graphs.items():
+        exact = expected_scores(g, params).raw
+        per_step = np.array([pira_rank(g, replace(params, seed=seed)).raw / params.step_budget
+                             for seed in range(batches)])
+        mean = per_step.mean(axis=0)
+        stderr = per_step.std(axis=0, ddof=1) / math.sqrt(batches)
+        assert np.all(np.abs(mean - exact) <= 5 * stderr + 1e-9), name
+
+
 def test_small_damping_walk_matches_the_oracle():
     # criterion 1's tolerances at df = 0.05, with 40 walkers so that each
     # walker's budget is short; 4x criterion 1's budget keeps the noise
