@@ -57,7 +57,7 @@ class Ranking:
         `source` and the line (both lines for a repeated node)."""
         ranks, scores = [], []
         first_line: dict[str, int] = {}  # node id -> its line, in file order
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        for lineno, line in enumerate(text.split("\n"), start=1):
             if not line.strip():
                 continue
             fields = line.split("\t")

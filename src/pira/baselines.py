@@ -13,16 +13,11 @@ sums, PR-P's paper graph is ``cite`` itself, and PR-A's author graph is the
 product of the walk's three cached one-hop matrices (``graph.hop_matrices``,
 from which the walk's outcome table is built too).  PageRank runs on the
 oracle's stationary solver, which takes that product as its three factors,
-so PR-A never forms the author graph; ``build_author_graph`` gives its
-explicit matrix.
+so PR-A never forms the author graph; ``build_author_graph`` returns it as
+an explicit CSR matrix.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from functools import cached_property
-from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 import scipy.sparse as sp
@@ -113,28 +108,10 @@ def pr_p(graph: CitationGraph, damping: float = DEFAULT_DAMPING) -> np.ndarray:
     return graph.to_author.T @ paper_pagerank(graph, damping=damping)
 
 
-@dataclass(frozen=True, eq=False)  # holds a matrix; compare by identity
-class AuthorGraph:
-    """Weighted directed author graph; self-loops record author self-citation."""
-
-    matrix: sp.csr_matrix  # entry (a, b) is the weight of a -> b
-
-    @property
-    def n_authors(self) -> int:
-        return self.matrix.shape[0]
-
-    @cached_property
-    def edges(self) -> Mapping[tuple[int, int], float]:
-        """Read-only ``{(a, b): weight}`` view of the matrix's entries."""
-        coo = self.matrix.tocoo()
-        return MappingProxyType(
-            {(int(a), int(b)): float(w) for a, b, w in zip(coo.row, coo.col, coo.data)}
-        )
-
-
-def build_author_graph(graph: CitationGraph) -> AuthorGraph:
+def build_author_graph(graph: CitationGraph) -> sp.csr_matrix:
     """One-citation-hop transition probabilities between authors, as an
-    explicit matrix.
+    explicit matrix: entry (A, B) is the weight w(A -> B), and a diagonal
+    entry records an author's self-citation.
 
     w(A -> B) sums, over A's papers p and p's references r, the probability
     of the path A -> p -> r -> B: normalized p-weight of p among A's papers,
@@ -144,7 +121,7 @@ def build_author_graph(graph: CitationGraph) -> AuthorGraph:
     without authors.  ``pr_a`` runs on the same product without forming it.
     """
     to_paper, to_ref, to_author = hop_matrices(graph)
-    return AuthorGraph(sp.csr_matrix(to_paper @ to_ref @ to_author))
+    return sp.csr_matrix(to_paper @ to_ref @ to_author)
 
 
 def pr_a(graph: CitationGraph, damping: float = DEFAULT_DAMPING) -> np.ndarray:

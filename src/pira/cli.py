@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: ingest, rank, compare, inspect, synth, stats.  Exit codes:
-0 success, 2 usage or input validation, 3 I/O failure, 4 solver
+0 success, 2 usage or input validation (a missing input file included),
+3 I/O failure (such as an output path in a missing directory), 4 solver
 non-convergence.
 """
 
@@ -25,7 +26,7 @@ from .analysis import (
     scatter_to_csv,
     topx_difference,
 )
-from .errors import ConvergenceError, DatasetError, GraphBuildError, PiraError
+from .errors import ConvergenceError, MissingFileError, PiraError
 from .graph import CitationGraph, NodeId, NodeKind, neighborhood
 from .ingest import load_graph, save_graph, write_idmap
 from .oracle import expected_scores
@@ -139,6 +140,9 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    for f in (args.rank_a, args.rank_b):
+        if not Path(f).is_file():
+            raise MissingFileError(f"missing ranking file {f}", path=f)
     r_a, r_b = (Ranking.from_tsv(Path(f).read_text(encoding="utf-8"), source=f)
                 for f in (args.rank_a, args.rank_b))
     if args.curve:
@@ -305,22 +309,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, GraphBuildError, DatasetError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except FileNotFoundError as exc:
-        # a missing input file is a usage problem, not an I/O failure
+    except (PiraError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except PiraError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -7,7 +7,9 @@ inflow per state and edge class, scored by ``walk.score_arrivals`` as the
 walk's counts are, is the limit of the Monte Carlo scorer's ``raw`` per
 step.  In literal mode the states include one "pending isWrittenBy" copy
 per paper, whose arrivals are folded back onto its paper, as the walk
-folds them.
+folds them.  At damping_df = 0 the chain may be periodic or reducible, so
+the oracle iterates the lazy chain (link + I) / 2 from the walk's start
+law instead; it has the same stationary laws (see ``expected_scores``).
 
 The transition matrix is held as three sparse class matrices (wrote, cite,
 isWrittenBy) plus two rank-1 restart components: reinitialization mass times
@@ -125,6 +127,7 @@ def stationary_distribution(
     jumps: Sequence[tuple[np.ndarray, np.ndarray]] = (),
     tol: float = DEFAULT_TOL,
     max_iterations: int = MAX_ITERATIONS,
+    start: np.ndarray | None = None,
 ) -> np.ndarray:
     """Stationary distribution of the chain pi -> pi @ link + sum((pi @ mass) * dist).
 
@@ -132,7 +135,8 @@ def stationary_distribution(
     whose product is that matrix (``link_factors``); a transition system
     passes ``ts.link, ts.jumps``.  Each jump is a rank-one term: the
     row-wise ``mass`` that leaves through it and the ``dist`` it lands on.
-    Power-iterates from the uniform vector, renormalizing to sum 1, until
+    Power-iterates from ``start`` (by default the uniform vector; a
+    reducible chain's limit depends on it), renormalizing to sum 1, until
     the L1 change drops below tol, a positive finite number.  A negative,
     NaN or infinite link or jump entry raises ValueError before the first
     iteration, and an iterate that does not sum to a positive number (the
@@ -146,7 +150,7 @@ def stationary_distribution(
     # pi @ (F1 @ F2 @ ...) = ... F2.T @ (F1.T @ pi): the transposes, in turn
     factors_t = [f.T.tocsr() for f in factors]
     n = factors[0].shape[0]
-    pi = np.full(n, 1.0 / n)
+    pi = np.full(n, 1.0 / n) if start is None else np.asarray(start, dtype=float)
     residual = float("inf")
     for _ in range(max_iterations):
         nxt = _apply(pi, factors_t, jumps)
@@ -216,13 +220,26 @@ def expected_scores(
     The stationary inflows per state and edge class, copies folded onto their
     papers, are scored by ``walk.score_arrivals`` as the walk's counts are.
     So ``raw`` is the limit of ``pira_rank(graph, params).raw / step_budget``
-    for any c-weights, and sums to 1 when all four are equal.  ``max_nodes``, when given, refuses larger graphs; by default any size is
+    for any c-weights, and sums to 1 when all four are equal.
+    ``max_nodes``, when given, refuses larger graphs; by default any size is
     solved.
+
+    At ``damping_df`` > 0 every row restarts with probability at least df, so
+    the chain has one aperiodic recurrent class.  At df = 0 it may be
+    periodic or reducible; the solver then iterates the lazy chain
+    (link + I) / 2, with halved jump masses, from the walk's start law
+    ``restart_dist``.  That chain has the same stationary laws, is aperiodic,
+    and from that start converges to the walk's own limit.
     """
     if max_nodes is not None and graph.n_nodes > max_nodes:
         raise ValueError(f"graph has {graph.n_nodes} nodes, above max_nodes={max_nodes}")
     ts = build_transition_system(graph, params)
-    pi = stationary_distribution(ts.link, ts.jumps, tol=tol)
+    if params.damping_df > 0:
+        pi = stationary_distribution(ts.link, ts.jumps, tol=tol)
+    else:
+        lazy = (ts.link + sp.identity(ts.link.shape[0], format="csr")) * 0.5
+        pi = stationary_distribution(lazy, [(mass * 0.5, dist) for mass, dist in ts.jumps],
+                                     tol=tol, start=ts.restart_dist)
     # columns in class order: restart and fake jumps, then wrote, cite, isWrittenBy
     arrivals = np.column_stack([(pi @ mass) * dist for mass, dist in ts.jumps]
                                + [m.T @ pi for m in (ts.wrote_m, ts.cite_m, ts.iswb_m)])

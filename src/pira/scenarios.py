@@ -6,6 +6,13 @@ produce, so a test suite can check which measures separate the pair and
 which cannot.  Generation is purely structural: the same spec always yields
 the same graph.
 
+The four pair-comparison scenarios (paper quality, co-author count, citing
+quality, self-citation) assert one ordering of their pair for each of
+``pub``, ``cit``, ``pr_a`` and ``pira``.  The ``pira`` assertion reads
+``(node_a, ">", node_b)``, with node_a the author a good measure ranks
+higher; a measure separates the pair exactly when its assertion equals
+that one.
+
 Padding adds isolated author-paper pairs so rank positions have a
 population without disturbing the scenario structure.
 """
@@ -14,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -56,19 +63,11 @@ class ScenarioSpec:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Generated graph plus its expected orderings.
-
-    For the four pair-comparison scenarios, ``preferred``/``other`` name the
-    designated pair (preferred = the author a good measure ranks higher) and
-    ``separates`` records which measures are expected to get the order right.
-    """
+    """Generated graph plus its expected orderings."""
 
     kind: ScenarioKind
     graph: CitationGraph
     assertions: tuple[Assertion, ...]
-    preferred: Optional[str] = None
-    other: Optional[str] = None
-    separates: Optional[Mapping[str, bool]] = None
 
 
 DEFAULT_PARAMS: dict[ScenarioKind, dict[str, int]] = {
@@ -133,9 +132,6 @@ def _paper_quality(params: Mapping[str, int], padding: int) -> Scenario:
         ScenarioKind.PAPER_QUALITY,
         build_graph(authors, papers, wrote, cites),
         assertions,
-        preferred="a1",
-        other="a2",
-        separates={"pub": False, "cit": True, "pr_a": True, "pira": True},
     )
 
 
@@ -172,9 +168,6 @@ def _coauthor_count(params: Mapping[str, int], padding: int) -> Scenario:
         ScenarioKind.COAUTHOR_COUNT,
         build_graph(authors, papers, wrote, cites),
         assertions,
-        preferred="a1",
-        other="a4",
-        separates={"pub": False, "cit": False, "pr_a": True, "pira": True},
     )
 
 
@@ -220,9 +213,6 @@ def _citing_quality(params: Mapping[str, int], padding: int) -> Scenario:
         ScenarioKind.CITING_QUALITY,
         build_graph(authors, papers, wrote, cites),
         assertions,
-        preferred="b1",
-        other="b2",
-        separates={"pub": False, "cit": False, "pr_a": False, "pira": True},
     )
 
 
@@ -270,9 +260,6 @@ def _self_citation(params: Mapping[str, int], padding: int) -> Scenario:
         ScenarioKind.SELF_CITATION,
         build_graph(authors, papers, wrote, cites),
         assertions,
-        preferred="a2",
-        other="a1",
-        separates={"pub": False, "cit": False, "pr_a": True, "pira": True},
     )
 
 
@@ -383,7 +370,7 @@ def assertions_to_tsv(assertions: tuple[Assertion, ...]) -> str:
 
 def assertions_from_tsv(text: str) -> tuple[Assertion, ...]:
     out = []
-    for line in text.splitlines():
+    for line in text.split("\n"):
         if not line.strip():
             continue
         measure, a, rel, b = line.split("\t")

@@ -160,20 +160,6 @@ class ScoreTable:
     def __len__(self) -> int:
         return len(self.ext_ids)
 
-    def by_ext_id(self) -> dict[str, float]:
-        """Normalized score per external id.
-
-        Raises ValueError when two nodes share an id (an author and a
-        paper); filter to one node kind first.
-        """
-        out: dict[str, float] = {}
-        for e, s in zip(self.ext_ids, self.normalized.tolist()):
-            if e in out:
-                raise ValueError(f"external id {e!r} names more than one node; "
-                                 "filter to a single node kind")
-            out[e] = s
-        return out
-
     @classmethod
     def from_raw(cls, kinds, ext_ids: Sequence[str], in_dblp, raw) -> "ScoreTable":
         """Table with ``normalize``d scores; all-zero raw scores stay zero.

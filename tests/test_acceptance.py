@@ -21,19 +21,20 @@ from pira.oracle import expected_scores
 from pira.scenarios import (
     ScenarioKind,
     ScenarioSpec,
+    evaluate_assertions,
     generate,
-    measure_scores,
 )
 from pira.walk import ScoreTable
 
 from conftest import ACCEPTANCE_SEED, ACCEPTANCE_STEPS, FIXTURE_BUILDERS
 
-MATRIX_SCENARIOS = (
-    ScenarioKind.PAPER_QUALITY,
-    ScenarioKind.COAUTHOR_COUNT,
-    ScenarioKind.CITING_QUALITY,
-    ScenarioKind.SELF_CITATION,
-)
+# the paper's comparison matrix: which measures order each scenario's pair
+MATRIX_ROWS = {
+    ScenarioKind.PAPER_QUALITY: {"pub": False, "cit": True, "pr_a": True, "pira": True},
+    ScenarioKind.COAUTHOR_COUNT: {"pub": False, "cit": False, "pr_a": True, "pira": True},
+    ScenarioKind.CITING_QUALITY: {"pub": False, "cit": False, "pr_a": False, "pira": True},
+    ScenarioKind.SELF_CITATION: {"pub": False, "cit": False, "pr_a": True, "pira": True},
+}
 
 
 def test_criterion_1_oracle_agreement(fixture_graphs, mc_scores):
@@ -79,20 +80,23 @@ def test_criterion_3_scale_invariance(fixture_graphs):
 
 def test_criterion_4_comparison_matrix():
     """Each generated scenario reproduces its row of the measure matrix:
-    'no' measures leave the designated pair unseparated or inverted, 'yes'
-    measures order it correctly (the walk scored by the exact oracle)."""
-    for kind in MATRIX_SCENARIOS:
+    every assertion holds, and a measure separates the designated pair
+    exactly when its assertion is the pira one, (preferred, ">", other).
+    'no' measures leave the pair tied or inverted (the walk scored by the
+    exact oracle)."""
+    for kind, row in MATRIX_ROWS.items():
         scenario = generate(ScenarioSpec(kind), padding=20)
-        assert scenario.separates is not None
-        for measure, should_separate in scenario.separates.items():
-            scores = measure_scores(scenario.graph, measure).by_ext_id()
-            preferred = scores[scenario.preferred]
-            other = scores[scenario.other]
-            tolerance = 1e-9 * max(abs(preferred), abs(other), 1e-300)
-            if should_separate:
-                assert preferred - other > tolerance, (kind, measure)
-            else:
-                assert preferred <= other + tolerance, (kind, measure)
+        results = evaluate_assertions(scenario.graph, scenario.assertions)
+        assert [r.assertion for r in results if not r.passed] == [], kind
+        by_measure = {r.assertion.measure: r.assertion for r in results}
+        assert sorted(by_measure) == sorted(row) and len(results) == len(row), kind
+        pair = by_measure["pira"]
+        assert pair.relation == ">", kind
+        for measure, should_separate in row.items():
+            a = by_measure[measure]
+            assert {a.node_a, a.node_b} == {pair.node_a, pair.node_b}, (kind, measure)
+            separates = (a.node_a, a.relation, a.node_b) == (pair.node_a, ">", pair.node_b)
+            assert separates == should_separate, (kind, measure)
 
 
 def test_criterion_5_citation_loop_trap():

@@ -213,33 +213,32 @@ def test_pr_p_citation_loop_dominates_paper_ranking():
 
 def test_author_graph_single_path():
     g = _graph_with_citations({"a": ["p"], "b": ["q"]}, [("p", "q")])
-    ag = build_author_graph(g)
+    m = build_author_graph(g)
     a, b = g.author_index["a"], g.author_index["b"]
-    assert ag.edges == {(a, b): pytest.approx(1.0)}
+    assert m.nnz == 1
+    assert m[a, b] == pytest.approx(1.0)
 
 
 def test_author_graph_split_across_cited_coauthors():
     g = _graph_with_citations(
         {"a": ["p"], "b": ["q"], "c": ["q"]}, [("p", "q")]
     )
-    ag = build_author_graph(g)
+    m = build_author_graph(g)
     a = g.author_index["a"]
-    assert ag.edges[(a, g.author_index["b"])] == pytest.approx(0.5)
-    assert ag.edges[(a, g.author_index["c"])] == pytest.approx(0.5)
+    assert m.nnz == 2
+    assert m[a, g.author_index["b"]] == pytest.approx(0.5)
+    assert m[a, g.author_index["c"]] == pytest.approx(0.5)
 
 
 def test_author_graph_empty_without_citations():
     g = _graph_with_citations({"a": ["p"], "b": ["q"]}, [])
-    assert build_author_graph(g).edges == {}
+    assert build_author_graph(g).nnz == 0
 
 
 def test_author_graph_row_sums_at_most_one():
     scenario = generate(ScenarioSpec(ScenarioKind.SELF_CITATION), padding=5)
     g = scenario.graph
-    ag = build_author_graph(g)
-    sums = np.zeros(g.n_authors)
-    for (a, _), w in ag.edges.items():
-        sums[a] += w
+    sums = np.asarray(build_author_graph(g).sum(axis=1)).ravel()
     assert np.all(sums <= 1.0 + 1e-12)
     # equality exactly when every paper of the author has a reference and
     # every cited paper has an author
@@ -257,7 +256,7 @@ def test_author_graph_row_sums_at_most_one():
 @given(small_graphs)
 def test_author_graph_is_substochastic_and_pr_a_a_distribution(draw):
     g = small_graph(draw)
-    m = build_author_graph(g).matrix
+    m = build_author_graph(g)
     assert m.shape == (g.n_authors, g.n_authors)
     assert (m.data >= 0).all()
     assert np.asarray(m.sum(axis=1)).max() <= 1.0 + 1e-12
@@ -296,7 +295,7 @@ def test_pr_a_down_weights_pure_self_citation():
 # --- factored PageRank ---------------------------------------------------------
 
 def _assert_pr_a_matches_formed_author_graph(g):
-    formed = pagerank(build_author_graph(g).matrix)
+    formed = pagerank(build_author_graph(g))
     assert pr_a(g) == pytest.approx(formed, rel=1e-12, abs=0)
 
 

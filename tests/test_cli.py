@@ -2,9 +2,10 @@ from pathlib import Path
 
 import pytest
 
-from pira import WalkMode, WalkParams, build_graph
+from pira import WalkMode, WalkParams, build_graph, cli
 from pira.analysis import all_authors, dblp_authors, dblp_papers, rank
 from pira.cli import main
+from pira.errors import ConvergenceError
 from pira.ingest import load_graph, save_graph
 from pira.oracle import expected_scores
 
@@ -217,6 +218,43 @@ def test_compare_ranking_listing_a_node_twice_is_an_input_error(tmp_path, capsys
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{dup}:2: node 'a' already listed at line 1" in captured.err
+
+
+@pytest.mark.parametrize("command", [
+    ["rank", "{ds}", "--method", "pub", "--out", "{missing}/r.tsv"],
+    ["compare", "{ranking}", "{ranking}", "--curve", "50", "--out", "{missing}/c.csv"],
+    ["inspect", "{ds}", "a:alice", "--dot", "{missing}/n.dot"],
+    ["ingest", "{ds}", "--idmap", "{missing}/idmap.tsv"],
+], ids=["rank", "compare", "inspect", "ingest"])
+def test_a_write_into_a_missing_directory_is_an_io_failure(dataset, tmp_path, capsys, command):
+    ranking = tmp_path / "r.tsv"
+    assert main(["rank", str(dataset), "--method", "pub", "--out", str(ranking)]) == 0
+    paths = {"ds": dataset, "ranking": ranking, "missing": tmp_path / "missing"}
+    assert main([arg.format(**paths) for arg in command]) == 3
+    assert "missing" in capsys.readouterr().err
+
+
+def test_stats_out_onto_a_file_is_an_io_failure(dataset, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["stats", str(dataset), "--out", str(taken)]) == 3
+
+
+def test_compare_missing_ranking_file_is_an_input_error(tmp_path, capsys):
+    r = tmp_path / "one.tsv"
+    r.write_text("1\tx\t1.000000\n", encoding="utf-8")
+    for missing in (tmp_path / "absent.tsv", tmp_path):  # no file, a directory
+        assert main(["compare", str(r), str(missing), "--curve", "10"]) == 2
+        assert capsys.readouterr().err == f"error: missing ranking file {missing}\n"
+
+
+def test_solver_non_convergence_exits_4(dataset, capsys, monkeypatch):
+    def stall(graph, params):
+        raise ConvergenceError("power iteration did not reach tol", residual=1.0)
+
+    monkeypatch.setattr(cli, "expected_scores", stall)
+    assert main(["rank", str(dataset), "--method", "oracle"]) == 4
+    assert capsys.readouterr().err == "error: power iteration did not reach tol\n"
 
 
 def test_inspect_radius_zero(dataset, capsys):

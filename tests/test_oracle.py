@@ -396,3 +396,44 @@ def test_link_is_the_sum_of_the_class_matrices():
             total = ts.wrote_m + ts.cite_m + ts.iswb_m
             assert np.array_equal(ts.link.toarray(), total.toarray())
             assert ts.link.nnz == total.nnz
+
+
+# --- df = 0: periodic and reducible chains --------------------------------------
+
+UNIT = dict(cite_weight=1, wrote_weight=1, iswb_weight=1, restarting_weight=1)
+
+
+def test_oracle_gives_the_literal_double_count_exactly_at_df_zero():
+    # theta 0 and df 0 make the pair graph's chain periodic: author -> paper
+    # -> author, and in literal mode author -> paper -> its copy -> author
+    base = WalkParams(damping_df=0.0, theta=0.0, **UNIT)
+    for mode, papers_per_author in ((WalkMode.LITERAL, 2.0), (WalkMode.INTERPRETED, 1.0)):
+        start = time.perf_counter()
+        raw = expected_scores(pair_graph(), replace(base, mode=mode)).raw
+        assert time.perf_counter() - start < 1.0, mode
+        assert raw[1:].sum() / raw[0] == pytest.approx(papers_per_author, abs=1e-9), mode
+
+
+def test_oracle_at_df_zero_follows_the_walks_start_law_on_two_components():
+    # two closed components without dead ends: at df 0 a walk never leaves
+    # the one it starts in, and restarts enter at the three authors only,
+    # so the first component (one author) gets a third of the arrivals
+    g = build_graph(
+        authors=[("a0", "A0", True), ("b0", "B0", True), ("b1", "B1", True)],
+        papers=[(p, p.upper(), True) for p in ("p0", "p1", "q0", "q1", "q2")],
+        wrote=[("a0", "p0"), ("a0", "p1"), ("b0", "q0"), ("b0", "q1"), ("b1", "q1"),
+               ("b1", "q2")],
+        cites=[("p0", "p1"), ("p1", "p0"), ("q0", "q1"), ("q1", "q2"), ("q2", "q0")],
+    )
+    first = [g.author_index["a0"], g.n_authors + g.paper_index["p0"],
+             g.n_authors + g.paper_index["p1"]]
+    for mode in WalkMode:
+        params = WalkParams(damping_df=0.0, restart_author_prob=1.0, mode=mode, **UNIT)
+        ts = build_transition_system(g, params)
+        lazy = (dense_chain(ts) + np.eye(len(ts.restart_dist))) / 2
+        limit = ts.restart_dist @ np.linalg.matrix_power(lazy, 1 << 20)
+        if mode is WalkMode.LITERAL:  # the copies' arrivals count for their papers
+            limit[g.n_authors:g.n_nodes] += limit[g.n_nodes:]
+        raw = expected_scores(g, params).raw
+        assert raw == pytest.approx(limit[:g.n_nodes], abs=1e-9), mode
+        assert raw[first].sum() == pytest.approx(1 / 3, abs=1e-9), mode

@@ -118,6 +118,10 @@ def test_assertion_tsv_round_trip():
     text = assertions_to_tsv(scenario.assertions)
     assert assertions_from_tsv(text) == scenario.assertions
     assert text.splitlines()[0].count("\t") == 3
+    # ids holding characters that str.splitlines takes for line breaks
+    odd = tuple(Assertion("pira", f"a{c}1", ">", f"b{c}2")
+                for c in ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"))
+    assert assertions_from_tsv(assertions_to_tsv(odd)) == odd
 
 
 def test_scenarios_round_trip_through_tsv(tmp_path):

@@ -77,9 +77,9 @@ def test_score_table_normalization_and_ext_id_lookup():
                     wrote=[("x", "x")])
     table = ScoreTable.over_all(g, [1.0, 3.0])
     assert table.normalized.tolist() == normalize([1.0, 3.0]).tolist()
-    with pytest.raises(ValueError, match="'x'"):
-        table.by_ext_id()
-    assert ScoreTable.over_papers(g, [2.0]).by_ext_id() == {"x": 1.0}
+    assert list(table.ext_ids) == ["x", "x"]
+    papers = ScoreTable.over_papers(g, [2.0])
+    assert (list(papers.ext_ids), papers.normalized.tolist()) == (["x"], [1.0])
     # all-zero baseline vectors give all-zero tables instead of raising
     assert ScoreTable.over_authors(g, h_index(g)).normalized.tolist() == [0.0]
 
