@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ParseError
-from .graph import CitationGraph, NodeKind, edge_columns
+from .graph import CitationGraph, NodeKind, edge_columns, gather
 from .walk import ScoreTable
 
 
@@ -280,29 +280,35 @@ def _dot_escape(text: str) -> str:
 
 def export_dot(graph: CitationGraph, scores: Optional[ScoreTable] = None) -> str:
     """Graphviz text for a (sub)graph: authors as ellipses, papers as boxes,
-    wrote edges undirected, cite edges directed.  Output is byte-stable."""
+    wrote edges undirected, cite edges directed.  Output is byte-stable.
+
+    Ids and names are escaped once per node.  The node lines ``gather`` the
+    escaped columns in id order (``author_id_order`` / ``paper_id_order``),
+    the edge lines take ``edge_columns`` of the escaped ids, and each group
+    of lines is one f-string comprehension over those columns.
+    """
     score_by_key: dict[tuple[int, str], float] = {}
     if scores is not None:
         score_by_key = dict(zip(zip(scores.kinds.tolist(), scores.ext_ids),
                                 scores.normalized.tolist()))
 
     lines = ["digraph citations {"]
-    quoted: dict[NodeKind, list[str]] = {}  # per kind, by index: the quoted, escaped id
+    escaped: dict[NodeKind, list[str]] = {}  # per kind, by index: the escaped id
     for kind, prefix, shape, ext_ids, labels, order in (
         (NodeKind.AUTHOR, "a", "ellipse", graph.author_ext_ids, graph.author_names,
          graph.author_id_order),
         (NodeKind.PAPER, "p", "box", graph.paper_ext_ids, graph.paper_titles,
          graph.paper_id_order),
     ):
-        escaped = list(map(_dot_escape, ext_ids))
-        quoted[kind] = [f'"{prefix}:{e}"' for e in escaped]
-        for i in order.tolist():
-            label = f"{escaped[i]}\\n{_dot_escape(labels[i])}"
-            if (kind, ext_ids[i]) in score_by_key:
-                label += f"\\n{score_by_key[kind, ext_ids[i]]:.6f}"
-            lines.append(f'  {quoted[kind][i]} [shape={shape}, label="{label}"];')
-    wrote, cites = edge_columns(graph, quoted[NodeKind.AUTHOR], quoted[NodeKind.PAPER])
-    lines += [f"  {a} -> {p} [dir=none];" for a, p in zip(*wrote)]
-    lines += [f"  {s} -> {d};" for s, d in zip(*cites)]
+        escaped[kind] = list(map(_dot_escape, ext_ids))
+        ids = gather(ext_ids, order)
+        suffixes = [f"\\n{score_by_key[kind, e]:.6f}" if (kind, e) in score_by_key else ""
+                    for e in ids] if score_by_key else [""] * len(ids)
+        lines += [f'  "{prefix}:{e}" [shape={shape}, label="{e}\\n{label}{suffix}"];'
+                  for e, label, suffix in zip(gather(escaped[kind], order),
+                                              map(_dot_escape, gather(labels, order)), suffixes)]
+    wrote, cites = edge_columns(graph, escaped[NodeKind.AUTHOR], escaped[NodeKind.PAPER])
+    lines += [f'  "a:{a}" -> "p:{p}" [dir=none];' for a, p in zip(*wrote)]
+    lines += [f'  "p:{s}" -> "p:{d}";' for s, d in zip(*cites)]
     lines.append("}")
     return "\n".join(lines) + "\n"

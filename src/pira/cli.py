@@ -143,7 +143,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for f in (args.rank_a, args.rank_b):
         if not Path(f).is_file():
             raise MissingFileError(f"missing ranking file {f}", path=f)
-    r_a, r_b = (Ranking.from_tsv(Path(f).read_text(encoding="utf-8"), source=f)
+    r_a, r_b = (Ranking.from_tsv(Path(f).read_text(encoding="utf-8-sig"), source=f)
                 for f in (args.rank_a, args.rank_b))
     if args.curve:
         try:

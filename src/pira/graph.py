@@ -225,6 +225,12 @@ def _ranks(order: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def gather(column: Sequence[str], indices: np.ndarray) -> list[str]:
+    """``[column[i] for i in indices]``, as one numpy gather over an object
+    array view of `column`."""
+    return np.array(column, dtype=object)[indices].tolist()
+
+
 def edge_columns(graph: CitationGraph, author_col: Sequence[str],
                  paper_col: Sequence[str]) -> tuple[EdgeColumns, EdgeColumns]:
     """The wrote and the cite edges sorted by (source id, target id), each
@@ -234,7 +240,8 @@ def edge_columns(graph: CitationGraph, author_col: Sequence[str],
     Ids are distinct within a kind, so an edge's place in that order is its
     integer key ``source rank * n_papers + target rank``, a node's rank
     being its place in ``author_id_order`` / ``paper_id_order``.  The keys
-    are sorted and split back into ranks.
+    are sorted and split back into ranks, and each endpoint column is one
+    ``gather`` of the given column at the node indices of those ranks.
     """
     n_p, paper_order = graph.n_papers, graph.paper_id_order
     paper_rank = _ranks(paper_order)
@@ -244,8 +251,8 @@ def edge_columns(graph: CitationGraph, author_col: Sequence[str],
         rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
         keys = np.sort(_ranks(source_order)[rows] * n_p + paper_rank[m.indices])
         source, target = np.divmod(keys, max(n_p, 1))
-        return EdgeColumns(list(map(source_col.__getitem__, source_order[source].tolist())),
-                           list(map(paper_col.__getitem__, paper_order[target].tolist())))
+        return EdgeColumns(gather(source_col, source_order[source]),
+                           gather(paper_col, paper_order[target]))
 
     return (columns(graph.wrote, author_col, graph.author_id_order),
             columns(graph.cite, paper_col, paper_order))
@@ -271,6 +278,10 @@ def _checked_specs(specs: Iterable[NodeSpec], kind: str) -> list[tuple[str, str,
             raise GraphBuildError(
                 f"{kind} {ext!r} ({label!r}): ids and names may not contain tabs or line breaks"
             )
+        if ext.startswith("\ufeff"):  # a saved file may begin with the id
+            raise GraphBuildError(
+                f"{kind} {ext!r}: ids may not start with U+FEFF, a file's byte-order mark"
+            )
         if ext in seen:
             raise GraphBuildError(f"duplicate {kind} id {ext!r}")
         seen.add(ext)
@@ -281,10 +292,13 @@ def _checked_specs(specs: Iterable[NodeSpec], kind: str) -> list[tuple[str, str,
 def _clean(ext_ids: Sequence[str], names: Sequence[str]) -> bool:
     """True when every id and name is a non-empty str without a tab or a
     line break (the TSV separators; text mode reads a bare \\r as a line
-    break)."""
+    break) and no id starts with U+FEFF (read as a byte-order mark at the
+    start of a file)."""
     try:
         text = "".join(ext_ids) + "".join(names)
     except TypeError:
+        return False
+    if "\ufeff" in text and any(e.startswith("\ufeff") for e in ext_ids):
         return False
     return not ("" in ext_ids or "" in names or "\t" in text or "\n" in text or "\r" in text)
 
@@ -420,9 +434,10 @@ def build_graph(
     EdgeColumns.  Duplicate edges and self-citations are dropped (counted in
     the report); an edge endpoint that names no node raises
     DanglingEdgeError, a GraphBuildError, as does an empty or repeated id,
-    an empty name, and an id, name or title containing a tab or line break
-    (the TSV separators).  Authors without papers and papers without
-    authors are permitted and flagged.
+    an empty name, an id, name or title containing a tab or line break
+    (the TSV separators), and an id starting with U+FEFF (a saved file
+    starting with it would load without it, as a byte-order mark).  Authors
+    without papers and papers without authors are permitted and flagged.
     """
     a_nodes = _node_columns(authors, "author")
     p_nodes = _node_columns(papers, "paper")

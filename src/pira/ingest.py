@@ -7,17 +7,19 @@ A dataset directory holds four UTF-8 tab-separated files without headers:
 * ``wrote.tsv``:   author_id, paper_id
 * ``cites.tsv``:   citing_paper_id, cited_paper_id
 
-Ids are arbitrary non-empty strings without tabs or newlines.  Blank lines
-are skipped (they still count in error line numbers), and ``\r\n`` and a
-bare ``\r`` end a line like ``\n``.  Each file is read once and checked as a
-whole: one pass over its UTF-8 bytes finds every tab and line end and
-checks each line's field count and its two leading fields at once, then
-one split makes the columns.  Only when that check fails is the file
+Ids are arbitrary non-empty strings without tabs or newlines.  A leading
+UTF-8 byte-order mark is dropped; a U+FEFF anywhere else is content.  Blank
+lines are skipped (they still count in error line numbers), and ``\r\n``
+and a bare ``\r`` end a line like ``\n``.  Each file is read once and
+checked as a whole: one pass over its UTF-8 bytes finds every tab and line
+end and checks each line's field count and its two leading fields at once,
+then one split makes the columns.  Only when that check fails is the file
 looked at line by line, to name the first bad line; a file that is not
 valid UTF-8 is reported at the line of its first bad byte.  Edge ids are
 checked once, by ``build_graph``'s index lookup, and an unknown one becomes
 a ParseError naming its file and line.  Saving sorts every file, so load ->
-save is a fixed point of the serialization.
+save is a fixed point of the serialization; each file is written from whole
+id-ordered columns (``save_graph``).
 
 Merge suggestions flag author pairs whose names are initial-compatible
 (same last token, every leading token of the shorter name a prefix of its
@@ -37,13 +39,14 @@ import re
 from dataclasses import asdict, dataclass, fields
 from itertools import islice
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import DanglingEdgeError, MissingFileError, ParseError
 from .graph import (CitationGraph, EdgeColumns, NodeColumns, NodeId, author_id, build_graph,
-                    edge_columns)
+                    edge_columns, gather)
 
 AUTHORS_FILE = "authors.tsv"
 PAPERS_FILE = "papers.tsv"
@@ -155,7 +158,8 @@ def _read_table(path: Path, n_cols: int) -> _Table:
         raise MissingFileError(f"missing dataset file {path.name} in {path.parent}",
                                path=str(path))
     try:
-        with open(path, encoding="utf-8") as fh:
+        # utf-8-sig drops a leading byte-order mark; a U+FEFF elsewhere stays
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()  # text mode reads \r\n and a bare \r as \n
     except UnicodeDecodeError:
         raise _decode_error(path) from None
@@ -205,32 +209,43 @@ def load_graph(directory: str | Path) -> tuple[CitationGraph, LoadReport]:
     return graph, report
 
 
+def _write_rows(path: Path, columns: Sequence[Sequence[str]]) -> None:
+    """Write one line per row of the parallel `columns`, fields joined by
+    tabs; no rows make an empty file."""
+    text = "\n".join(map("\t".join, zip(*columns)))
+    path.write_text(text + "\n" if text else "", encoding="utf-8")
+
+
 def save_graph(graph: CitationGraph, directory: str | Path) -> None:
-    """Write the four dataset files, each sorted, to `directory`."""
+    """Write the four dataset files, each sorted, to `directory`.
+
+    Each file is built from whole columns in id order: the node files
+    ``gather`` id, name and flag at ``author_id_order`` /
+    ``paper_id_order``, the edge files take ``edge_columns`` of the ids, and
+    each file's lines are one join of its rows.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    wrote, cites = edge_columns(graph, graph.author_ext_ids, graph.paper_ext_ids)
     for name, ext_ids, labels, flags, order in (
         (AUTHORS_FILE, graph.author_ext_ids, graph.author_names, graph.author_in_dblp,
          graph.author_id_order),
         (PAPERS_FILE, graph.paper_ext_ids, graph.paper_titles, graph.paper_in_dblp,
          graph.paper_id_order),
     ):
-        flag_of = flags.view(np.uint8).tolist()
-        (directory / name).write_text(
-            "".join(f"{ext_ids[i]}\t{labels[i]}\t{flag_of[i]}\n" for i in order.tolist()),
-            encoding="utf-8",
-        )
-    (directory / WROTE_FILE).write_text(
-        "".join([f"{a}\t{p}\n" for a, p in zip(*wrote)]), encoding="utf-8"
-    )
-    (directory / CITES_FILE).write_text(
-        "".join([f"{s}\t{d}\n" for s, d in zip(*cites)]), encoding="utf-8"
-    )
+        flag_text = gather(("0", "1"), flags[order].view(np.uint8))
+        _write_rows(directory / name,
+                    (gather(ext_ids, order), gather(labels, order), flag_text))
+    wrote, cites = edge_columns(graph, graph.author_ext_ids, graph.paper_ext_ids)
+    _write_rows(directory / WROTE_FILE, wrote)
+    _write_rows(directory / CITES_FILE, cites)
 
 
 def write_idmap(graph: CitationGraph, path: str | Path) -> None:
-    """Write the external-id to dense-index mapping: kind, ext_id, index."""
+    """Write the external-id to dense-index mapping: kind, ext_id, index.
+
+    Authors, then papers, each in index order, so nothing is gathered:
+    one f-string per line over the id columns, joined once.
+    """
     lines = [f"author\t{e}\t{i}\n" for i, e in enumerate(graph.author_ext_ids)]
     lines += [f"paper\t{e}\t{i}\n" for i, e in enumerate(graph.paper_ext_ids)]
     Path(path).write_text("".join(lines), encoding="utf-8")

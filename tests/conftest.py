@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from pira import WalkParams, build_graph, pira_rank
+from pira import EdgeColumns, NodeKind, ScoreTable, WalkParams, build_graph, pira_rank
 from pira.graph import CitationGraph
 
 
@@ -156,6 +156,72 @@ def small_graph(draw) -> CitationGraph:
                        [(f"p{i}", "P", True) for i in range(n_p)],
                        [(f"a{a}", f"p{p}") for a, p in wrote],
                        [(f"p{s}", f"p{d}") for s, d in cites])
+
+
+# --- per-line reference writers ---------------------------------------------
+# Each builds its text one line, and one id lookup, at a time, ordering rows
+# with Python's sorted() on the ids; the library's writers must match them.
+
+def reference_edge_columns(graph: CitationGraph, author_col, paper_col):
+    """Each edge matrix's (source, target) pairs sorted by (source id,
+    target id), every endpoint looked up in its column one at a time."""
+    out = []
+    for m, source_ids, source_col in ((graph.wrote, graph.author_ext_ids, author_col),
+                                      (graph.cite, graph.paper_ext_ids, paper_col)):
+        coo = m.tocoo()
+        pairs = sorted(zip(coo.row.tolist(), coo.col.tolist()),
+                       key=lambda e: (source_ids[e[0]], graph.paper_ext_ids[e[1]]))
+        out.append(EdgeColumns([source_col[s] for s, _ in pairs],
+                               [paper_col[d] for _, d in pairs]))
+    return tuple(out)
+
+
+def reference_files(graph: CitationGraph) -> dict[str, str]:
+    """The four dataset files, one f-string per line."""
+    files = {}
+    for name, ids, labels, flags in (
+        ("authors.tsv", graph.author_ext_ids, graph.author_names, graph.author_in_dblp),
+        ("papers.tsv", graph.paper_ext_ids, graph.paper_titles, graph.paper_in_dblp),
+    ):
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        files[name] = "".join(f"{ids[i]}\t{labels[i]}\t{int(flags[i])}\n" for i in order)
+    wrote, cites = reference_edge_columns(graph, graph.author_ext_ids, graph.paper_ext_ids)
+    files["wrote.tsv"] = "".join(f"{a}\t{p}\n" for a, p in zip(*wrote))
+    files["cites.tsv"] = "".join(f"{s}\t{d}\n" for s, d in zip(*cites))
+    return files
+
+
+def reference_idmap(graph: CitationGraph) -> str:
+    lines = [f"author\t{e}\t{i}\n" for i, e in enumerate(graph.author_ext_ids)]
+    lines += [f"paper\t{e}\t{i}\n" for i, e in enumerate(graph.paper_ext_ids)]
+    return "".join(lines)
+
+
+def _esc(text: str) -> str:
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
+def reference_dot(graph: CitationGraph, scores: ScoreTable | None) -> str:
+    """The DOT text, one f-string and one score lookup per node and edge."""
+    score_by_key = {}
+    if scores is not None:
+        score_by_key = dict(zip(zip(scores.kinds.tolist(), scores.ext_ids),
+                                scores.normalized.tolist()))
+    lines = ["digraph citations {"]
+    for kind, prefix, shape, ids, labels in (
+        (NodeKind.AUTHOR, "a", "ellipse", graph.author_ext_ids, graph.author_names),
+        (NodeKind.PAPER, "p", "box", graph.paper_ext_ids, graph.paper_titles),
+    ):
+        for i in sorted(range(len(ids)), key=ids.__getitem__):
+            label = f"{_esc(ids[i])}\\n{_esc(labels[i])}"
+            if (kind, ids[i]) in score_by_key:
+                label += f"\\n{score_by_key[kind, ids[i]]:.6f}"
+            lines.append(f'  "{prefix}:{_esc(ids[i])}" [shape={shape}, label="{label}"];')
+    wrote, cites = reference_edge_columns(graph, graph.author_ext_ids, graph.paper_ext_ids)
+    lines += [f'  "a:{_esc(a)}" -> "p:{_esc(p)}" [dir=none];' for a, p in zip(*wrote)]
+    lines += [f'  "p:{_esc(s)}" -> "p:{_esc(d)}";' for s, d in zip(*cites)]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 FIXTURE_BUILDERS = {

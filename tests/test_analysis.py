@@ -26,7 +26,7 @@ from pira.walk import ScoreTable
 from pira.graph import NodeKind
 from pira.ingest import load_graph, save_graph
 
-from conftest import mixed_graph, pair_graph, small_graphs
+from conftest import mixed_graph, pair_graph, reference_dot, reference_files, small_graphs
 
 
 def _table(pairs, dblp=None):
@@ -386,35 +386,6 @@ _odd_ids = st.text(st.sampled_from(["p", "1", "0", "\x01", "\x08", " ", '"', "\\
                                     "\x85", "\u2028", "\u2029"]), min_size=1, max_size=4)
 
 
-def _esc(text: str) -> str:
-    return text.replace("\\", "\\\\").replace('"', '\\"')
-
-
-def _sorted_reference(g) -> tuple[dict[str, str], str]:
-    """The four dataset files and the DOT text, each ordered by Python's
-    sorted() on the rows' ids."""
-    a_ext, p_ext = g.author_ext_ids, g.paper_ext_ids
-    w, c = g.wrote.tocoo(), g.cite.tocoo()
-    wrote = sorted((a_ext[a], p_ext[p]) for a, p in zip(w.row.tolist(), w.col.tolist()))
-    cites = sorted((p_ext[s], p_ext[d]) for s, d in zip(c.row.tolist(), c.col.tolist()))
-    authors = sorted(zip(a_ext, g.author_names, g.author_in_dblp.tolist()))
-    papers = sorted(zip(p_ext, g.paper_titles, g.paper_in_dblp.tolist()))
-    files = {
-        "authors.tsv": "".join(f"{e}\t{n}\t{int(f)}\n" for e, n, f in authors),
-        "papers.tsv": "".join(f"{e}\t{t}\t{int(f)}\n" for e, t, f in papers),
-        "wrote.tsv": "".join(f"{a}\t{p}\n" for a, p in wrote),
-        "cites.tsv": "".join(f"{s}\t{d}\n" for s, d in cites),
-    }
-    dot = ["digraph citations {"]
-    dot += [f'  "a:{_esc(e)}" [shape=ellipse, label="{_esc(e)}\\n{_esc(n)}"];'
-            for e, n, _ in authors]
-    dot += [f'  "p:{_esc(e)}" [shape=box, label="{_esc(e)}\\n{_esc(t)}"];'
-            for e, t, _ in papers]
-    dot += [f'  "a:{_esc(a)}" -> "p:{_esc(p)}" [dir=none];' for a, p in wrote]
-    dot += [f'  "p:{_esc(s)}" -> "p:{_esc(d)}";' for s, d in cites]
-    return files, "\n".join(dot + ["}"]) + "\n"
-
-
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(small_graphs, st.data())
 def test_rank_matches_a_sorted_reference_and_save_load_is_a_fixed_point(draw, data):
@@ -456,7 +427,7 @@ def test_rank_matches_a_sorted_reference_and_save_load_is_a_fixed_point(draw, da
     p_ids = data.draw(st.lists(_odd_ids, min_size=n_p, max_size=n_p, unique=True))
     odd_ids = graph(a_ids.__getitem__, p_ids.__getitem__)
     for saved in (g, reversed_ids, odd_ids):
-        files, dot = _sorted_reference(saved)
+        files, dot = reference_files(saved), reference_dot(saved, None)
         assert export_dot(saved) == dot
         with tempfile.TemporaryDirectory() as tmp:
             first, second = Path(tmp, "first"), Path(tmp, "second")

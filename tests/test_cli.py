@@ -153,6 +153,19 @@ def test_compare_curve_zero_for_same_file(dataset, tmp_path, capsys):
     assert all(line.endswith(",0.000000") for line in out[1:])
 
 
+def test_compare_reads_a_ranking_with_a_byte_order_mark_like_the_plain_one(
+        dataset, tmp_path, capsys):
+    plain, bom = tmp_path / "r.tsv", tmp_path / "bom.tsv"
+    assert main(["rank", str(dataset), "--method", "cit", "--out", str(plain)]) == 0
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    capsys.readouterr()
+    for mode in (["--curve", "10,50,100"], ["--scatter", "3"]):
+        assert main(["compare", str(plain), str(plain), *mode]) == 0
+        expected = capsys.readouterr().out
+        assert main(["compare", str(bom), str(plain), *mode]) == 0
+        assert capsys.readouterr().out == expected
+
+
 def test_compare_scatter_row_count(dataset, tmp_path, capsys):
     r1, r2 = tmp_path / "r1.tsv", tmp_path / "r2.tsv"
     assert main(["rank", str(dataset), "--method", "pub", "--out", str(r1)]) == 0

@@ -473,3 +473,13 @@ def test_matrix_graph_matches_a_plain_recount(draw):
     dot += [f'  "a:{a}" -> "p:{p}" [dir=none];' for a, p in wrote_ext]
     dot += [f'  "p:{s}" -> "p:{d}";' for s, d in cites_ext]
     assert export_dot(g) == "\n".join(dot + ["}"]) + "\n"
+
+
+def test_an_id_starting_with_a_byte_order_mark_is_rejected():
+    # a saved file that began with that id would load without its U+FEFF
+    for authors, papers in (([("\ufeffa0", "Name")], []), ([], [("\ufeffp0", "Title")])):
+        with pytest.raises(GraphBuildError, match="may not start with U\\+FEFF"):
+            build_graph(authors, papers)
+    # elsewhere in an id, and anywhere in a name, U+FEFF is text
+    g = build_graph([("a\ufeff0", "\ufeffName")], [("p0", "Title")], [("a\ufeff0", "p0")])
+    assert g.author_ext_ids == ("a\ufeff0",) and g.author_names == ("\ufeffName",)

@@ -634,3 +634,23 @@ def test_load_graph_equals_build_graph_on_random_datasets(dataset, newline):
     assert report.authors_without_papers == n_a - len({a for a, _ in wrote})
     assert report.papers_without_authors == n_p - len({p for _, p in wrote})
     assert all(type(i) is int for row in graph.cited_by for i in row)
+
+
+def test_a_leading_byte_order_mark_is_dropped_and_elsewhere_is_content(tmp_path):
+    plain = _write_dataset(
+        tmp_path / "plain",
+        authors=[("a0", "Ann", 1), ("a\ufeff1", "\ufeffBo", 0)],
+        papers=[("p0", "First", 1), ("p1", "Se\ufeffcond", 1)],
+        wrote=[("a0", "p0"), ("a\ufeff1", "p1")],
+        cites=[("p1", "p0")],
+    )
+    bom = tmp_path / "bom"
+    bom.mkdir()
+    for f in plain.iterdir():
+        (bom / f.name).write_bytes(b"\xef\xbb\xbf" + f.read_bytes())
+    graph, report = load_graph(bom)
+    assert (graph, report) == load_graph(plain)
+    assert graph.author_ext_ids == ("a0", "a\ufeff1") and graph.paper_titles[1] == "Se\ufeffcond"
+    save_graph(graph, tmp_path / "saved")
+    for name in ("authors.tsv", "papers.tsv", "wrote.tsv", "cites.tsv"):
+        assert (tmp_path / "saved" / name).read_bytes() == (plain / name).read_bytes()
