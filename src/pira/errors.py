@@ -25,6 +25,20 @@ class DanglingEdgeError(GraphBuildError):
         self.ext_id = ext_id
 
 
+class NodeSpecError(GraphBuildError):
+    """A node spec fails a check: an empty id or name, a tab or line break,
+    an id starting with U+FEFF, or an id listed twice.
+
+    Carries the node kind (``"author"`` or ``"paper"``) and the spec's
+    0-based position in its node list; for a repeated id, the later one.
+    """
+
+    def __init__(self, message: str, kind: str, position: int):
+        super().__init__(message)
+        self.kind = kind
+        self.position = position
+
+
 class DatasetError(PiraError):
     """Raised for dataset file problems. Carries the offending path and line."""
 

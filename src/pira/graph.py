@@ -42,7 +42,7 @@ from typing import Iterable, NamedTuple, Sequence, Union
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DanglingEdgeError, GraphBuildError
+from .errors import DanglingEdgeError, NodeSpecError
 
 
 class NodeKind(enum.IntEnum):
@@ -259,31 +259,32 @@ def edge_columns(graph: CitationGraph, author_col: Sequence[str],
 
 
 def _checked_specs(specs: Iterable[NodeSpec], kind: str) -> list[tuple[str, str, bool]]:
-    """The specs as (ext_id, name, flag) rows, checked one by one in order."""
+    """The specs as (ext_id, name, flag) rows, checked one by one in order;
+    the first bad spec raises NodeSpecError with its position."""
     out = []
     seen: set[str] = set()
-    for spec in specs:
+    for position, spec in enumerate(specs):
         if len(spec) == 2:
             ext, label = spec  # type: ignore[misc]
             flag = True
         else:
             ext, label, flag = spec  # type: ignore[misc]
         if not ext:
-            raise GraphBuildError(f"{kind} with empty id")
+            raise NodeSpecError(f"{kind} with empty id", kind, position)
         if not label:
-            raise GraphBuildError(f"{kind} {ext!r} has an empty name")
+            raise NodeSpecError(f"{kind} {ext!r} has an empty name", kind, position)
         # the TSV format's separators; text mode reads a bare \r as a line break
         text = ext + label
         if "\t" in text or "\n" in text or "\r" in text:
-            raise GraphBuildError(
-                f"{kind} {ext!r} ({label!r}): ids and names may not contain tabs or line breaks"
-            )
+            raise NodeSpecError(
+                f"{kind} {ext!r} ({label!r}): ids and names may not contain tabs or line breaks",
+                kind, position)
         if ext.startswith("\ufeff"):  # a saved file may begin with the id
-            raise GraphBuildError(
-                f"{kind} {ext!r}: ids may not start with U+FEFF, a file's byte-order mark"
-            )
+            raise NodeSpecError(
+                f"{kind} {ext!r}: ids may not start with U+FEFF, a file's byte-order mark",
+                kind, position)
         if ext in seen:
-            raise GraphBuildError(f"duplicate {kind} id {ext!r}")
+            raise NodeSpecError(f"duplicate {kind} id {ext!r}", kind, position)
         seen.add(ext)
         out.append((ext, label, bool(flag)))
     return out
@@ -433,10 +434,11 @@ def build_graph(
     NodeColumns per kind; edges are (source, target) pairs or one
     EdgeColumns.  Duplicate edges and self-citations are dropped (counted in
     the report); an edge endpoint that names no node raises
-    DanglingEdgeError, a GraphBuildError, as does an empty or repeated id,
-    an empty name, an id, name or title containing a tab or line break
-    (the TSV separators), and an id starting with U+FEFF (a saved file
-    starting with it would load without it, as a byte-order mark).  Authors
+    DanglingEdgeError, a GraphBuildError.  So does a bad node spec, as
+    NodeSpecError: an empty or repeated id, an empty name, an id, name or
+    title containing a tab or line break (the TSV separators), and an id
+    starting with U+FEFF (a saved file starting with it would load without
+    it, as a byte-order mark).  Authors
     without papers and papers without authors are permitted and flagged.
     """
     a_nodes = _node_columns(authors, "author")

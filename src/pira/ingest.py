@@ -44,7 +44,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DanglingEdgeError, MissingFileError, ParseError
+from .errors import DanglingEdgeError, MissingFileError, NodeSpecError, ParseError
 from .graph import (CitationGraph, EdgeColumns, NodeColumns, NodeId, author_id, build_graph,
                     edge_columns, gather)
 
@@ -197,6 +197,9 @@ def load_graph(directory: str | Path) -> tuple[CitationGraph, LoadReport]:
     except DanglingEdgeError as exc:
         table = wrote_t if exc.edges == "wrote" else cites_t
         raise table.error(exc.position, f"unknown {exc.kind} {exc.ext_id!r}") from None
+    except NodeSpecError as exc:
+        table = authors_t if exc.kind == "author" else papers_t
+        raise table.error(exc.position, str(exc)) from None
     report = LoadReport(
         authors=graph.n_authors,
         papers=graph.n_papers,

@@ -11,17 +11,20 @@ folds them.  At damping_df = 0 the chain may be periodic or reducible, so
 the oracle iterates the lazy chain (link + I) / 2 from the walk's start
 law instead; it has the same stationary laws (see ``expected_scores``).
 
-The transition matrix is held as three sparse class matrices (wrote, cite,
-isWrittenBy) plus two rank-1 restart components: reinitialization mass times
-the restart distribution, and fake-citation mass times the uniform paper
-distribution.  Rows sum to one.  The class matrices hold the table's link
-outcomes: the graph's one-hop matrices (``graph.hop_matrices``, one entry
-per edge of ``CitationGraph.wrote`` and ``cite``) scaled per row, plus, in
-literal mode, one cite entry per copy, so no dense matrix is built.
+The transition matrix is held as one sparse link matrix plus two rank-1
+restart components: reinitialization mass times the restart distribution,
+and fake-citation mass times the uniform paper distribution.  Rows sum to
+one.  The link matrix holds the table's link outcomes: the graph's one-hop
+matrices (``graph.hop_matrices``, one entry per edge of
+``CitationGraph.wrote`` and ``cite``) scaled per row, plus, in literal
+mode, one cite entry per copy, so no dense matrix is built.  It is made
+straight from the table's row-ordered entries, as CSR by per-row counts.
 
-The system's ``link`` (the three classes summed) and the class matrices
-are each made straight from the table's row-ordered entries, as CSR by
-per-row counts.
+A link's edge class follows from its endpoints: wrote from an author row,
+isWrittenBy into an author column, cite otherwise (paper to paper, and in
+literal mode paper to its copy).  So ``class_inflows`` splits the arrivals
+of any per-state weights by class with one product of the link's
+transpose, and no matrix per class is built.
 
 ``stationary_distribution`` is the package's one power-iteration solver and
 its one chain check: the PageRank baselines run through it too, with
@@ -35,15 +38,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConvergenceError
-from .graph import CitationGraph
-from .walk import (CITE, FAKE, ISWB, RESTART, WROTE, ScoreTable, WalkParams, fold_copies,
-                   outcome_table, restart_author_share, score_arrivals)
+from .graph import CitationGraph, _read_only
+from .walk import (CITE, FAKE, ISWB, N_CLASSES, RESTART, WROTE, ScoreTable, WalkParams,
+                   fold_copies, outcome_table, restart_author_share, score_arrivals)
 
 DEFAULT_TOL = 1e-12
 MAX_ITERATIONS = 10**6
@@ -51,21 +55,22 @@ MAX_ITERATIONS = 10**6
 
 @dataclass(frozen=True, eq=False)  # holds arrays; compare by identity
 class TransitionSystem:
-    """Row-stochastic transition structure of the walk, by c-weight class.
+    """Row-stochastic transition structure of the walk: one link matrix and
+    two rank-one jumps.
 
     States are the outcome table's: authors [0, A), papers [A, A+P) and, in
     literal mode only, one pending-isWrittenBy copy per paper [A+P, A+2P).
-    A literal paper's move to its own copy is a cite entry, and the copy's
-    moves to the paper's authors are isWrittenBy entries.  Every other class
-    entry is an entry of the graph's hop matrices (``graph.hop_matrices``)
-    times its row's share of that hop.  For each row the class matrices plus
-    ``init_mass * restart_dist + fake_mass * paper_dist`` sum to one.
+    A literal paper's move to its own copy is a link entry; every other
+    link entry is an entry of the graph's hop matrices
+    (``graph.hop_matrices``) times its row's share of that hop.  For each
+    row ``link`` plus ``init_mass * restart_dist + fake_mass * paper_dist``
+    sums to one.  An entry's edge class follows from its endpoints (see
+    ``class_inflows``); ``wrote_m``, ``cite_m`` and ``iswb_m`` are the link
+    split by class, built from ``link`` on first read.
     """
 
-    link: sp.csr_matrix       # sum of the three class matrices, in table order
-    wrote_m: sp.csr_matrix    # author rows -> paper columns
-    cite_m: sp.csr_matrix     # paper rows -> paper (and literal copy) columns
-    iswb_m: sp.csr_matrix     # paper (literal: copy) rows -> author columns
+    n_authors: int
+    link: sp.csr_matrix       # every link outcome, in table order
     init_mass: np.ndarray     # per-row mass sent through the restart distribution
     fake_mass: np.ndarray     # per-row mass sent to a uniformly random paper
     restart_dist: np.ndarray  # distribution over the nodes, zero on the copies
@@ -76,14 +81,36 @@ class TransitionSystem:
         """Rank-one terms (per-row mass, landing distribution) of the chain."""
         return ((self.init_mass, self.restart_dist), (self.fake_mass, self.paper_dist))
 
+    @cached_property
+    def wrote_m(self) -> sp.csr_matrix:  # author rows -> paper columns
+        return self._links_of(WROTE)
+
+    @cached_property
+    def cite_m(self) -> sp.csr_matrix:  # paper rows -> paper (and literal copy) columns
+        return self._links_of(CITE)
+
+    @cached_property
+    def iswb_m(self) -> sp.csr_matrix:  # paper (literal: copy) rows -> author columns
+        return self._links_of(ISWB)
+
+    def _links_of(self, c: int) -> sp.csr_matrix:
+        """The link entries of edge class `c`, read-only."""
+        link, n_a = self.link, self.n_authors
+        from_author = np.repeat(np.arange(link.shape[0]) < n_a, np.diff(link.indptr))
+        cls = np.where(from_author, WROTE, np.where(link.indices < n_a, ISWB, CITE))
+        kept = cls == c
+        indptr = np.concatenate(([0], np.cumsum(kept)))[link.indptr]
+        return _read_only(sp.csr_matrix((link.data[kept], link.indices[kept], indptr),
+                                        shape=link.shape))
+
 
 def build_transition_system(graph: CitationGraph, params: WalkParams) -> TransitionSystem:
     """Exact per-state transition probabilities of the walk, in either mode.
 
     The walk's outcome table without its entry row: link outcomes become the
-    link and class matrices, restart and fake outcomes the rank-one jumps.
-    The table lists each row's outcomes together, so each matrix keeps the
-    entries of one selection in table order and counts them per row.
+    link matrix, restart and fake outcomes the rank-one jumps.  The table
+    lists each row's outcomes together, so the link keeps its entries in
+    table order and counts them per row.
     """
     params.validate()
     if graph.n_nodes == 0:
@@ -94,10 +121,6 @@ def build_transition_system(graph: CitationGraph, params: WalkParams) -> Transit
     bounds = table.indptr[:s + 1]
     end = bounds[-1]
     target, cls, prob = table.target[:end], table.cls[:end], table.prob[:end]
-
-    def links(kept: np.ndarray) -> sp.csr_matrix:
-        indptr = np.concatenate(([0], np.cumsum(kept)))[bounds]
-        return sp.csr_matrix((prob[kept], target[kept], indptr), shape=(s, s))
 
     def mass(c: int) -> np.ndarray:
         m = cls == c  # at most one outcome of the class per row
@@ -110,11 +133,11 @@ def build_transition_system(graph: CitationGraph, params: WalkParams) -> Transit
     restart_dist[:n_a] = p_author / max(n_a, 1)
     restart_dist[n_a:n] = (1.0 - p_author) / max(n - n_a, 1)
     paper_dist[n_a:n] = 1.0 / max(n - n_a, 1)
+    kept = target >= 0  # the restart and fake sentinels are negative
+    indptr = np.concatenate(([0], np.cumsum(kept)))[bounds]
     return TransitionSystem(
-        link=links(target >= 0),  # the restart and fake sentinels are negative
-        wrote_m=links(cls == WROTE),
-        cite_m=links(cls == CITE),
-        iswb_m=links(cls == ISWB),
+        n_authors=n_a,
+        link=sp.csr_matrix((prob[kept], target[kept], indptr), shape=(s, s)),
         init_mass=mass(RESTART),
         fake_mass=mass(FAKE),
         restart_dist=restart_dist,
@@ -208,6 +231,32 @@ def _apply(pi: np.ndarray, factors_t, jumps) -> np.ndarray:
     return out
 
 
+def class_inflows(ts: TransitionSystem, weights) -> np.ndarray:
+    """Expected arrivals per state and edge class of one step taken from
+    per-state ``weights`` (non-negative; ``pi`` gives the stationary inflows).
+
+    Columns in class order: the restart and fake jumps' landings, then the
+    link arrivals, classed by their endpoints.  ``link.T`` times the weights
+    kept on author rows is wrote; times those kept on paper and copy rows,
+    it is isWrittenBy in the author columns and cite in the others.  Both
+    come from one product of ``link.T`` with a two-column matrix.
+    """
+    x = np.asarray(weights, dtype=float)
+    n_a, s = ts.n_authors, ts.link.shape[0]
+    if x.shape != (s,):
+        raise ValueError(f"weights must have one entry per state ({s}), got shape {x.shape}")
+    by_source = np.zeros((s, 2))
+    by_source[:n_a, 0], by_source[n_a:, 1] = x[:n_a], x[n_a:]
+    by_target = ts.link.T @ by_source
+    out = np.zeros((s, N_CLASSES))
+    for c, (mass, dist) in zip((RESTART, FAKE), ts.jumps):
+        out[:, c] = (x @ mass) * dist
+    out[:, WROTE] = by_target[:, 0]
+    out[:n_a, ISWB] = by_target[:n_a, 1]
+    out[n_a:, CITE] = by_target[n_a:, 1]
+    return out
+
+
 def expected_scores(
     graph: CitationGraph,
     params: WalkParams,
@@ -217,8 +266,9 @@ def expected_scores(
     """Expected per-arrival scores of the walk, in either mode, normalized to
     mean 1.0.
 
-    The stationary inflows per state and edge class, copies folded onto their
-    papers, are scored by ``walk.score_arrivals`` as the walk's counts are.
+    The stationary inflows per state and edge class (``class_inflows`` of
+    the transition system's ``pi``), copies folded onto their papers, are
+    scored by ``walk.score_arrivals`` as the walk's counts are.
     So ``raw`` is the limit of ``pira_rank(graph, params).raw / step_budget``
     for any c-weights, and sums to 1 when all four are equal.
     ``max_nodes``, when given, refuses larger graphs; by default any size is
@@ -240,7 +290,4 @@ def expected_scores(
         lazy = (ts.link + sp.identity(ts.link.shape[0], format="csr")) * 0.5
         pi = stationary_distribution(lazy, [(mass * 0.5, dist) for mass, dist in ts.jumps],
                                      tol=tol, start=ts.restart_dist)
-    # columns in class order: restart and fake jumps, then wrote, cite, isWrittenBy
-    arrivals = np.column_stack([(pi @ mass) * dist for mass, dist in ts.jumps]
-                               + [m.T @ pi for m in (ts.wrote_m, ts.cite_m, ts.iswb_m)])
-    return score_arrivals(graph, fold_copies(arrivals, graph), params)
+    return score_arrivals(graph, fold_copies(class_inflows(ts, pi), graph), params)

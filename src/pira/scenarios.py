@@ -380,15 +380,19 @@ def assertions_from_tsv(text: str) -> tuple[Assertion, ...]:
 
 # the measures that score papers; every other measure scores authors
 PAPER_MEASURES = frozenset({"pira_paper", "pr_p_paper"})
+# the measures read from the oracle's one solve of a graph
+PIRA_MEASURES = frozenset({"pira", "pira_paper"})
 
 
-def measure_scores(graph: CitationGraph, measure: str) -> ScoreTable:
+def measure_scores(graph: CitationGraph, measure: str,
+                   oracle_raw: np.ndarray | None = None) -> ScoreTable:
     """Score table for one measure name.
 
     ``pira_paper`` and ``pr_p_paper`` score the papers, every other measure
     the authors.  The PIRA measures are the exact stationary oracle's
     scores at the default walk parameters, at any size, renormalized over
-    their node kind.
+    their node kind; ``oracle_raw``, when given, is that oracle's ``raw``
+    for `graph`, so it is not solved again.
     """
     if measure == "pub":
         return ScoreTable.over_authors(graph, baselines.pub_count(graph))
@@ -402,11 +406,10 @@ def measure_scores(graph: CitationGraph, measure: str) -> ScoreTable:
         return ScoreTable.over_authors(graph, baselines.pr_p(graph))
     if measure == "pr_p_paper":
         return ScoreTable.over_papers(graph, baselines.paper_pagerank(graph))
-    if measure == "pira":
-        raw = expected_scores(graph, WalkParams()).raw
-        return ScoreTable.over_authors(graph, raw[:graph.n_authors])
-    if measure == "pira_paper":
-        raw = expected_scores(graph, WalkParams()).raw
+    if measure in PIRA_MEASURES:
+        raw = expected_scores(graph, WalkParams()).raw if oracle_raw is None else oracle_raw
+        if measure == "pira":
+            return ScoreTable.over_authors(graph, raw[:graph.n_authors])
         return ScoreTable.over_papers(graph, raw[graph.n_authors:])
     raise ValueError(f"unknown measure {measure!r}")
 
@@ -424,14 +427,18 @@ def evaluate_assertions(
 ) -> list[AssertionResult]:
     """Check each assertion against freshly computed measure scores.
 
-    A node that the assertion's measure does not score (see
+    Each measure is computed once, and the oracle is solved once for both
+    PIRA measures.  A node that the assertion's measure does not score (see
     ``measure_scores`` for the node kind of each) raises ValueError.
     """
     cache: dict[str, np.ndarray] = {}
+    oracle_raw = None
     results = []
     for a in assertions:
         if a.measure not in cache:
-            cache[a.measure] = measure_scores(graph, a.measure).normalized
+            if a.measure in PIRA_MEASURES and oracle_raw is None:
+                oracle_raw = expected_scores(graph, WalkParams()).raw
+            cache[a.measure] = measure_scores(graph, a.measure, oracle_raw).normalized
         scores = cache[a.measure]
         index = graph.paper_index if a.measure in PAPER_MEASURES else graph.author_index
         for node in (a.node_a, a.node_b):

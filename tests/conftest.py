@@ -20,7 +20,7 @@ def rows(m) -> tuple[tuple[int, ...], ...]:
 
 def dense_chain(ts) -> np.ndarray:
     """The transition matrix of an ``oracle.TransitionSystem``, materialized:
-    its three class matrices plus the rank-one jumps.  For small systems."""
+    its link matrix plus the rank-one jumps.  For small systems."""
     m = ts.link.toarray()
     for mass, dist in ts.jumps:
         m += np.outer(mass, dist)

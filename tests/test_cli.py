@@ -39,6 +39,19 @@ def test_ingest_invalid_utf8_is_an_input_error_naming_file_and_line(dataset, cap
     assert capsys.readouterr().err.startswith("error: papers.tsv:1: not valid UTF-8: byte 0xff")
 
 
+@pytest.mark.parametrize("second, message", [
+    ("a0\tAgain\t1", "authors.tsv:2: duplicate author id 'a0'"),
+    ("\ufeffa1\tBOM\t1", "authors.tsv:2: author '\\ufeffa1': ids may not start with U+FEFF, "
+                          "a file's byte-order mark"),
+], ids=["repeated_id", "bom_id"])
+def test_ingest_bad_node_row_is_an_input_error_naming_file_and_line(dataset, capsys, second,
+                                                                    message):
+    (dataset / "authors.tsv").write_text(f"a0\tAnn\t1\n{second}\n", encoding="utf-8")
+    (dataset / "wrote.tsv").write_text("", encoding="utf-8")
+    assert main(["ingest", str(dataset)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_ingest_reports_drops(tmp_path, capsys):
     d = tmp_path / "dup"
     d.mkdir()

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from pira import build_graph, neighborhood
 from pira.analysis import StatsReport, dataset_stats, export_dot
-from pira.errors import DanglingEdgeError, GraphBuildError
+from pira.errors import DanglingEdgeError, GraphBuildError, NodeSpecError
 from pira.graph import EdgeColumns, NodeId, NodeKind, author_id, hop_matrices, paper_id
 from pira.ingest import save_graph
 
@@ -369,6 +369,22 @@ def test_edge_columns_build_like_pairs_and_dangling_edges_say_where():
         build_graph(authors, papers, wrote, bad_cites)
     assert (err.value.edges, err.value.position) == ("cite", 4)
 
+
+
+@pytest.mark.parametrize("authors, papers, kind, position, match", [
+    ([("a0", "A"), ("a1", "B"), ("a0", "C")], [], "author", 2, "duplicate author id 'a0'"),
+    ([("a0", "A")], [("p0", "P"), ("\ufeffp1", "Q")], "paper", 1, "may not start with U\\+FEFF"),
+    ([("a0", "A"), ("a1", "")], [("p0", "")], "author", 1, "empty name"),
+    ([], [("p0", "P"), ("p1", "Q\tR")], "paper", 1, "tabs or line breaks"),
+    ([], [("p0", "P", True), ("", "Q", True)], "paper", 1, "paper with empty id"),
+], ids=["repeated", "bom", "empty_name", "tab", "empty_id"])
+def test_a_bad_node_spec_says_which(authors, papers, kind, position, match):
+    # a NodeSpecError is a GraphBuildError that names the spec's kind and
+    # position, which load_graph turns into a file and line
+    with pytest.raises(NodeSpecError, match=match) as err:
+        build_graph(authors, papers)
+    assert isinstance(err.value, GraphBuildError)
+    assert (err.value.kind, err.value.position) == (kind, position)
 
 # --- the matrix-backed graph against a plain-Python recount --------------------
 

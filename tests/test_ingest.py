@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from pira import build_graph
 from pira.analysis import dataset_stats
-from pira.errors import GraphBuildError, MissingFileError, ParseError
+from pira.errors import MissingFileError, ParseError
 from pira.ingest import (
     MergeRule,
     _read_table,
@@ -472,12 +472,34 @@ def test_unknown_author_and_paper_on_one_line_names_the_author(tmp_path):
         load_graph(d)
 
 
-def test_duplicate_author_id_in_file_raises_graph_build_error(tmp_path):
+def test_duplicate_author_id_in_file_names_file_and_line(tmp_path):
     d = _small_dataset(tmp_path / "ds")
     (d / "authors.tsv").write_text("a1\tAnn One\t1\na2\tBo Two\t0\na1\tAnn Again\t1\n",
                                    encoding="utf-8")
-    with pytest.raises(GraphBuildError, match="duplicate author id 'a1'"):
+    with pytest.raises(ParseError, match=r"^authors\.tsv:3: duplicate author id 'a1'$") as err:
         load_graph(d)
+    assert (err.value.path, err.value.line) == (str(d / "authors.tsv"), 3)
+
+
+@pytest.mark.parametrize(
+    "name, text, expected",
+    [
+        ("papers.tsv", "p1\tFirst\t1\n\np2\tSecond\t0\np3\tThird\t1\n\np2\tAgain\t1\n",
+         r"papers\.tsv:6: duplicate paper id 'p2'"),
+        ("authors.tsv", "a1\tAnn One\t1\n\ufeffa2\tBo Two\t0\n",
+         r"authors\.tsv:2: author '\\ufeffa2': ids may not start with U\+FEFF"),
+        # a leading byte-order mark is dropped, so only the later id keeps its U+FEFF
+        ("papers.tsv", "\ufeffp1\tFirst\t1\np2\tSecond\t0\n\ufeffp3\tThird\t1\n",
+         r"papers\.tsv:3: paper '\\ufeffp3': ids may not start with U\+FEFF"),
+    ],
+    ids=["repeated_paper_after_blank_lines", "bom_author_id", "bom_paper_id_after_a_bom"],
+)
+def test_a_bad_node_row_names_file_and_line(tmp_path, name, text, expected):
+    d = _small_dataset(tmp_path / "ds")
+    (d / name).write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError, match=expected) as err:
+        load_graph(d)
+    assert (err.value.path, err.value.line) == (str(d / name), int(expected.split(":")[1]))
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "bare_cr"])

@@ -4,16 +4,22 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pira import WalkMode, WalkParams, build_graph, pira_rank
 from pira.errors import ConvergenceError
 from pira.oracle import (
     build_transition_system,
+    class_inflows,
     expected_scores,
     stationary_distribution,
 )
+from pira.walk import (CITE, FAKE, ISWB, N_CLASSES, RESTART, TO_FAKE, TO_RESTART, WROTE,
+                       outcome_table)
 
-from conftest import FIXTURE_BUILDERS, dense_chain, pair_graph, star_graph
+from conftest import (FIXTURE_BUILDERS, dense_chain, pair_graph, small_graph, small_graphs,
+                      star_graph)
 
 
 def _solve_stationary_directly(matrix: np.ndarray) -> np.ndarray:
@@ -389,13 +395,84 @@ def test_stationary_rejects_an_invalid_chain_at_once(link, jumps, match):
     assert time.perf_counter() - start < 0.5
 
 
-def test_link_is_the_sum_of_the_class_matrices():
-    for build in FIXTURE_BUILDERS.values():
+def _table_entries(graph, params):
+    """(row, target, class, probability) of each outcome of the walk's table,
+    the entry row left out, one entry at a time."""
+    t = outcome_table(graph, params)
+    return [(row, int(t.target[i]), int(t.cls[i]), float(t.prob[i]))
+            for row in range(t.n_states) for i in range(t.indptr[row], t.indptr[row + 1])]
+
+
+def _assert_link_classes_follow_the_endpoints(graph, params):
+    n_a = graph.n_authors
+    entries = _table_entries(graph, params)
+    for row, target, cls, _ in entries:
+        if target < 0:  # the restart and fake sentinels
+            assert cls == (RESTART if target == TO_RESTART else FAKE)
+        elif row < n_a:
+            assert cls == WROTE, (row, target)
+        else:
+            assert cls == (ISWB if target < n_a else CITE), (row, target)
+    # the class views of the link hold exactly the table's entries of their class
+    ts = build_transition_system(graph, params)
+    views = {WROTE: ts.wrote_m, CITE: ts.cite_m, ISWB: ts.iswb_m}
+    for cls, view in views.items():
+        coo = view.tocoo()
+        got = sorted(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()))
+        assert got == sorted((r, t, p) for r, t, c, p in entries if c == cls), cls
+        assert not view.data.flags.writeable
+    assert sum(view.nnz for view in views.values()) == ts.link.nnz
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_each_link_outcome_has_the_class_its_endpoints_imply(fixture_graphs, k):
+    for g in fixture_graphs.values():
         for mode in WalkMode:
-            ts = build_transition_system(build(), WalkParams(mode=mode))
-            total = ts.wrote_m + ts.cite_m + ts.iswb_m
-            assert np.array_equal(ts.link.toarray(), total.toarray())
-            assert ts.link.nnz == total.nnz
+            _assert_link_classes_follow_the_endpoints(
+                g, WalkParams(mode=mode, min_citation_count=k))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(small_graphs, st.sampled_from([0, 3]), st.sampled_from([0.0, 0.5, 1.0]),
+       st.sampled_from([0.0, 0.15, 1.0]), st.sampled_from(list(WalkMode)))
+def test_each_link_outcome_has_the_class_its_endpoints_imply_on_random_graphs(
+        draw, k, theta, df, mode):
+    params = WalkParams(min_citation_count=k, theta=theta, damping_df=df, mode=mode)
+    _assert_link_classes_follow_the_endpoints(small_graph(draw), params)
+
+
+def _dense_class_inflows(graph, params, ts, weights) -> np.ndarray:
+    """Arrivals per state and class of one step from `weights`, summed entry
+    by entry over the table's outcomes as classed by its ``cls`` column;
+    restart and fake outcomes land on ``ts``'s distributions."""
+    landing = {TO_RESTART: ts.restart_dist, TO_FAKE: ts.paper_dist}
+    out = np.zeros((len(weights), N_CLASSES))
+    for row, target, cls, p in _table_entries(graph, params):
+        if target < 0:
+            out[:, cls] += weights[row] * p * landing[target]
+        else:
+            out[target, cls] += weights[row] * p
+    return out
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_class_inflows_equal_a_dense_per_class_reference(fixture_graphs, k):
+    rng = np.random.default_rng(11)
+    for name, g in fixture_graphs.items():
+        for mode in WalkMode:
+            params = WalkParams(mode=mode, min_citation_count=k, theta=0.6, damping_df=0.2)
+            ts = build_transition_system(g, params)
+            pi = stationary_distribution(ts.link, ts.jumps)
+            n = ts.link.shape[0]
+            for x in (pi, rng.random(n), rng.integers(0, 50, n) * (rng.random(n) < 0.5)):
+                got = class_inflows(ts, x)
+                want = _dense_class_inflows(g, params, ts, x)
+                assert got.shape == (n, N_CLASSES)
+                assert np.abs(got - want).max() <= 1e-13 * x.sum(), (name, mode)
+                # every row sums to one, so one step conserves the weights
+                assert got.sum() == pytest.approx(x.sum(), rel=1e-12), (name, mode)
+            with pytest.raises(ValueError, match="one entry per state"):
+                class_inflows(ts, np.ones(n + 1))
 
 
 # --- df = 0: periodic and reducible chains --------------------------------------

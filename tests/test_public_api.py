@@ -1,10 +1,15 @@
-"""The names other code reaches pira by: the package exports and the
-functions the traced benchmark run wraps (``bench/workloads.py``)."""
+"""The names other code reaches pira by: the package exports, the
+functions the traced benchmark run wraps (``bench/workloads.py``) and the
+members its counters read."""
 
 import sys
 from pathlib import Path
 
+import pytest
+
 import pira
+from pira import WalkMode, WalkParams, oracle
+from pira.scenarios import ScenarioKind, ScenarioSpec, generate
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
@@ -30,3 +35,14 @@ def test_the_traced_benchmark_run_patches_and_restores_every_name():
         tracer.restore()
     for owner, attr, original in patched:
         assert getattr(owner, attr) is original, attr
+
+
+@pytest.mark.parametrize("mode", list(WalkMode))
+def test_the_traced_nnz_counter_reads_the_link_matrix(mode):
+    # the traced run's oracle.nnz counts the three class views of the link;
+    # no two classes share an entry, so it must be the link's own count
+    graph = generate(ScenarioSpec(ScenarioKind.SELF_CITATION), padding=7).graph
+    params = WalkParams(mode=mode, min_citation_count=3)
+    ts = oracle.build_transition_system(graph, params)
+    counted = workloads._count_nnz((graph, params), {}, ts, 0.0)
+    assert counted == {"oracle.nnz": ts.link.nnz}

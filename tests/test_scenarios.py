@@ -5,6 +5,7 @@ from pira import WalkParams, build_graph, normalize
 from pira.baselines import cit_count, pub_count
 from pira.ingest import load_graph, save_graph
 from pira.oracle import expected_scores
+from pira import scenarios
 from pira.scenarios import (
     Assertion,
     ScenarioKind,
@@ -154,6 +155,31 @@ def test_pira_measures_score_one_node_kind_when_an_author_and_a_paper_share_an_i
         a, b = normalize(exact.raw[kind_rows])[[1, 0]]
         assert (result.value_a, result.value_b) == (a, b), measure
         assert result.passed, measure
+
+
+def test_evaluate_solves_the_oracle_once_for_both_pira_measures(monkeypatch):
+    g = build_graph([("u", "Author U", True), ("v", "Author V", True)],
+                    [("u", "Paper U", True), ("w", "Paper W", True)],
+                    [("u", "u"), ("v", "w")], [("w", "u")])
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return expected_scores(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "expected_scores", counting)
+    assertions = (Assertion("pira", "v", "<", "u"), Assertion("pub", "u", "=", "v"),
+                  Assertion("pira_paper", "w", "<", "u"), Assertion("pira", "u", ">", "v"))
+    results = evaluate_assertions(g, assertions)
+    assert len(calls) == 1
+    assert all(r.passed for r in results)
+    # the same values as each assertion evaluated on its own
+    for r in results:
+        (alone,) = evaluate_assertions(g, (r.assertion,))
+        assert (alone.value_a, alone.value_b) == (r.value_a, r.value_b), r.assertion
+    assert len(calls) == 4
+    evaluate_assertions(g, (Assertion("pub", "u", "=", "v"), Assertion("pr_a", "u", "=", "v")))
+    assert len(calls) == 4  # no PIRA measure, no solve
 
 
 def test_evaluate_names_the_assertion_and_a_node_its_measure_does_not_score():

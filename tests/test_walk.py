@@ -18,7 +18,7 @@ from pira import (
 from pira.analysis import rank
 from pira.baselines import h_index
 from pira.graph import hop_matrices
-from pira.oracle import build_transition_system, expected_scores
+from pira.oracle import build_transition_system, class_inflows, expected_scores
 import pira.walk as walk
 from pira.walk import ScoreTable, walker_seed
 
@@ -250,16 +250,9 @@ def _expected_first_arrivals(graph, params, budget: int) -> np.ndarray:
     expected = np.zeros((len(x), walk.N_CLASSES))
     expected[:, walk.RESTART] = x
     for _ in range(budget - 1):
-        flows = {
-            walk.RESTART: (x @ ts.init_mass) * ts.restart_dist,
-            walk.FAKE: (x @ ts.fake_mass) * ts.paper_dist,
-            walk.WROTE: x @ ts.wrote_m,
-            walk.CITE: x @ ts.cite_m,
-            walk.ISWB: x @ ts.iswb_m,
-        }
-        for c, flow in flows.items():
-            expected[:, c] += flow
-        x = sum(flows.values())
+        flows = class_inflows(ts, x)
+        expected += flows
+        x = flows.sum(axis=1)
     return walk.fold_copies(expected, graph)
 
 
