@@ -11,7 +11,7 @@ Every measure here is sparse algebra on the graph's stored incidence
 matrices, ``CitationGraph.wrote`` and ``cite``: the counts are their degree
 sums, PR-P's paper graph is ``cite`` itself, and PR-A's author graph is the
 product of the walk's three cached one-hop matrices (``graph.hop_matrices``,
-from which the walk's outcome table is built too).  PageRank runs on the
+from which the walk's transition system is built too).  PageRank runs on the
 oracle's stationary solver, which takes that product as its three factors,
 so PR-A never forms the author graph; ``build_author_graph`` returns it as
 an explicit CSR matrix.

@@ -28,7 +28,7 @@ The walk's three one-hop moves (p-weighted paper pick, uniform reference
 and author picks) are the package's one definition of its chain's links:
 ``to_paper``, ``to_ref`` and ``to_author``, the incidence matrices with
 their stored data scaled row by row.  Each is a read-only matrix cached on
-the graph on first use, so the walk's outcome table, the exact oracle,
+the graph on first use, so the walk's transition system, the exact oracle,
 PR-P and PR-A share one copy; ``hop_matrices`` returns the three.
 """
 
@@ -474,7 +474,7 @@ def hop_matrices(graph: CitationGraph) -> tuple[sp.csr_matrix, sp.csr_matrix, sp
     are ``wrote``, ``cite`` and the transpose of ``wrote`` with their
     stored data scaled, so each keeps its source's sorted column indices,
     and they are read-only.  A node without a link of the class has an
-    empty row.  The walk's outcome table (hence the exact oracle), PR-P
+    empty row.  The walk's transition system (hence the exact oracle), PR-P
     and PR-A all read them; each is built once per graph.
     """
     return graph.to_paper, graph.to_ref, graph.to_author

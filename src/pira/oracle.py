@@ -1,30 +1,30 @@
 """Exact stationary-distribution oracle for the walk.
 
 Solves the chain the walk samples, in either mode and at any size: the
-walk's outcome table (``walk.outcome_table``) read as a sparse transition
-system.  Power iteration gives the stationary arrival distribution; its
-inflow per state and edge class, scored by ``walk.score_arrivals`` as the
-walk's counts are, is the limit of the Monte Carlo scorer's ``raw`` per
-step.  In literal mode the states include one "pending isWrittenBy" copy
-per paper, whose arrivals are folded back onto its paper, as the walk
-folds them.  At damping_df = 0 the chain may be periodic or reducible, so
-the oracle iterates the lazy chain (link + I) / 2 from the walk's start
-law instead; it has the same stationary laws (see ``expected_scores``).
+walk's own ``TransitionSystem`` (``walk.build_transition_system``, imported
+here under the same names).  Power iteration gives the stationary arrival
+distribution; its inflow per state and edge class, scored by
+``walk.score_arrivals`` as the walk's counts are, is the limit of the
+Monte Carlo scorer's ``raw`` per step.  In literal mode the states include
+one "pending isWrittenBy" copy per paper, whose arrivals are folded back
+onto its paper, as the walk folds them.  At damping_df = 0 the chain may
+be periodic or reducible, so the oracle iterates the lazy chain
+(link + I) / 2 from the walk's start law instead; it has the same
+stationary laws (see ``expected_scores``).
 
-The transition matrix is held as one sparse link matrix plus two rank-1
+The oracle reads that system as one sparse link matrix plus two rank-1
 restart components: reinitialization mass times the restart distribution,
 and fake-citation mass times the uniform paper distribution.  Rows sum to
-one.  The link matrix holds the table's link outcomes: the graph's one-hop
-matrices (``graph.hop_matrices``, one entry per edge of
-``CitationGraph.wrote`` and ``cite``) scaled per row, plus, in literal
-mode, one cite entry per copy, so no dense matrix is built.  It is made
-straight from the table's row-ordered entries, as CSR by per-row counts.
+one.  ``link`` is derived from the system's rows on first read: their link
+outcomes, the graph's one-hop matrices (``graph.hop_matrices``, one entry
+per edge of ``CitationGraph.wrote`` and ``cite``) scaled per row, plus, in
+literal mode, one cite entry per copy, so no dense matrix is built.
 
-A link's edge class follows from its endpoints: wrote from an author row,
-isWrittenBy into an author column, cite otherwise (paper to paper, and in
-literal mode paper to its copy).  So ``class_inflows`` splits the arrivals
-of any per-state weights by class with one product of the link's
-transpose, and no matrix per class is built.
+A link's edge class follows from its endpoints (``walk.entry_classes``):
+wrote from an author row, isWrittenBy into an author column, cite
+otherwise.  So ``class_inflows`` splits the arrivals of any per-state
+weights by class with one product of the link's transpose, and no matrix
+per class is built.
 
 ``stationary_distribution`` is the package's one power-iteration solver and
 its one chain check: the PageRank baselines run through it too, with
@@ -37,112 +37,19 @@ matrices and never forms the author graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConvergenceError
-from .graph import CitationGraph, _read_only
-from .walk import (CITE, FAKE, ISWB, N_CLASSES, RESTART, WROTE, ScoreTable, WalkParams,
-                   fold_copies, outcome_table, restart_author_share, score_arrivals)
+from .graph import CitationGraph
+from .walk import (CITE, FAKE, ISWB, N_CLASSES, RESTART, WROTE, ScoreTable,
+                   TransitionSystem, WalkParams, build_transition_system, fold_copies,
+                   score_arrivals)
 
 DEFAULT_TOL = 1e-12
 MAX_ITERATIONS = 10**6
-
-
-@dataclass(frozen=True, eq=False)  # holds arrays; compare by identity
-class TransitionSystem:
-    """Row-stochastic transition structure of the walk: one link matrix and
-    two rank-one jumps.
-
-    States are the outcome table's: authors [0, A), papers [A, A+P) and, in
-    literal mode only, one pending-isWrittenBy copy per paper [A+P, A+2P).
-    A literal paper's move to its own copy is a link entry; every other
-    link entry is an entry of the graph's hop matrices
-    (``graph.hop_matrices``) times its row's share of that hop.  For each
-    row ``link`` plus ``init_mass * restart_dist + fake_mass * paper_dist``
-    sums to one.  An entry's edge class follows from its endpoints (see
-    ``class_inflows``); ``wrote_m``, ``cite_m`` and ``iswb_m`` are the link
-    split by class, built from ``link`` on first read.
-    """
-
-    n_authors: int
-    link: sp.csr_matrix       # every link outcome, in table order
-    init_mass: np.ndarray     # per-row mass sent through the restart distribution
-    fake_mass: np.ndarray     # per-row mass sent to a uniformly random paper
-    restart_dist: np.ndarray  # distribution over the nodes, zero on the copies
-    paper_dist: np.ndarray    # uniform distribution over paper states
-
-    @property
-    def jumps(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Rank-one terms (per-row mass, landing distribution) of the chain."""
-        return ((self.init_mass, self.restart_dist), (self.fake_mass, self.paper_dist))
-
-    @cached_property
-    def wrote_m(self) -> sp.csr_matrix:  # author rows -> paper columns
-        return self._links_of(WROTE)
-
-    @cached_property
-    def cite_m(self) -> sp.csr_matrix:  # paper rows -> paper (and literal copy) columns
-        return self._links_of(CITE)
-
-    @cached_property
-    def iswb_m(self) -> sp.csr_matrix:  # paper (literal: copy) rows -> author columns
-        return self._links_of(ISWB)
-
-    def _links_of(self, c: int) -> sp.csr_matrix:
-        """The link entries of edge class `c`, read-only."""
-        link, n_a = self.link, self.n_authors
-        from_author = np.repeat(np.arange(link.shape[0]) < n_a, np.diff(link.indptr))
-        cls = np.where(from_author, WROTE, np.where(link.indices < n_a, ISWB, CITE))
-        kept = cls == c
-        indptr = np.concatenate(([0], np.cumsum(kept)))[link.indptr]
-        return _read_only(sp.csr_matrix((link.data[kept], link.indices[kept], indptr),
-                                        shape=link.shape))
-
-
-def build_transition_system(graph: CitationGraph, params: WalkParams) -> TransitionSystem:
-    """Exact per-state transition probabilities of the walk, in either mode.
-
-    The walk's outcome table without its entry row: link outcomes become the
-    link matrix, restart and fake outcomes the rank-one jumps.  The table
-    lists each row's outcomes together, so the link keeps its entries in
-    table order and counts them per row.
-    """
-    params.validate()
-    if graph.n_nodes == 0:
-        raise ValueError("cannot build a transition system for an empty graph")
-    table = outcome_table(graph, params)
-    s, n_a, n = table.n_states, table.n_authors, graph.n_nodes
-    # the entry row comes last and is never re-entered
-    bounds = table.indptr[:s + 1]
-    end = bounds[-1]
-    target, cls, prob = table.target[:end], table.cls[:end], table.prob[:end]
-
-    def mass(c: int) -> np.ndarray:
-        m = cls == c  # at most one outcome of the class per row
-        out = np.zeros(s)
-        out[np.searchsorted(bounds, np.flatnonzero(m), side="right") - 1] = prob[m]
-        return out
-
-    p_author = restart_author_share(graph, params)
-    restart_dist, paper_dist = np.zeros(s), np.zeros(s)
-    restart_dist[:n_a] = p_author / max(n_a, 1)
-    restart_dist[n_a:n] = (1.0 - p_author) / max(n - n_a, 1)
-    paper_dist[n_a:n] = 1.0 / max(n - n_a, 1)
-    kept = target >= 0  # the restart and fake sentinels are negative
-    indptr = np.concatenate(([0], np.cumsum(kept)))[bounds]
-    return TransitionSystem(
-        n_authors=n_a,
-        link=sp.csr_matrix((prob[kept], target[kept], indptr), shape=(s, s)),
-        init_mass=mass(RESTART),
-        fake_mass=mass(FAKE),
-        restart_dist=restart_dist,
-        paper_dist=paper_dist,
-    )
 
 
 def stationary_distribution(
@@ -161,19 +68,24 @@ def stationary_distribution(
     Power-iterates from ``start`` (by default the uniform vector; a
     reducible chain's limit depends on it), renormalizing to sum 1, until
     the L1 change drops below tol, a positive finite number.  A negative,
-    NaN or infinite link or jump entry raises ValueError before the first
-    iteration, and an iterate that does not sum to a positive number (the
-    chain lost its mass) raises ValueError at once.
+    NaN or infinite link, jump or start entry, or a start of another shape
+    or of sum 0, raises ValueError before the first iteration, and an
+    iterate that does not sum to a positive number (the chain lost its
+    mass) raises ValueError at once.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be a positive finite number, got {tol}")
     factors = link_factors(link, "link")
     if not all(_finite_non_negative(a) for jump in jumps for a in jump):
         raise ValueError("jump masses and distributions must be finite and not negative")
-    # pi @ (F1 @ F2 @ ...) = ... F2.T @ (F1.T @ pi): the transposes, in turn
-    factors_t = [f.T.tocsr() for f in factors]
     n = factors[0].shape[0]
     pi = np.full(n, 1.0 / n) if start is None else np.asarray(start, dtype=float)
+    if pi.shape != (n,):
+        raise ValueError(f"start must have one entry per state ({n}), got shape {pi.shape}")
+    if not (_finite_non_negative(pi) and pi.sum() > 0):
+        raise ValueError("start must be finite, not negative and sum to more than 0")
+    # pi @ (F1 @ F2 @ ...) = ... F2.T @ (F1.T @ pi): the transposes, in turn
+    factors_t = [f.T.tocsr() for f in factors]
     residual = float("inf")
     for _ in range(max_iterations):
         nxt = _apply(pi, factors_t, jumps)
@@ -233,18 +145,22 @@ def _apply(pi: np.ndarray, factors_t, jumps) -> np.ndarray:
 
 def class_inflows(ts: TransitionSystem, weights) -> np.ndarray:
     """Expected arrivals per state and edge class of one step taken from
-    per-state ``weights`` (non-negative; ``pi`` gives the stationary inflows).
+    per-state ``weights`` (finite and not negative, else ValueError; ``pi``
+    gives the stationary inflows).
 
     Columns in class order: the restart and fake jumps' landings, then the
-    link arrivals, classed by their endpoints.  ``link.T`` times the weights
-    kept on author rows is wrote; times those kept on paper and copy rows,
-    it is isWrittenBy in the author columns and cite in the others.  Both
-    come from one product of ``link.T`` with a two-column matrix.
+    link arrivals, classed by their endpoints as ``walk.entry_classes``
+    classes them.  ``link.T`` times the weights kept on author rows is
+    wrote; times those kept on paper and copy rows, it is isWrittenBy in
+    the author columns and cite in the others.  Both come from one product
+    of ``link.T`` with a two-column matrix.
     """
     x = np.asarray(weights, dtype=float)
-    n_a, s = ts.n_authors, ts.link.shape[0]
+    n_a, s = ts.n_authors, ts.n_states
     if x.shape != (s,):
         raise ValueError(f"weights must have one entry per state ({s}), got shape {x.shape}")
+    if not _finite_non_negative(x):
+        raise ValueError("weights must be finite and not negative")
     by_source = np.zeros((s, 2))
     by_source[:n_a, 0], by_source[n_a:, 1] = x[:n_a], x[n_a:]
     by_target = ts.link.T @ by_source

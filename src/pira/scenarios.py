@@ -93,6 +93,11 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
+# a generator's node and edge lists (authors, papers, wrote, cites) and its
+# assertions; ``generate`` pads the lists, builds the graph and wraps both
+_Parts = tuple[list, list, list, list, tuple[Assertion, ...]]
+
+
 def _pad(authors, papers, wrote, padding: int) -> None:
     for i in range(padding):
         a, p = f"pad_a_{i:03d}", f"pad_p_{i:03d}"
@@ -101,7 +106,7 @@ def _pad(authors, papers, wrote, padding: int) -> None:
         wrote.append((a, p))
 
 
-def _paper_quality(params: Mapping[str, int], padding: int) -> Scenario:
+def _paper_quality(params: Mapping[str, int]) -> _Parts:
     citers = params["citers"]
     other_papers = params["other_papers"]
     _require(citers >= 1, "citers must be at least 1")
@@ -120,22 +125,16 @@ def _paper_quality(params: Mapping[str, int], padding: int) -> Scenario:
         authors.append((aid, f"Citing Author {i + 1}", False))
         wrote.append((aid, pid))
         cites.append((pid, "pa1"))
-    _pad(authors, papers, wrote, padding)
-
     assertions = (
         Assertion("pub", "a1", "<", "a2"),
         Assertion("cit", "a1", ">", "a2"),
         Assertion("pr_a", "a1", ">", "a2"),
         Assertion("pira", "a1", ">", "a2"),
     )
-    return Scenario(
-        ScenarioKind.PAPER_QUALITY,
-        build_graph(authors, papers, wrote, cites),
-        assertions,
-    )
+    return authors, papers, wrote, cites, assertions
 
 
-def _coauthor_count(params: Mapping[str, int], padding: int) -> Scenario:
+def _coauthor_count(params: Mapping[str, int]) -> _Parts:
     citations = params["citations"]
     coauthors = params["coauthors"]
     _require(citations >= 1, "citations must be at least 1")
@@ -156,22 +155,16 @@ def _coauthor_count(params: Mapping[str, int], padding: int) -> Scenario:
             authors.append((aid, f"Citer Author {tag}{i + 1}", False))
             wrote.append((aid, pid))
             cites.append((pid, target))
-    _pad(authors, papers, wrote, padding)
-
     assertions = (
         Assertion("pub", "a1", "=", "a4"),
         Assertion("cit", "a1", "=", "a4"),
         Assertion("pr_a", "a1", ">", "a4"),
         Assertion("pira", "a1", ">", "a4"),
     )
-    return Scenario(
-        ScenarioKind.COAUTHOR_COUNT,
-        build_graph(authors, papers, wrote, cites),
-        assertions,
-    )
+    return authors, papers, wrote, cites, assertions
 
 
-def _citing_quality(params: Mapping[str, int], padding: int) -> Scenario:
+def _citing_quality(params: Mapping[str, int]) -> _Parts:
     strong = params["strong_citations"]
     weak = params["weak_citations"]
     _require(strong > weak >= 1, "need strong_citations > weak_citations >= 1")
@@ -201,22 +194,16 @@ def _citing_quality(params: Mapping[str, int], padding: int) -> Scenario:
         pid = f"d2_{i + 1:02d}"
         papers.append((pid, f"Distant Citer of Weak {i + 1}", False))
         cites.append((pid, "c2"))
-    _pad(authors, papers, wrote, padding)
-
     assertions = (
         Assertion("pub", "b1", "=", "b2"),
         Assertion("cit", "b1", "=", "b2"),
         Assertion("pr_a", "b1", "=", "b2"),
         Assertion("pira", "b1", ">", "b2"),
     )
-    return Scenario(
-        ScenarioKind.CITING_QUALITY,
-        build_graph(authors, papers, wrote, cites),
-        assertions,
-    )
+    return authors, papers, wrote, cites, assertions
 
 
-def _self_citation(params: Mapping[str, int], padding: int) -> Scenario:
+def _self_citation(params: Mapping[str, int]) -> _Parts:
     pubs = params["pubs"]
     ext = params["external_citations"]
     quality = params["citer_quality"]
@@ -248,22 +235,16 @@ def _self_citation(params: Mapping[str, int], padding: int) -> Scenario:
             authors.append((baid, f"Background Author {j + 1}.{k + 1}", False))
             wrote.append((baid, bid))
             cites.append((bid, cid))
-    _pad(authors, papers, wrote, padding)
-
     assertions = (
         Assertion("pub", "a1", ">", "a2"),
         Assertion("cit", "a1", ">", "a2"),
         Assertion("pr_a", "a2", ">", "a1"),
         Assertion("pira", "a2", ">", "a1"),
     )
-    return Scenario(
-        ScenarioKind.SELF_CITATION,
-        build_graph(authors, papers, wrote, cites),
-        assertions,
-    )
+    return authors, papers, wrote, cites, assertions
 
 
-def _citation_loop(params: Mapping[str, int], padding: int) -> Scenario:
+def _citation_loop(params: Mapping[str, int]) -> _Parts:
     loop_citers = params["loop_citers"]
     author_pubs = params["author_pubs"]
     control_citers = params["control_citers"]
@@ -295,22 +276,16 @@ def _citation_loop(params: Mapping[str, int], padding: int) -> Scenario:
             pid = f"{tag}{i + 1:02d}"
             papers.append((pid, f"Citer {tag}{i + 1}", False))
             cites.append((pid, target))
-    _pad(authors, papers, wrote, padding)
-
     assertions = (
         Assertion("pr_p_paper", "x", ">", "z"),
         Assertion("pr_p_paper", "y", ">", "z"),
         Assertion("pira_paper", "z", ">", "x"),
         Assertion("pira_paper", "z", ">", "y"),
     )
-    return Scenario(
-        ScenarioKind.CITATION_LOOP,
-        build_graph(authors, papers, wrote, cites),
-        assertions,
-    )
+    return authors, papers, wrote, cites, assertions
 
 
-def _single_ref_chain(params: Mapping[str, int], padding: int) -> Scenario:
+def _single_ref_chain(params: Mapping[str, int]) -> _Parts:
     length = params["length"]
     bracket_pubs = params["bracket_pubs"]
     _require(length >= 2, "length must be at least 2")
@@ -332,14 +307,8 @@ def _single_ref_chain(params: Mapping[str, int], padding: int) -> Scenario:
         pid = f"bp{i + 1:02d}"
         papers.append((pid, f"Bracket Paper {i + 1}", True))
         wrote.append(("bracket_author", pid))
-    _pad(authors, papers, wrote, padding)
-
     assertions = (Assertion("pira", "chain_author", ">", "bracket_author"),)
-    return Scenario(
-        ScenarioKind.SINGLE_REF_CHAIN,
-        build_graph(authors, papers, wrote, cites),
-        assertions,
-    )
+    return authors, papers, wrote, cites, assertions
 
 
 _GENERATORS = {
@@ -361,7 +330,9 @@ def generate(spec: ScenarioSpec, padding: int = 0) -> Scenario:
     if unknown:
         raise ValueError(f"unknown parameters for {spec.kind.value}: {sorted(unknown)}")
     params.update(spec.params)
-    return _GENERATORS[spec.kind](params, padding)
+    authors, papers, wrote, cites, assertions = _GENERATORS[spec.kind](params)
+    _pad(authors, papers, wrote, padding)
+    return Scenario(spec.kind, build_graph(authors, papers, wrote, cites), assertions)
 
 
 def assertions_to_tsv(assertions: tuple[Assertion, ...]) -> str:

@@ -28,14 +28,15 @@ taken whatever theta is.  A move the node cannot make (from an author
 without papers, a citation from a paper without references, an isWrittenBy
 jump from a paper without authors) reinitializes the walk instead.
 
-The engine samples one ``OutcomeTable`` built per call: a row per walk
-state listing each move as (next state, edge class, probability).  The
+The walk's chain is one ``TransitionSystem`` (``build_transition_system``):
+a row per walk state listing each move as (next state, probability).  The
 states are the authors, the papers and, in literal mode, one "pending
 isWrittenBy" copy per paper, the state after the 1-theta re-arrival; the
-two modes differ only in how the table is built.  The link moves are the
+two modes differ only in how the rows are built.  The link moves are the
 graph's one-hop matrices (``graph.hop_matrices``) scaled per row; restart
 and fake moves are sentinel outcomes whose landing node is drawn by
-arithmetic.
+arithmetic.  A move's edge class follows from its row and target
+(``entry_classes``, the one class rule).
 
 Restarts are regeneration points: the arrivals from one restart outcome up
 to the next form a restart cycle, and one surfer's arrivals are i.i.d.
@@ -48,8 +49,9 @@ counts therefore have exactly the law of one surfer's first ``budget``
 arrivals, whatever its slot count, which is sized for speed only.  The
 slots of consecutive walkers step in lockstep, and the copies' arrivals are
 folded back onto their papers at the end.  The exact oracle
-(``oracle.expected_scores``) solves the same table and scores its expected
-arrivals per class with the same ``score_arrivals``.
+(``oracle.expected_scores``) solves the same system, through its ``link``
+matrix, and scores its expected arrivals per class with the same
+``score_arrivals``.
 """
 
 from __future__ import annotations
@@ -58,11 +60,13 @@ import enum
 import math
 import operator
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
-from .graph import CitationGraph, NodeKind, hop_matrices
+from .graph import CitationGraph, NodeKind, _read_only, hop_matrices
 
 _MASK64 = (1 << 64) - 1
 
@@ -242,7 +246,7 @@ def restart_author_share(graph: CitationGraph, params: WalkParams) -> float:
 RESTART, FAKE, WROTE, CITE, ISWB = range(5)
 N_CLASSES = 5
 # Sentinel next states of the restart and fake outcomes: their landing node
-# is drawn by arithmetic, never listed in the table.
+# is drawn by arithmetic, never listed in the rows.
 TO_RESTART = -1
 TO_FAKE = -2
 
@@ -261,8 +265,8 @@ _CUT_RISK = 20.0
 
 
 @dataclass(frozen=True, eq=False)  # holds arrays; compare by identity
-class OutcomeTable:
-    """Every move of the walk as (next state, edge class, probability).
+class TransitionSystem:
+    """The walk's chain: every move as (next state, probability), per state.
 
     States are authors [0, A), papers [A, A+P) and, in literal mode only,
     one "pending isWrittenBy" copy per paper [A+P, A+2P): the state between
@@ -272,23 +276,92 @@ class OutcomeTable:
     so their first arrival is a restart.  Row r lists its outcomes in
     ``[indptr[r], indptr[r + 1])``: restart, fake pick, then the row's links.
     Restart and fake outcomes have the sentinel targets ``TO_RESTART`` and
-    ``TO_FAKE``.  Outcomes of probability zero are left out, so every row's
-    probabilities are positive and sum to one.
+    ``TO_FAKE`` and land by ``restart_dist`` and ``paper_dist``; their
+    per-row probabilities are also ``init_mass`` and ``fake_mass`` (zero
+    where the row has none).  Outcomes of probability zero are left out, so
+    every row's probabilities are positive and sum to one.
+
+    An outcome's edge class follows from its row and target
+    (``entry_classes``).  ``link``, the link outcomes of the state rows as a
+    CSR matrix, and ``wrote_m``, ``cite_m`` and ``iswb_m``, the link split by
+    class and read-only, are built on first read, so the walk never builds
+    them.  A literal paper's move to its own copy is a cite link; every
+    other link is an entry of the graph's hop matrices
+    (``graph.hop_matrices``) times its row's share of that hop.
     """
 
     n_authors: int
-    n_papers: int
-    n_states: int
-    indptr: np.ndarray
-    target: np.ndarray
-    cls: np.ndarray
-    prob: np.ndarray
+    indptr: np.ndarray        # n_states + 2 row bounds, the entry row last
+    target: np.ndarray        # next state of each outcome, or a sentinel
+    prob: np.ndarray          # probability of each outcome
+    init_mass: np.ndarray     # per-state mass sent through the restart distribution
+    fake_mass: np.ndarray     # per-state mass sent to a uniformly random paper
+    restart_dist: np.ndarray  # distribution over the nodes, zero on the copies
+    paper_dist: np.ndarray    # uniform distribution over paper states
+
+    @property
+    def n_states(self) -> int:
+        return len(self.indptr) - 2
+
+    @property
+    def jumps(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Rank-one terms (per-row mass, landing distribution) of the chain."""
+        return ((self.init_mass, self.restart_dist), (self.fake_mass, self.paper_dist))
+
+    @cached_property
+    def link(self) -> sp.csr_matrix:
+        """Every link outcome of the state rows, in row order."""
+        s = self.n_states
+        bounds = self.indptr[:s + 1]
+        target, prob = self.target[:bounds[-1]], self.prob[:bounds[-1]]
+        kept = target >= 0  # the restart and fake sentinels are negative
+        indptr = np.concatenate(([0], np.cumsum(kept)))[bounds]
+        return sp.csr_matrix((prob[kept], target[kept], indptr), shape=(s, s))
+
+    @cached_property
+    def wrote_m(self) -> sp.csr_matrix:  # author rows -> paper columns
+        return self._links_of(WROTE)
+
+    @cached_property
+    def cite_m(self) -> sp.csr_matrix:  # paper rows -> paper (and literal copy) columns
+        return self._links_of(CITE)
+
+    @cached_property
+    def iswb_m(self) -> sp.csr_matrix:  # paper (literal: copy) rows -> author columns
+        return self._links_of(ISWB)
+
+    def _links_of(self, c: int) -> sp.csr_matrix:
+        """The link entries of edge class `c`, read-only."""
+        link = self.link
+        kept = entry_classes(link.indptr, link.indices, self.n_authors) == c
+        indptr = np.concatenate(([0], np.cumsum(kept)))[link.indptr]
+        return _read_only(sp.csr_matrix((link.data[kept], link.indices[kept], indptr),
+                                        shape=link.shape))
+
+
+def entry_classes(indptr: np.ndarray, target: np.ndarray, n_authors: int) -> np.ndarray:
+    """Edge class (int8) of each entry of rows ``indptr`` over ``target``,
+    the author rows first.
+
+    The package's one class rule: a sentinel target is its jump's class;
+    a move from an author row is wrote; a move from any other row is
+    isWrittenBy into an author and cite otherwise (paper to paper, and in
+    literal mode paper to its copy).
+    """
+    # arithmetic on the comparison, since a masked store over every entry
+    # costs several times more
+    to_author = (target < n_authors).view(np.int8)
+    cls = to_author * np.int8(ISWB - CITE) + np.int8(CITE)
+    cls[:indptr[n_authors]] = WROTE
+    jump = np.flatnonzero(target < 0)
+    cls[jump] = np.where(target[jump] == TO_RESTART, RESTART, FAKE)
+    return cls
 
 
 def _stack_rows(n_rows: int, blocks) -> tuple[np.ndarray, ...]:
-    """(indptr, target, cls, prob) of rows made of per-row segments.
+    """(indptr, target, prob) of rows made of per-row segments.
 
-    Each block is (sizes, target, cls, prob): row r takes the block's next
+    Each block is (sizes, target, prob): row r takes the block's next
     ``sizes[r]`` entries, after the segments of the blocks before it.
     Entries of probability zero are dropped.
     """
@@ -296,27 +369,29 @@ def _stack_rows(n_rows: int, blocks) -> tuple[np.ndarray, ...]:
     total = np.zeros(n_rows + 1, np.intp)
     np.cumsum(sum(sizes), out=total[1:])
     target = np.empty(total[-1], np.intp)
-    cls = np.empty(total[-1], np.int8)
     prob = np.empty(total[-1])
     offset = total[:-1].copy()
-    for size, (_, t, c, p) in zip(sizes, blocks):
+    for size, (_, t, p) in zip(sizes, blocks):
         first = np.cumsum(size) - size  # each row's first entry in the block
         pos = np.repeat(offset - first, size) + np.arange(size.sum())
-        target[pos], cls[pos], prob[pos] = t, c, p
+        target[pos], prob[pos] = t, p
         offset += size
     kept = prob > 0
     indptr = np.concatenate(([0], np.cumsum(kept)))[total]
-    return indptr, target[kept], cls[kept], prob[kept]
+    return indptr, target[kept], prob[kept]
 
 
-def outcome_table(graph: CitationGraph, params: WalkParams) -> OutcomeTable:
-    """The walk's outcome table, in row order, in O(nodes + edges).
+def build_transition_system(graph: CitationGraph, params: WalkParams) -> TransitionSystem:
+    """The walk's chain, in either mode, in O(nodes + edges).
 
     This is the package's one definition of the walk's chain: the engine
-    samples it and the exact oracle solves it.  Its link outcomes are the
-    graph's one-hop matrices (``graph.hop_matrices``), each row scaled by
-    the share of its row's mass that takes that hop.
+    samples its rows and the exact oracle solves it.  Its link outcomes are
+    the graph's one-hop matrices (``graph.hop_matrices``), each row scaled
+    by the share of its row's mass that takes that hop.
     """
+    params.validate()
+    if graph.n_nodes == 0:
+        raise ValueError("cannot build a transition system for an empty graph")
     n_a, n_p = graph.n_authors, graph.n_papers
     n = n_a + n_p
     literal = params.mode == WalkMode.LITERAL
@@ -353,22 +428,30 @@ def outcome_table(graph: CitationGraph, params: WalkParams) -> OutcomeTable:
         return np.concatenate((np.broadcast_to(author, n_a), np.broadcast_to(paper, n_p),
                                np.broadcast_to(copy, n_states - n), [entry]))
 
+    init_mass = rows(df + keep * (n_pubs == 0), paper_restart, copy_restart, 1.0)
+    fake_mass = rows(0.0, paper_fake, 0.0)
     blocks = [
-        (1, TO_RESTART, RESTART, rows(df + keep * (n_pubs == 0), paper_restart, copy_restart, 1.0)),
-        (1, TO_FAKE, FAKE, rows(0.0, paper_fake, 0.0)),
-        (rows(n_pubs, 0, 0), n_a + to_paper.indices, WROTE, keep * to_paper.data),
-        (rows(0, n_refs, 0), n_a + to_ref.indices, CITE,
+        (1, TO_RESTART, init_mass),
+        (1, TO_FAKE, fake_mass),
+        (rows(n_pubs, 0, 0), n_a + to_paper.indices, keep * to_paper.data),
+        (rows(0, n_refs, 0), n_a + to_ref.indices,
          np.repeat(keep * theta * real, n_refs) * to_ref.data),
-        (rows(0, 0, n_auth) if literal else rows(0, n_auth, 0), to_author.indices, ISWB,
+        (rows(0, 0, n_auth) if literal else rows(0, n_auth, 0), to_author.indices,
          iswb_share * to_author.data),
     ]
     if literal:
-        blocks.append((rows(0, 1, 0), np.arange(n, n_states), CITE, keep * (1.0 - theta) * real))
-    indptr, target, cls, prob = _stack_rows(n_states + 1, blocks)
-    return OutcomeTable(n_a, n_p, n_states, indptr, target, cls, prob)
+        blocks.append((rows(0, 1, 0), np.arange(n, n_states), keep * (1.0 - theta) * real))
+    indptr, target, prob = _stack_rows(n_states + 1, blocks)
+    p_author = restart_author_share(graph, params)
+    restart_dist, paper_dist = np.zeros(n_states), np.zeros(n_states)
+    restart_dist[:n_a] = p_author / max(n_a, 1)
+    restart_dist[n_a:n] = (1.0 - p_author) / max(n_p, 1)
+    paper_dist[n_a:n] = 1.0 / max(n_p, 1)
+    return TransitionSystem(n_a, indptr, target, prob, init_mass[:n_states],
+                            fake_mass[:n_states], restart_dist, paper_dist)
 
 
-def _guide(table: OutcomeTable) -> tuple[np.ndarray, np.ndarray]:
+def _guide(ts: TransitionSystem) -> tuple[np.ndarray, np.ndarray]:
     """(upper, guide): each outcome's row-local running probability, and a
     guide table with one bin per outcome.
 
@@ -378,7 +461,7 @@ def _guide(table: OutcomeTable) -> tuple[np.ndarray, np.ndarray]:
     ``upper[e] <= u``: O(1) steps expected.  The last outcome of each row
     gets ``upper = 1``, so the advance never leaves its row.
     """
-    indptr, prob = table.indptr, table.prob
+    indptr, prob = ts.indptr, ts.prob
     size = np.diff(indptr)
     running = np.cumsum(prob)
     before = np.concatenate(([0.0], running))[indptr[:-1]]
@@ -439,24 +522,25 @@ def _walker_groups(params: WalkParams):
     yield group
 
 
-def _sampler(graph: CitationGraph, params: WalkParams, table: OutcomeTable):
+def _sampler(graph: CitationGraph, params: WalkParams, ts: TransitionSystem):
     """``step(state, u, v) -> (next state, arrival code, restarted)`` over
-    the table: one outcome per state from the uniforms u (guide table) and
-    v (restart and fake landings), with the arrival code
+    the chain's rows: one outcome per state from the uniforms u (guide
+    table) and v (restart and fake landings), with the arrival code
     ``node * N_CLASSES + class`` and the indices whose outcome restarted."""
-    upper, guide = _guide(table)
-    start = table.indptr[:-1]
-    size = np.diff(table.indptr).astype(float)
-    target = table.target
-    code = np.where(target >= 0, target * N_CLASSES, 0) + table.cls
-    n_a, n_p = table.n_authors, table.n_papers
+    upper, guide = _guide(ts)
+    start = ts.indptr[:-1]
+    size = np.diff(ts.indptr).astype(float)
+    target = ts.target
+    # a sentinel's code is its class; its landing node is added per step
+    code = np.maximum(target, 0) * N_CLASSES + entry_classes(ts.indptr, target, ts.n_authors)
+    n_a, n_p = graph.n_authors, graph.n_papers
     n = n_a + n_p
     # a restart lands on an author with probability p_author, else on a
     # paper; a fake pick lands on a uniform paper (author share 0)
     p_author = restart_author_share(graph, params)
     author_scale = n_a / p_author if p_author > 0 else 0.0
     jumps = [(TO_RESTART, p_author, n_p / (1.0 - p_author) if p_author < 1 else 0.0)]
-    if np.any(table.cls == FAKE):
+    if ts.fake_mass.any():
         jumps.append((TO_FAKE, 0.0, n_p))
 
     def land(v: np.ndarray, share: float, paper_scale: float) -> np.ndarray:
@@ -633,20 +717,20 @@ def _arrival_counts(graph: CitationGraph, params: WalkParams) -> np.ndarray:
     walker's every cycle recorded; the draws are the same, so the result is
     too.  Counts of the literal copies are added to their papers.
     """
-    table = outcome_table(graph, params)
-    step = _sampler(graph, params, table)
+    ts = build_transition_system(graph, params)
+    step = _sampler(graph, params, ts)
     df = params.damping_df
     counts = None
     for group in _walker_groups(params):
         windows = [_window(budget, slots, df) for _, budget, slots in group]
         while True:
-            got, overrun = _group_counts(step, table.n_states, params.seed, group, windows)
+            got, overrun = _group_counts(step, ts.n_states, params.seed, group, windows)
             if not overrun.size:
                 break
             for i in overrun:
                 windows[i] = group[i][1]
         counts = got if counts is None else np.add(counts, got, out=counts)
-    return fold_copies(counts.reshape(table.n_states, N_CLASSES), graph)
+    return fold_copies(counts.reshape(ts.n_states, N_CLASSES), graph)
 
 
 def fold_copies(per_state: np.ndarray, graph: CitationGraph) -> np.ndarray:

@@ -49,6 +49,14 @@ def _commands() -> list[tuple[str, list[str]]]:
                 for m in ("pira", "oracle")]
         out += [(f"rank-{ds}-pira-walkers-{w}", ["rank", ds, "--method", "pira", "--walkers", w,
                                                  "--seed", "5", *STEPS]) for w in ("1", "3")]
+        # theta 0 drops the cite outcomes, theta 1 the isWrittenBy ones, df 0 the restarts
+        for flag, value in (("--theta", "0"), ("--theta", "1"), ("--df", "0")):
+            out += [(f"rank-{ds}-{m}-{flag[2:]}-{value}",
+                     ["rank", ds, "--method", m, flag, value, "--all-nodes",
+                      *(STEPS if m == "pira" else ())]) for m in ("pira", "oracle")]
+        out.append((f"rank-{ds}-oracle-df-0-literal",
+                    ["rank", ds, "--method", "oracle", "--df", "0", "--mode", "literal",
+                     "--all-nodes"]))
     out += [
         ("rank-citing-quality-oracle-flags",
          ["rank", "citing-quality", "--method", "oracle", "--df", "0.3", "--theta", "0.5",

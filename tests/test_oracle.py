@@ -15,11 +15,11 @@ from pira.oracle import (
     expected_scores,
     stationary_distribution,
 )
-from pira.walk import (CITE, FAKE, ISWB, N_CLASSES, RESTART, TO_FAKE, TO_RESTART, WROTE,
-                       outcome_table)
+from pira.walk import (CITE, ISWB, N_CLASSES, RESTART, TO_FAKE, TO_RESTART, WROTE,
+                       entry_classes)
 
-from conftest import (FIXTURE_BUILDERS, dense_chain, pair_graph, small_graph, small_graphs,
-                      star_graph)
+from conftest import (FIXTURE_BUILDERS, dense_chain, outcome_entries, pair_graph, small_graph,
+                      small_graphs, star_graph)
 
 
 def _solve_stationary_directly(matrix: np.ndarray) -> np.ndarray:
@@ -376,45 +376,62 @@ _HALF = np.full((2, 2), 0.5)
 _UNIFORM = np.full(2, 0.5)
 
 
-@pytest.mark.parametrize("link, jumps, match", [
+@pytest.mark.parametrize("link, jumps, start, match", [
     # a negative entry used to give a "distribution" outside [0, 1]
-    (np.array([[0.5, 0.5], [-0.2, 1.2]]), (), "negative"),
-    ([_HALF, np.array([[1.2, -0.2], [0.0, 1.0]])], (), "negative"),
-    (_HALF, ((np.array([-0.5, 0.0]), _UNIFORM),), "negative"),
-    (0.5 * _HALF, ((_UNIFORM, np.array([1.5, -0.5])),), "negative"),
+    (np.array([[0.5, 0.5], [-0.2, 1.2]]), (), None, "negative"),
+    ([_HALF, np.array([[1.2, -0.2], [0.0, 1.0]])], (), None, "negative"),
+    (_HALF, ((np.array([-0.5, 0.0]), _UNIFORM),), None, "negative"),
+    (0.5 * _HALF, ((_UNIFORM, np.array([1.5, -0.5])),), None, "negative"),
     # a chain that loses its mass used to run every iteration, warning at each
-    (np.zeros((2, 2)), (), "mass"),
-    (np.array([[0.0, 1.0], [0.0, 0.0]]), (), "mass"),
-], ids=["link", "factor", "jump-mass", "jump-dist", "zero", "nilpotent"])
-def test_stationary_rejects_an_invalid_chain_at_once(link, jumps, match):
-    start = time.perf_counter()
+    (np.zeros((2, 2)), (), None, "mass"),
+    (np.array([[0.0, 1.0], [0.0, 0.0]]), (), None, "mass"),
+    # a negative start used to come back as the distribution; a zero, NaN
+    # or infinite one blamed the chain, and one of another length numpy
+    (np.eye(2), (), np.array([-1.0, 2.0]), "start"),
+    (_HALF, (), np.zeros(2), "start"),
+    (_HALF, (), np.array([0.5, float("nan")]), "start"),
+    (_HALF, (), np.array([float("inf"), 0.5]), "start"),
+    (_HALF, (), np.full(3, 1 / 3), "start"),
+    (_HALF, (), np.full((1, 2), 0.5), "start"),
+], ids=["link", "factor", "jump-mass", "jump-dist", "zero", "nilpotent", "start-negative",
+        "start-zero", "start-nan", "start-inf", "start-length", "start-2d"])
+def test_stationary_rejects_an_invalid_chain_at_once(link, jumps, start, match):
+    began = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=match):
-            stationary_distribution(link, jumps)
-    assert time.perf_counter() - start < 0.5
+            stationary_distribution(link, jumps, start=start)
+    assert time.perf_counter() - began < 0.5
 
 
-def _table_entries(graph, params):
-    """(row, target, class, probability) of each outcome of the walk's table,
-    the entry row left out, one entry at a time."""
-    t = outcome_table(graph, params)
-    return [(row, int(t.target[i]), int(t.cls[i]), float(t.prob[i]))
-            for row in range(t.n_states) for i in range(t.indptr[row], t.indptr[row + 1])]
+def _state_entries(ts):
+    """(row, target, class, probability) of each outcome of the system's
+    state rows (the entry row left out), classed by the test's reference."""
+    return [e for e in outcome_entries(ts) if e[0] < ts.n_states]
 
 
 def _assert_link_classes_follow_the_endpoints(graph, params):
-    n_a = graph.n_authors
-    entries = _table_entries(graph, params)
-    for row, target, cls, _ in entries:
-        if target < 0:  # the restart and fake sentinels
-            assert cls == (RESTART if target == TO_RESTART else FAKE)
-        elif row < n_a:
-            assert cls == WROTE, (row, target)
-        else:
-            assert cls == (ISWB if target < n_a else CITE), (row, target)
-    # the class views of the link hold exactly the table's entries of their class
     ts = build_transition_system(graph, params)
+    s = ts.n_states
+    every = outcome_entries(ts)
+    # the package's one class rule gives each outcome the reference's class
+    assert entry_classes(ts.indptr, ts.target, ts.n_authors).tolist() == [c for *_, c, _ in every]
+    # the entry row, last, only restarts
+    assert [e for e in every if e[0] == s] == [(s, TO_RESTART, RESTART, 1.0)] == every[-1:]
+    entries = every[:-1]
+    # the link holds exactly the rows' non-sentinel outcomes, in order
+    link = ts.link
+    got = zip(np.repeat(np.arange(s), np.diff(link.indptr)).tolist(), link.indices.tolist(),
+              link.data.tolist())
+    assert list(got) == [(r, t, p) for r, t, _, p in entries if t >= 0]
+    # the jump masses are the rows' restart and fake outcomes
+    for mass, sentinel in ((ts.init_mass, TO_RESTART), (ts.fake_mass, TO_FAKE)):
+        want = np.zeros(s)
+        for r, t, _, p in entries:
+            if t == sentinel:
+                want[r] += p
+        assert np.array_equal(mass, want), sentinel
+    # the class views of the link hold exactly the rows' entries of their class
     views = {WROTE: ts.wrote_m, CITE: ts.cite_m, ISWB: ts.iswb_m}
     for cls, view in views.items():
         coo = view.tocoo()
@@ -441,13 +458,13 @@ def test_each_link_outcome_has_the_class_its_endpoints_imply_on_random_graphs(
     _assert_link_classes_follow_the_endpoints(small_graph(draw), params)
 
 
-def _dense_class_inflows(graph, params, ts, weights) -> np.ndarray:
+def _dense_class_inflows(ts, weights) -> np.ndarray:
     """Arrivals per state and class of one step from `weights`, summed entry
-    by entry over the table's outcomes as classed by its ``cls`` column;
-    restart and fake outcomes land on ``ts``'s distributions."""
+    by entry over the system's outcomes as the test's reference classes
+    them; restart and fake outcomes land on ``ts``'s distributions."""
     landing = {TO_RESTART: ts.restart_dist, TO_FAKE: ts.paper_dist}
     out = np.zeros((len(weights), N_CLASSES))
-    for row, target, cls, p in _table_entries(graph, params):
+    for row, target, cls, p in _state_entries(ts):
         if target < 0:
             out[:, cls] += weights[row] * p * landing[target]
         else:
@@ -466,13 +483,22 @@ def test_class_inflows_equal_a_dense_per_class_reference(fixture_graphs, k):
             n = ts.link.shape[0]
             for x in (pi, rng.random(n), rng.integers(0, 50, n) * (rng.random(n) < 0.5)):
                 got = class_inflows(ts, x)
-                want = _dense_class_inflows(g, params, ts, x)
+                want = _dense_class_inflows(ts, x)
                 assert got.shape == (n, N_CLASSES)
                 assert np.abs(got - want).max() <= 1e-13 * x.sum(), (name, mode)
                 # every row sums to one, so one step conserves the weights
                 assert got.sum() == pytest.approx(x.sum(), rel=1e-12), (name, mode)
             with pytest.raises(ValueError, match="one entry per state"):
                 class_inflows(ts, np.ones(n + 1))
+            # a negative weight used to give negative arrivals, a NaN one NaN
+            # columns and an infinite one a RuntimeWarning
+            for bad in (-1.0, float("nan"), float("inf")):
+                x = np.ones(n)
+                x[0] = bad
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(ValueError, match="finite and not negative"):
+                        class_inflows(ts, x)
 
 
 # --- df = 0: periodic and reducible chains --------------------------------------

@@ -23,8 +23,8 @@ import pira.walk as walk
 from pira.walk import ScoreTable, walker_seed
 
 from conftest import (ACCEPTANCE_SEED, ACCEPTANCE_STEPS, FIXTURE_BUILDERS, adjacency,
-                      communities_graph, dense_chain, mixed_graph, pair_graph, ring_graph,
-                      small_graph, small_graphs)
+                      communities_graph, dense_chain, mixed_graph, outcome_entries, pair_graph,
+                      ring_graph, small_graph, small_graphs)
 
 
 def test_params_validation():
@@ -355,7 +355,7 @@ def _dense_reference_scores(graph, params) -> np.ndarray:
     """Normalized expected scores of the walk as the ``walk`` module docstring
     describes it, in either mode: a dense per-class transition matrix built
     node by node in plain Python and solved by least squares.  It shares no
-    code with the outcome table or the oracle."""
+    code with the walk's transition system or the oracle."""
     literal = params.mode == WalkMode.LITERAL
     n_a, n_p, n = graph.n_authors, graph.n_papers, graph.n_nodes
     s = n + n_p if literal else n  # literal: a pending-isWrittenBy copy per paper
@@ -420,26 +420,27 @@ def _dense_reference_scores(graph, params) -> np.ndarray:
 
 
 def _assert_rows_sum_to_one(graph, params):
-    t = walk.outcome_table(graph, params)
-    assert (t.prob > 0).all()
-    sums = np.bincount(np.repeat(np.arange(len(t.indptr) - 1), np.diff(t.indptr)), t.prob)
+    ts = build_transition_system(graph, params)
+    assert (ts.prob > 0).all()
+    sums = np.bincount(np.repeat(np.arange(len(ts.indptr) - 1), np.diff(ts.indptr)), ts.prob)
     assert np.abs(sums - 1.0).max() <= 1e-12
-    chain = dense_chain(build_transition_system(graph, params))
+    chain = dense_chain(ts)
     assert np.abs(chain.sum(axis=1) - 1.0).max() <= 1e-12
 
 
 def _assert_links_are_scaled_hops(graph, params):
-    """The table's link outcomes are the graph's hop matrices with each row
-    scaled: wrote by 1-df, cite by (1-df) theta |refs| / max(|refs|, K) and
-    isWrittenBy by the mode's share."""
-    t = walk.outcome_table(graph, params)
+    """The chain's link outcomes, classed by the test's reference, are the
+    graph's hop matrices with each row scaled: wrote by 1-df, cite by
+    (1-df) theta |refs| / max(|refs|, K) and isWrittenBy by the mode's
+    share."""
+    row, target, cls, prob = map(np.array, zip(*outcome_entries(
+        build_transition_system(graph, params))))
     to_paper, to_ref, to_author = hop_matrices(graph)
     n_a, n_p, n = graph.n_authors, graph.n_papers, graph.n_nodes
     keep, theta = 1.0 - params.damping_df, params.theta
     literal = params.mode == WalkMode.LITERAL
     refs = np.diff(to_ref.indptr)
     real = refs / np.maximum(np.maximum(refs, params.min_citation_count), 1)
-    row = np.repeat(np.arange(len(t.indptr) - 1), np.diff(t.indptr))
     authors, papers, copies = range(n_a), range(n_a, n), range(n, n + n_p)
     expected = [
         (walk.WROTE, authors, papers, keep * to_paper),
@@ -447,20 +448,20 @@ def _assert_links_are_scaled_hops(graph, params):
         (walk.ISWB, copies if literal else papers, authors,
          (keep if literal else keep * (1.0 - theta)) * to_author),
     ]
-    for cls, rows_, cols, want in expected:
+    for c, rows_, cols, want in expected:
         # a literal paper's move to its own copy is the one cite outcome
         # that is not a hop
-        of_cls = (t.cls == cls) & (t.target < n)
-        got = of_cls & np.isin(row, rows_) & np.isin(t.target, cols)
-        assert np.count_nonzero(got) == np.count_nonzero(of_cls), cls
-        got = sp.csr_matrix((t.prob[got], (row[got] - rows_.start, t.target[got] - cols.start)),
+        of_cls = (cls == c) & (target < n)
+        got = of_cls & np.isin(row, rows_) & np.isin(target, cols)
+        assert np.count_nonzero(got) == np.count_nonzero(of_cls), c
+        got = sp.csr_matrix((prob[got], (row[got] - rows_.start, target[got] - cols.start)),
                             shape=want.shape)
-        assert np.abs(got.toarray() - want.toarray()).max(initial=0.0) <= 1e-15, cls
-        assert got.nnz == np.count_nonzero(want.toarray()), cls
+        assert np.abs(got.toarray() - want.toarray()).max(initial=0.0) <= 1e-15, c
+        assert got.nnz == np.count_nonzero(want.toarray()), c
 
 
 @pytest.mark.parametrize("k", [0, 3])
-def test_outcome_table_links_are_scaled_hops(fixture_graphs, k):
+def test_chain_links_are_scaled_hops(fixture_graphs, k):
     for g in fixture_graphs.values():
         for mode in WalkMode:
             _assert_links_are_scaled_hops(g, WalkParams(mode=mode, min_citation_count=k))
@@ -469,7 +470,7 @@ def test_outcome_table_links_are_scaled_hops(fixture_graphs, k):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(small_graphs, st.sampled_from([0, 3]), st.sampled_from([0.0, 0.5, 1.0]),
        st.sampled_from([0.0, 0.15, 1.0]), st.sampled_from(list(WalkMode)))
-def test_outcome_table_links_are_scaled_hops_on_random_graphs(draw, k, theta, df, mode):
+def test_chain_links_are_scaled_hops_on_random_graphs(draw, k, theta, df, mode):
     params = WalkParams(min_citation_count=k, theta=theta, damping_df=df, mode=mode)
     _assert_links_are_scaled_hops(small_graph(draw), params)
 
