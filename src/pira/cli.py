@@ -37,49 +37,42 @@ AUTHOR_METHODS = {"pira", "prp", "pra", "cit", "pub", "hindex", "oracle"}
 PAPER_CAPABLE = {"pira", "oracle", "prp", "cit"}
 
 
-class UsageError(ValueError):
-    pass
+# the --weights names and the WalkParams fields they set
+WEIGHT_FIELDS = {"cite": "cite_weight", "wrote": "wrote_weight",
+                 "iswb": "iswb_weight", "restart": "restarting_weight"}
 
 
 def _parse_weights(text: str) -> dict[str, float]:
+    """A --weights spec as WalkParams keyword arguments."""
     out = {}
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
         if "=" not in part:
-            raise UsageError(f"bad weight spec {part!r}, expected name=value")
+            raise ValueError(f"bad weight spec {part!r}, expected name=value")
         name, value = part.split("=", 1)
-        if name not in ("cite", "wrote", "iswb", "restart"):
-            raise UsageError(f"unknown weight {name!r} (use cite, wrote, iswb, restart)")
+        if name not in WEIGHT_FIELDS:
+            raise ValueError(f"unknown weight {name!r} (use {', '.join(WEIGHT_FIELDS)})")
         try:
-            out[name] = float(value)
+            out[WEIGHT_FIELDS[name]] = float(value)
         except ValueError:
-            raise UsageError(f"bad weight value {value!r} for {name}") from None
+            raise ValueError(f"bad weight value {value!r} for {name}") from None
     return out
 
 
 def _walk_params(args: argparse.Namespace) -> WalkParams:
-    weights = _parse_weights(args.weights) if args.weights else {}
-    params = WalkParams(
+    return WalkParams(
         damping_df=args.df,
         theta=args.theta,
-        restarting_weight=weights.get("restart", 0.0),
-        cite_weight=weights.get("cite", 1.0),
-        wrote_weight=weights.get("wrote", 0.0),
-        iswb_weight=weights.get("iswb", 1.0),
         min_citation_count=args.min_cite_count,
         mode=WalkMode(args.mode),
         restart_author_prob=args.restart_author_prob,
         step_budget=args.steps,
         seed=args.seed,
         walkers=args.walkers,
+        **_parse_weights(args.weights or ""),
     )
-    try:
-        params.validate()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    return params
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -121,12 +114,12 @@ def _method_scores(
         return ScoreTable.over_authors(graph, baselines.pub_count(graph))
     if method == "hindex":
         return ScoreTable.over_authors(graph, baselines.h_index(graph))
-    raise UsageError(f"unknown method {method!r}")
+    raise ValueError(f"unknown method {method!r}")
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
     if args.papers and args.method not in PAPER_CAPABLE:
-        raise UsageError(f"method {args.method!r} ranks authors only")
+        raise ValueError(f"method {args.method!r} ranks authors only")
     params = _walk_params(args)  # flag validation happens before any work
     graph, _ = load_graph(args.directory)
     scores = _method_scores(graph, args, params)
@@ -149,7 +142,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         try:
             cutoffs = [float(x) for x in args.curve.split(",") if x.strip()]
         except ValueError:
-            raise UsageError(f"bad cutoff list {args.curve!r}") from None
+            raise ValueError(f"bad cutoff list {args.curve!r}") from None
         text = topx_difference(r_a, r_b, cutoffs).to_csv()
     else:
         text = scatter_to_csv(rank_scatter(r_a, r_b, args.scatter))
@@ -161,7 +154,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     graph, _ = load_graph(args.directory)
     node_spec = args.node
     if ":" not in node_spec:
-        raise UsageError("node must be given as a:AUTHOR_ID or p:PAPER_ID")
+        raise ValueError("node must be given as a:AUTHOR_ID or p:PAPER_ID")
     prefix, ext = node_spec.split(":", 1)
     if prefix == "a":
         index = graph.author_index.get(ext)
@@ -170,9 +163,9 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         index = graph.paper_index.get(ext)
         kind = NodeKind.PAPER
     else:
-        raise UsageError("node must be given as a:AUTHOR_ID or p:PAPER_ID")
+        raise ValueError("node must be given as a:AUTHOR_ID or p:PAPER_ID")
     if index is None:
-        raise UsageError(f"unknown node {node_spec!r}")
+        raise ValueError(f"unknown node {node_spec!r}")
     sub = neighborhood(graph, NodeId(kind, index), args.radius)
     _write_or_print(export_dot(sub), args.dot)
     return 0
@@ -182,19 +175,19 @@ def cmd_synth(args: argparse.Namespace) -> int:
     try:
         kind = ScenarioKind(args.kind)
     except ValueError:
-        raise UsageError(
+        raise ValueError(
             f"unknown scenario kind {args.kind!r} "
             f"(choose from {', '.join(k.value for k in ScenarioKind)})"
         ) from None
     params = {}
     for spec in args.param or []:
         if "=" not in spec:
-            raise UsageError(f"bad --param {spec!r}, expected key=value")
+            raise ValueError(f"bad --param {spec!r}, expected key=value")
         key, value = spec.split("=", 1)
         try:
             params[key] = int(value)
         except ValueError:
-            raise UsageError(f"bad --param value {value!r} for {key}") from None
+            raise ValueError(f"bad --param value {value!r} for {key}") from None
     scenario = generate(ScenarioSpec(kind, params), padding=args.padding)
     out_dir = Path(args.out_dir)
     save_graph(scenario.graph, out_dir)
@@ -221,25 +214,28 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _add_walk_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--steps", type=int, default=1_000_000,
+    parser.add_argument("--steps", type=int, default=WalkParams.step_budget,
                         help="walk step budget (arrivals)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--walkers", type=int, default=1,
+    parser.add_argument("--seed", type=int, default=WalkParams.seed)
+    parser.add_argument("--walkers", type=int, default=WalkParams.walkers,
                         help="independent walks sharing the step budget, each "
                              "with its own RNG stream and the law of one surfer; "
                              "output depends on the walk flags only, not on the "
                              "machine")
-    parser.add_argument("--theta", type=float, default=0.7,
+    parser.add_argument("--theta", type=float, default=WalkParams.theta,
                         help="probability of following a citation from a paper")
-    parser.add_argument("--df", type=float, default=0.15,
+    parser.add_argument("--df", type=float, default=WalkParams.damping_df,
                         help="reinitialization probability at each arrival")
-    parser.add_argument("--min-cite-count", type=int, default=0,
+    parser.add_argument("--min-cite-count", type=int, default=WalkParams.min_citation_count,
                         help="virtual floor on outgoing reference counts")
-    parser.add_argument("--mode", choices=["interpreted", "literal"],
-                        default="interpreted")
+    parser.add_argument("--mode", choices=[m.value for m in WalkMode],
+                        default=WalkParams.mode.value)
+    default_weights = ",".join(f"{name}={getattr(WalkParams, field):g}"
+                               for name, field in WEIGHT_FIELDS.items())
     parser.add_argument("--weights", default=None, metavar="SPEC",
-                        help="c-weights, e.g. cite=1,wrote=0,iswb=1,restart=0")
-    parser.add_argument("--restart-author-prob", type=float, default=None,
+                        help=f"c-weights (default {default_weights})")
+    parser.add_argument("--restart-author-prob", type=float,
+                        default=WalkParams.restart_author_prob,
                         help="probability a restart enters at an author "
                              "(default: proportional to node counts)")
 

@@ -20,6 +20,7 @@ population without disturbing the scenario structure.
 from __future__ import annotations
 
 import enum
+import inspect
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -70,31 +71,15 @@ class Scenario:
     assertions: tuple[Assertion, ...]
 
 
-DEFAULT_PARAMS: dict[ScenarioKind, dict[str, int]] = {
-    ScenarioKind.PAPER_QUALITY: {"citers": 10, "other_papers": 2},
-    ScenarioKind.COAUTHOR_COUNT: {"citations": 5, "coauthors": 10},
-    ScenarioKind.CITING_QUALITY: {"strong_citations": 16, "weak_citations": 1},
-    ScenarioKind.SELF_CITATION: {
-        "pubs": 10,
-        "external_citations": 3,
-        "citer_quality": 25,
-    },
-    ScenarioKind.CITATION_LOOP: {
-        "loop_citers": 7,
-        "author_pubs": 30,
-        "control_citers": 25,
-    },
-    ScenarioKind.SINGLE_REF_CHAIN: {"length": 5, "bracket_pubs": 7},
-}
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ValueError(message)
 
 
-# a generator's node and edge lists (authors, papers, wrote, cites) and its
-# assertions; ``generate`` pads the lists, builds the graph and wraps both
+# a generator takes its sizes as keyword-only parameters, each with its
+# default, and returns its node and edge lists (authors, papers, wrote,
+# cites) and its assertions; ``generate`` pads the lists, builds the graph
+# and wraps both
 _Parts = tuple[list, list, list, list, tuple[Assertion, ...]]
 
 
@@ -106,9 +91,7 @@ def _pad(authors, papers, wrote, padding: int) -> None:
         wrote.append((a, p))
 
 
-def _paper_quality(params: Mapping[str, int]) -> _Parts:
-    citers = params["citers"]
-    other_papers = params["other_papers"]
+def _paper_quality(*, citers: int = 10, other_papers: int = 2) -> _Parts:
     _require(citers >= 1, "citers must be at least 1")
     _require(other_papers >= 2, "other_papers must be at least 2")
 
@@ -134,9 +117,7 @@ def _paper_quality(params: Mapping[str, int]) -> _Parts:
     return authors, papers, wrote, cites, assertions
 
 
-def _coauthor_count(params: Mapping[str, int]) -> _Parts:
-    citations = params["citations"]
-    coauthors = params["coauthors"]
+def _coauthor_count(*, citations: int = 5, coauthors: int = 10) -> _Parts:
     _require(citations >= 1, "citations must be at least 1")
     _require(coauthors >= 2, "coauthors must be at least 2")
 
@@ -164,10 +145,9 @@ def _coauthor_count(params: Mapping[str, int]) -> _Parts:
     return authors, papers, wrote, cites, assertions
 
 
-def _citing_quality(params: Mapping[str, int]) -> _Parts:
-    strong = params["strong_citations"]
-    weak = params["weak_citations"]
-    _require(strong > weak >= 1, "need strong_citations > weak_citations >= 1")
+def _citing_quality(*, strong_citations: int = 16, weak_citations: int = 1) -> _Parts:
+    _require(strong_citations > weak_citations >= 1,
+             "need strong_citations > weak_citations >= 1")
 
     # the second-hop citers carry no authors: the one-hop author graph then
     # sees perfectly symmetric inflow for b1 and b2, while the walk on the
@@ -186,11 +166,11 @@ def _citing_quality(params: Mapping[str, int]) -> _Parts:
     ]
     wrote = [("b1", "pb1"), ("b2", "pb2"), ("c1a", "c1"), ("c2a", "c2")]
     cites = [("c1", "pb1"), ("c2", "pb2")]
-    for i in range(strong):
+    for i in range(strong_citations):
         pid = f"d1_{i + 1:02d}"
         papers.append((pid, f"Distant Citer of Strong {i + 1}", False))
         cites.append((pid, "c1"))
-    for i in range(weak):
+    for i in range(weak_citations):
         pid = f"d2_{i + 1:02d}"
         papers.append((pid, f"Distant Citer of Weak {i + 1}", False))
         cites.append((pid, "c2"))
@@ -203,13 +183,11 @@ def _citing_quality(params: Mapping[str, int]) -> _Parts:
     return authors, papers, wrote, cites, assertions
 
 
-def _self_citation(params: Mapping[str, int]) -> _Parts:
-    pubs = params["pubs"]
-    ext = params["external_citations"]
-    quality = params["citer_quality"]
+def _self_citation(*, pubs: int = 10, external_citations: int = 3,
+                   citer_quality: int = 25) -> _Parts:
     _require(pubs >= 2, "pubs must be at least 2")
-    _require(ext >= 1, "external_citations must be at least 1")
-    _require(quality >= 1, "citer_quality must be at least 1")
+    _require(external_citations >= 1, "external_citations must be at least 1")
+    _require(citer_quality >= 1, "citer_quality must be at least 1")
 
     authors = [("a1", "Self Citer", True), ("a2", "Externally Cited", True)]
     papers = [("q", "Externally Cited Paper", True)]
@@ -222,14 +200,14 @@ def _self_citation(params: Mapping[str, int]) -> _Parts:
         wrote.append(("a1", pid))
         if i:
             cites.append((pid, f"s{i:02d}"))
-    # a2: ext external citers, each well cited by `quality` authored papers
-    for j in range(ext):
+    # a2: external_citations citers, each well cited by citer_quality papers
+    for j in range(external_citations):
         cid, caid = f"e{j + 1}", f"ea{j + 1}"
         papers.append((cid, f"External Citer {j + 1}", False))
         authors.append((caid, f"External Citer Author {j + 1}", False))
         wrote.append((caid, cid))
         cites.append((cid, "q"))
-        for k in range(quality):
+        for k in range(citer_quality):
             bid, baid = f"bg{j + 1}_{k + 1:02d}", f"bga{j + 1}_{k + 1:02d}"
             papers.append((bid, f"Background Citer {j + 1}.{k + 1}", False))
             authors.append((baid, f"Background Author {j + 1}.{k + 1}", False))
@@ -244,10 +222,8 @@ def _self_citation(params: Mapping[str, int]) -> _Parts:
     return authors, papers, wrote, cites, assertions
 
 
-def _citation_loop(params: Mapping[str, int]) -> _Parts:
-    loop_citers = params["loop_citers"]
-    author_pubs = params["author_pubs"]
-    control_citers = params["control_citers"]
+def _citation_loop(*, loop_citers: int = 7, author_pubs: int = 30,
+                   control_citers: int = 25) -> _Parts:
     _require(loop_citers >= 1, "loop_citers must be at least 1")
     _require(author_pubs >= 1, "author_pubs must be at least 1")
     _require(control_citers >= 1, "control_citers must be at least 1")
@@ -285,9 +261,7 @@ def _citation_loop(params: Mapping[str, int]) -> _Parts:
     return authors, papers, wrote, cites, assertions
 
 
-def _single_ref_chain(params: Mapping[str, int]) -> _Parts:
-    length = params["length"]
-    bracket_pubs = params["bracket_pubs"]
+def _single_ref_chain(*, length: int = 5, bracket_pubs: int = 7) -> _Parts:
     _require(length >= 2, "length must be at least 2")
     _require(bracket_pubs >= 1, "bracket_pubs must be at least 1")
 
@@ -322,15 +296,18 @@ _GENERATORS = {
 
 
 def generate(spec: ScenarioSpec, padding: int = 0) -> Scenario:
-    """Build the scenario graph and its expected ordering assertions."""
+    """Build the scenario graph and its expected ordering assertions.
+
+    ``spec.params`` overrides the generator's size defaults; a key the
+    generator does not take raises ValueError.
+    """
     if padding < 0:
         raise ValueError("padding must be non-negative")
-    params = dict(DEFAULT_PARAMS[spec.kind])
-    unknown = set(spec.params) - set(params)
+    generator = _GENERATORS[spec.kind]
+    unknown = set(spec.params) - set(inspect.signature(generator).parameters)
     if unknown:
         raise ValueError(f"unknown parameters for {spec.kind.value}: {sorted(unknown)}")
-    params.update(spec.params)
-    authors, papers, wrote, cites, assertions = _GENERATORS[spec.kind](params)
+    authors, papers, wrote, cites, assertions = generator(**spec.params)
     _pad(authors, papers, wrote, padding)
     return Scenario(spec.kind, build_graph(authors, papers, wrote, cites), assertions)
 

@@ -20,7 +20,7 @@ Two execution modes are provided:
   no outgoing references always reinitializes instead of taking an
   isWrittenBy jump.
 
-``minimum_citation_count`` (K) dilutes thin reference lists: the citation
+``min_citation_count`` (K) dilutes thin reference lists: the citation
 pick is uniform over max(|refs|, K) slots, and a slot beyond the real
 references sends the surfer to a uniformly random paper ("fake" pick); in
 literal mode the slot is drawn before the theta test, so a fake pick is
@@ -92,6 +92,10 @@ class WalkParams:
     calling process), and the scores depend on the params only, not on the
     machine.  Each walker's arrival counts have the law of one surfer's
     first arrivals up to its share of the budget.
+
+    Construction checks every value, so no invalid params can be made,
+    not through ``dataclasses.replace`` or ``scaled_weights`` either; a
+    bad value raises ValueError.
     """
 
     damping_df: float = 0.15
@@ -107,7 +111,9 @@ class WalkParams:
     seed: int = 0
     walkers: int = 1
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        if not isinstance(self.mode, WalkMode):
+            raise ValueError(f"mode must be a WalkMode, got {self.mode!r}")
         if not 0.0 <= self.damping_df <= 1.0:
             raise ValueError(f"damping_df must be in [0, 1], got {self.damping_df}")
         if not 0.0 <= self.theta <= 1.0:
@@ -389,7 +395,6 @@ def build_transition_system(graph: CitationGraph, params: WalkParams) -> Transit
     the graph's one-hop matrices (``graph.hop_matrices``), each row scaled
     by the share of its row's mass that takes that hop.
     """
-    params.validate()
     if graph.n_nodes == 0:
         raise ValueError("cannot build a transition system for an empty graph")
     n_a, n_p = graph.n_authors, graph.n_papers
@@ -771,7 +776,6 @@ def pira_rank(graph: CitationGraph, params: WalkParams) -> ScoreTable:
     the step budget exactly, nodes with equal arrivals per class tie
     exactly, and the counts do not depend on the weights at all.
     """
-    params.validate()
     if graph.n_nodes == 0:
         raise ValueError("cannot rank an empty graph")
     return score_arrivals(graph, _arrival_counts(graph, params), params)

@@ -123,6 +123,17 @@ def test_rank_validates_flags(dataset, capsys):
     assert main(["rank", str(dataset), "--method", "pub", "--papers"]) == 2
 
 
+def test_walk_flags_default_to_walk_params_and_weights_set_their_fields():
+    def walk_params(*flags):
+        return cli._walk_params(cli.build_parser().parse_args(
+            ["rank", "DIR", "--method", "pira", *flags]))
+
+    assert walk_params() == WalkParams()
+    weighted = walk_params("--weights", "cite=0.3,wrote=0.2,iswb=0.7,restart=0.1")
+    assert weighted == WalkParams(cite_weight=0.3, wrote_weight=0.2, iswb_weight=0.7,
+                                  restarting_weight=0.1)
+
+
 def test_rank_rejects_non_finite_weights_before_loading(tmp_path, capsys):
     # the weights are checked before the (missing) dataset is read
     missing = str(tmp_path / "missing")

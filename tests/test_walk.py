@@ -28,37 +28,49 @@ from conftest import (ACCEPTANCE_SEED, ACCEPTANCE_STEPS, FIXTURE_BUILDERS, adjac
 
 
 def test_params_validation():
-    WalkParams().validate()
+    WalkParams()
     with pytest.raises(ValueError):
-        WalkParams(damping_df=1.5).validate()
+        WalkParams(damping_df=1.5)
     with pytest.raises(ValueError):
-        WalkParams(theta=-0.1).validate()
+        WalkParams(theta=-0.1)
     with pytest.raises(ValueError):
-        WalkParams(cite_weight=-1.0).validate()
+        WalkParams(cite_weight=-1.0)
     with pytest.raises(ValueError):
         WalkParams(cite_weight=0, iswb_weight=0, wrote_weight=0,
-                   restarting_weight=0).validate()
+                   restarting_weight=0)
     with pytest.raises(ValueError):
-        WalkParams(step_budget=0).validate()
+        WalkParams(step_budget=0)
     with pytest.raises(ValueError):
-        WalkParams(walkers=0).validate()
+        WalkParams(walkers=0)
     with pytest.raises(ValueError):
-        WalkParams(min_citation_count=-1).validate()
+        WalkParams(min_citation_count=-1)
     # non-finite c-weights and a K that is not an integer: before they were
     # rejected, a NaN or infinite weight ran the whole walk, and a NaN or
     # infinite K made rows that did not sum to one
     for weight in ("restarting_weight", "cite_weight", "wrote_weight", "iswb_weight"):
         for value in (math.nan, math.inf):
             with pytest.raises(ValueError, match="c-weights"):
-                replace(WalkParams(), **{weight: value}).validate()
+                replace(WalkParams(), **{weight: value})
     for k in (math.nan, math.inf, 2.5, 3.0, "3"):
         with pytest.raises(ValueError, match="min_citation_count"):
-            WalkParams(min_citation_count=k).validate()
-    WalkParams(min_citation_count=np.int64(3)).validate()
+            WalkParams(min_citation_count=k)
+    WalkParams(min_citation_count=np.int64(3))
     # a fractional budget used to pass and count fewer arrivals than asked
     for name in ("step_budget", "walkers", "seed"):
         with pytest.raises(ValueError, match=name):
-            replace(WalkParams(), **{name: 1000.5}).validate()
+            replace(WalkParams(), **{name: 1000.5})
+    # each of these was once built unchecked: a mode string gave the
+    # interpreted chain's scores, a negative scale divided by zero in
+    # score_arrivals, a negative weight took each citation off the score,
+    # and a restart share above one came back as is
+    with pytest.raises(ValueError, match="mode"):
+        WalkParams(mode="literal")
+    with pytest.raises(ValueError, match="c-weights"):
+        WalkParams().scaled_weights(-1.0)
+    with pytest.raises(ValueError, match="c-weights"):
+        WalkParams(cite_weight=-0.5)
+    with pytest.raises(ValueError, match="restart_author_prob"):
+        WalkParams(restart_author_prob=2.0)
 
 
 # --- normalize ------------------------------------------------------------
