@@ -10,8 +10,9 @@ the cited paper.
 Every measure here is sparse algebra on the graph's stored incidence
 matrices, ``CitationGraph.wrote`` and ``cite``: the counts are their degree
 sums, PR-P's paper graph is ``cite`` itself, and PR-A's author graph is the
-product of the walk's three cached one-hop matrices (``graph.hop_matrices``,
-from which the walk's transition system is built too).  PageRank runs on the
+product of the walk's three cached one-hop matrices (``graph.to_paper``,
+``to_ref`` and ``to_author``, from which the walk's transition system is
+built too).  PageRank runs on the
 oracle's stationary solver, which takes that product as its three factors,
 so PR-A never forms the author graph; ``build_author_graph`` returns it as
 an explicit CSR matrix.
@@ -22,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import CitationGraph, hop_matrices
+from .graph import CitationGraph
 from .oracle import DEFAULT_TOL, MAX_ITERATIONS, link_factors, stationary_distribution
 
 DEFAULT_DAMPING = 0.15
@@ -120,8 +121,7 @@ def build_author_graph(graph: CitationGraph) -> sp.csr_matrix:
     probability of stalling at a paper without references or a cited paper
     without authors.  ``pr_a`` runs on the same product without forming it.
     """
-    to_paper, to_ref, to_author = hop_matrices(graph)
-    return sp.csr_matrix(to_paper @ to_ref @ to_author)
+    return sp.csr_matrix(graph.to_paper @ graph.to_ref @ graph.to_author)
 
 
 def pr_a(graph: CitationGraph, damping: float = DEFAULT_DAMPING) -> np.ndarray:
@@ -129,4 +129,4 @@ def pr_a(graph: CitationGraph, damping: float = DEFAULT_DAMPING) -> np.ndarray:
     iterated through its three hop-matrix factors; empty without authors."""
     if graph.n_authors == 0 and 0.0 < damping < 1.0:  # a bad damping fails in pagerank
         return np.zeros(0)
-    return pagerank(hop_matrices(graph), damping=damping)
+    return pagerank((graph.to_paper, graph.to_ref, graph.to_author), damping=damping)

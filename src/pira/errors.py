@@ -6,7 +6,8 @@ class PiraError(Exception):
 
 
 class GraphBuildError(PiraError):
-    """Raised when a graph cannot be constructed (dangling edge, bad node spec)."""
+    """Raised when a graph cannot be constructed (dangling edge, edge pair of
+    another length, bad node spec)."""
 
 
 class DanglingEdgeError(GraphBuildError):
@@ -26,8 +27,10 @@ class DanglingEdgeError(GraphBuildError):
 
 
 class NodeSpecError(GraphBuildError):
-    """A node spec fails a check: an empty id or name, a tab or line break,
-    an id starting with U+FEFF, or an id listed twice.
+    """A node spec fails a check: a length other than 2 or 3, an id or name
+    that is not a str, an empty id or name, a tab or line break, an id
+    starting with U+FEFF, a DBLP flag that is not a bool, 0 or 1, or an id
+    listed twice.
 
     Carries the node kind (``"author"`` or ``"paper"``) and the spec's
     0-based position in its node list; for a repeated id, the later one.

@@ -29,7 +29,7 @@ and author picks) are the package's one definition of its chain's links:
 ``to_paper``, ``to_ref`` and ``to_author``, the incidence matrices with
 their stored data scaled row by row.  Each is a read-only matrix cached on
 the graph on first use, so the walk's transition system, the exact oracle,
-PR-P and PR-A share one copy; ``hop_matrices`` returns the three.
+PR-P and PR-A share one copy.
 """
 
 from __future__ import annotations
@@ -37,12 +37,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import zip_longest
 from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DanglingEdgeError, NodeSpecError
+from .errors import DanglingEdgeError, GraphBuildError, NodeSpecError
 
 
 class NodeKind(enum.IntEnum):
@@ -258,50 +259,48 @@ def edge_columns(graph: CitationGraph, author_col: Sequence[str],
             columns(graph.cite, paper_col, paper_order))
 
 
-def _checked_specs(specs: Iterable[NodeSpec], kind: str) -> list[tuple[str, str, bool]]:
-    """The specs as (ext_id, name, flag) rows, checked one by one in order;
-    the first bad spec raises NodeSpecError with its position."""
-    out = []
-    seen: set[str] = set()
-    for position, spec in enumerate(specs):
-        if len(spec) == 2:
-            ext, label = spec  # type: ignore[misc]
-            flag = True
-        else:
-            ext, label, flag = spec  # type: ignore[misc]
-        if not ext:
-            raise NodeSpecError(f"{kind} with empty id", kind, position)
-        if not label:
-            raise NodeSpecError(f"{kind} {ext!r} has an empty name", kind, position)
-        # the TSV format's separators; text mode reads a bare \r as a line break
-        text = ext + label
-        if "\t" in text or "\n" in text or "\r" in text:
-            raise NodeSpecError(
-                f"{kind} {ext!r} ({label!r}): ids and names may not contain tabs or line breaks",
-                kind, position)
-        if ext.startswith("\ufeff"):  # a saved file may begin with the id
-            raise NodeSpecError(
-                f"{kind} {ext!r}: ids may not start with U+FEFF, a file's byte-order mark",
-                kind, position)
-        if ext in seen:
-            raise NodeSpecError(f"duplicate {kind} id {ext!r}", kind, position)
-        seen.add(ext)
-        out.append((ext, label, bool(flag)))
-    return out
-
-
-def _clean(ext_ids: Sequence[str], names: Sequence[str]) -> bool:
+def _clean(ext_ids: Sequence[str], names: Sequence[str], flags: Sequence[bool]) -> bool:
     """True when every id and name is a non-empty str without a tab or a
     line break (the TSV separators; text mode reads a bare \\r as a line
-    break) and no id starts with U+FEFF (read as a byte-order mark at the
-    start of a file)."""
+    break), no id starts with U+FEFF (read as a byte-order mark at the start
+    of a file) and every flag is a bool, 0 or 1."""
     try:
         text = "".join(ext_ids) + "".join(names)
-    except TypeError:
+        if not set(flags) <= {False, True}:
+            return False
+    except TypeError:  # a value that is not a str, or an unhashable flag
         return False
     if "\ufeff" in text and any(e.startswith("\ufeff") for e in ext_ids):
         return False
     return not ("" in ext_ids or "" in names or "\t" in text or "\n" in text or "\r" in text)
+
+
+def _checked_index(ext_ids: Sequence, names: Sequence, flags: Sequence,
+                   kind: str) -> dict[str, int]:
+    """The id -> index map of the columns, checked node by node in order;
+    the first bad node raises NodeSpecError with its position."""
+    index: dict[str, int] = {}
+    for position, (ext, label, flag) in enumerate(zip(ext_ids, names, flags)):
+        if not (isinstance(ext, str) and isinstance(label, str)):
+            problem = f"{kind} ({ext!r}, {label!r}): ids and names must be str"
+        elif not ext:
+            problem = f"{kind} with empty id"
+        elif not label:
+            problem = f"{kind} {ext!r} has an empty name"
+        elif "\t" in (text := ext + label) or "\n" in text or "\r" in text:
+            problem = (f"{kind} {ext!r} ({label!r}): "
+                       "ids and names may not contain tabs or line breaks")
+        elif ext.startswith("\ufeff"):  # a saved file may begin with the id
+            problem = f"{kind} {ext!r}: ids may not start with U+FEFF, a file's byte-order mark"
+        elif flag not in (False, True):
+            problem = f"{kind} {ext!r}: the DBLP flag must be a bool, 0 or 1, got {flag!r}"
+        elif ext in index:
+            problem = f"duplicate {kind} id {ext!r}"
+        else:
+            index[ext] = position
+            continue
+        raise NodeSpecError(problem, kind, position)
+    return index
 
 
 def _node_columns(
@@ -310,33 +309,29 @@ def _node_columns(
     """Checked columns (id and name tuples, a read-only bool array) plus the
     id -> index map.
 
-    The checks run on whole columns.  Only when one fails, or the specs mix
-    lengths, do they run spec by spec in ``_checked_specs``, so the first
-    bad spec raises its own message.
+    Specs become (id, name, flag) columns first, the flag of a 2-field spec
+    being True.  The checks run on whole columns; only when one fails, or
+    an id repeats, does ``_checked_index`` search the same columns node by
+    node, so the first bad node raises its own message.
     """
     if isinstance(nodes, NodeColumns):
         if not len(nodes.ext_ids) == len(nodes.names) == len(nodes.in_dblp):
             raise ValueError("NodeColumns columns differ in length")
-        columns = (tuple(nodes.ext_ids), tuple(nodes.names), nodes.in_dblp)
-        specs: Iterable[NodeSpec] = zip(*columns)
+        ext_ids, names, flags = tuple(nodes.ext_ids), tuple(nodes.names), nodes.in_dblp
     else:
         specs = nodes if isinstance(nodes, (list, tuple)) else list(nodes)
-        sizes = set(map(len, specs))
-        if sizes == {3}:
-            columns = tuple(zip(*specs))
-        elif sizes == {2}:
-            columns = (*zip(*specs), (True,) * len(specs))
-        else:  # no specs, or specs of mixed or wrong lengths
-            columns = None
-    index = None
-    if columns is not None and _clean(columns[0], columns[1]):
-        index = dict(zip(columns[0], range(len(columns[0]))))
-    if index is None or len(index) != len(columns[0]):  # a failed check or a repeated id
-        rows = _checked_specs(specs, kind)
-        columns = tuple(zip(*rows)) if rows else ((), (), ())
-        index = dict(zip(columns[0], range(len(rows))))
-    ext_ids, names, flags = columns
-    in_dblp = np.fromiter(map(bool, flags), dtype=bool, count=len(ext_ids))
+        if not set(map(len, specs)) <= {2, 3}:
+            position, spec = next((i, s) for i, s in enumerate(specs) if len(s) not in (2, 3))
+            raise NodeSpecError(f"{kind} spec {spec!r} has length {len(spec)}, not 2 or 3",
+                                kind, position)
+        columns = list(zip_longest(*specs, fillvalue=True)) or [(), ()]
+        if len(columns) == 2:  # 2-field specs only
+            columns.append((True,) * len(specs))
+        ext_ids, names, flags = columns
+    index = dict(zip(ext_ids, range(len(ext_ids)))) if _clean(ext_ids, names, flags) else {}
+    if len(index) != len(ext_ids):  # a failed check or a repeated id
+        index = _checked_index(ext_ids, names, flags, kind)
+    in_dblp = np.array(flags, dtype=bool)
     in_dblp.flags.writeable = False
     return NodeColumns(ext_ids, names, in_dblp), index
 
@@ -357,13 +352,22 @@ def _edge_indices(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dense indices of both endpoint columns, each id looked up once.
 
-    When one is unknown, the columns are looked up again to raise
+    Pairs become one EdgeColumns first; a pair of another size raises
+    GraphBuildError, and columns of unequal lengths raise ValueError.  When
+    an id is unknown, the columns are looked up again to raise
     DanglingEdgeError for the first edge that has an unknown id, naming its
     source before its target.
     """
     if not isinstance(edges, EdgeColumns):
-        pairs = list(edges)
-        edges = EdgeColumns([s for s, _ in pairs], [d for _, d in pairs])
+        pairs = edges if isinstance(edges, (list, tuple)) else list(edges)
+        try:
+            edges = EdgeColumns([s for s, _ in pairs], [d for _, d in pairs])
+        except ValueError:  # a pair of another size
+            position, pair = next((i, e) for i, e in enumerate(pairs) if len(e) != 2)
+            raise GraphBuildError(
+                f"{label} edge {position}: {pair!r} has length {len(pair)}, not 2") from None
+    if len(edges.sources) != len(edges.targets):
+        raise ValueError("EdgeColumns columns differ in length")
     try:
         return tuple(np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids))
                      for index, ids in ((src_index, edges.sources), (dst_index, edges.targets)))
@@ -434,12 +438,16 @@ def build_graph(
     NodeColumns per kind; edges are (source, target) pairs or one
     EdgeColumns.  Duplicate edges and self-citations are dropped (counted in
     the report); an edge endpoint that names no node raises
-    DanglingEdgeError, a GraphBuildError.  So does a bad node spec, as
-    NodeSpecError: an empty or repeated id, an empty name, an id, name or
-    title containing a tab or line break (the TSV separators), and an id
-    starting with U+FEFF (a saved file starting with it would load without
-    it, as a byte-order mark).  Authors
-    without papers and papers without authors are permitted and flagged.
+    DanglingEdgeError, a GraphBuildError, and so does an edge pair that is
+    not two ids long, as a plain GraphBuildError.  A bad node raises
+    NodeSpecError, also a GraphBuildError: a spec whose length is not 2 or
+    3, an id or name that is not a str, an empty or repeated id, an empty
+    name, an id, name or title containing a tab or line break (the TSV
+    separators), an id starting with U+FEFF (a saved file starting with it
+    would load without it, as a byte-order mark) and a DBLP flag that is not
+    a bool, 0 or 1.  NodeColumns or EdgeColumns whose columns differ in
+    length raise ValueError.  Authors without papers and papers without
+    authors are permitted and flagged.
     """
     a_nodes = _node_columns(authors, "author")
     p_nodes = _node_columns(papers, "paper")
@@ -465,21 +473,6 @@ def row_stochastic(m: sp.csr_matrix) -> sp.csr_matrix:
                          shape=m.shape)
 
 
-def hop_matrices(graph: CitationGraph) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
-    """The row-stochastic one-hop matrices of the walk's three link classes.
-
-    Returns the graph's cached ``(to_paper, to_ref, to_author)``:
-    author -> paper, proportional to the paper's p-weight 1 / co-author
-    count; paper -> cited paper, uniform; paper -> author, uniform.  They
-    are ``wrote``, ``cite`` and the transpose of ``wrote`` with their
-    stored data scaled, so each keeps its source's sorted column indices,
-    and they are read-only.  A node without a link of the class has an
-    empty row.  The walk's transition system (hence the exact oracle), PR-P
-    and PR-A all read them; each is built once per graph.
-    """
-    return graph.to_paper, graph.to_ref, graph.to_author
-
-
 def _row_entries(m: sp.csr_matrix, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entry counts of the given rows of `m`, and their column indices in
     row order."""
@@ -490,25 +483,15 @@ def _row_entries(m: sp.csr_matrix, rows: np.ndarray) -> tuple[np.ndarray, np.nda
     return counts, m.indices[np.repeat(starts, counts) + offsets]
 
 
-def _sub_nodes(
-    ext_ids: tuple[str, ...], names: tuple[str, ...], in_dblp: np.ndarray, kept: np.ndarray
-) -> tuple[NodeColumns, dict[str, int]]:
-    """The kept nodes' columns, in index order, and their id -> index map."""
-    kept_list = kept.tolist()
-    sub_ext = tuple([ext_ids[i] for i in kept_list])
-    flags = in_dblp[kept]
-    flags.flags.writeable = False
-    return (NodeColumns(sub_ext, tuple([names[i] for i in kept_list]), flags),
-            dict(zip(sub_ext, range(len(sub_ext)))))
-
-
 def neighborhood(graph: CitationGraph, center: NodeId, radius: int) -> CitationGraph:
     """Induced subgraph of every node within `radius` hops of `center`.
 
     All edge kinds count as one hop in either direction.  External ids,
     names/titles and DBLP flags are preserved; dense indices are reassigned
     in the original order.  The search runs level by level on the CSR
-    matrices and their transposes, and the edges are sliced from them.
+    matrices and their transposes, and the edges are sliced from them; the
+    kept nodes' columns are gathered and enter the subgraph the way
+    ``build_graph``'s NodeColumns do.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
@@ -540,9 +523,15 @@ def neighborhood(graph: CitationGraph, center: NodeId, radius: int) -> CitationG
         src, dst = np.repeat(np.arange(len(rows)), counts), new_p[cols]
         return src[dst >= 0], dst[dst >= 0]
 
+    def nodes(kept: np.ndarray, ext_ids: tuple[str, ...], names: tuple[str, ...],
+              in_dblp: np.ndarray, kind: str) -> tuple[NodeColumns, dict[str, int]]:
+        rows = kept.tolist()  # few rows of long columns: no whole-column gather
+        return _node_columns(NodeColumns([ext_ids[i] for i in rows], [names[i] for i in rows],
+                                         in_dblp[kept]), kind)
+
     return _assemble(
-        _sub_nodes(graph.author_ext_ids, graph.author_names, graph.author_in_dblp, kept_a),
-        _sub_nodes(graph.paper_ext_ids, graph.paper_titles, graph.paper_in_dblp, kept_p),
+        nodes(kept_a, graph.author_ext_ids, graph.author_names, graph.author_in_dblp, "author"),
+        nodes(kept_p, graph.paper_ext_ids, graph.paper_titles, graph.paper_in_dblp, "paper"),
         induced(graph.wrote, kept_a),
         induced(graph.cite, kept_p),
     )

@@ -16,9 +16,10 @@ The oracle reads that system as one sparse link matrix plus two rank-1
 restart components: reinitialization mass times the restart distribution,
 and fake-citation mass times the uniform paper distribution.  Rows sum to
 one.  ``link`` is derived from the system's rows on first read: their link
-outcomes, the graph's one-hop matrices (``graph.hop_matrices``, one entry
-per edge of ``CitationGraph.wrote`` and ``cite``) scaled per row, plus, in
-literal mode, one cite entry per copy, so no dense matrix is built.
+outcomes, the graph's one-hop matrices (``graph.to_paper``, ``to_ref`` and
+``to_author``, one entry per edge of ``CitationGraph.wrote`` and ``cite``)
+scaled per row, plus, in literal mode, one cite entry per copy, so no dense
+matrix is built.
 
 A link's edge class follows from its endpoints (``walk.entry_classes``):
 wrote from an author row, isWrittenBy into an author column, cite

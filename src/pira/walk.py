@@ -33,10 +33,10 @@ a row per walk state listing each move as (next state, probability).  The
 states are the authors, the papers and, in literal mode, one "pending
 isWrittenBy" copy per paper, the state after the 1-theta re-arrival; the
 two modes differ only in how the rows are built.  The link moves are the
-graph's one-hop matrices (``graph.hop_matrices``) scaled per row; restart
-and fake moves are sentinel outcomes whose landing node is drawn by
-arithmetic.  A move's edge class follows from its row and target
-(``entry_classes``, the one class rule).
+graph's one-hop matrices (``graph.to_paper``, ``to_ref``, ``to_author``)
+scaled per row; restart and fake moves are sentinel outcomes whose landing
+node is drawn by arithmetic.  A move's edge class follows from its row and
+target (``entry_classes``, the one class rule).
 
 Restarts are regeneration points: the arrivals from one restart outcome up
 to the next form a restart cycle, and one surfer's arrivals are i.i.d.
@@ -58,15 +58,15 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import CitationGraph, NodeKind, _read_only, hop_matrices
+from .graph import CitationGraph, NodeKind, _read_only
 
 _MASK64 = (1 << 64) - 1
 
@@ -94,8 +94,10 @@ class WalkParams:
     first arrivals up to its share of the budget.
 
     Construction checks every value, so no invalid params can be made,
-    not through ``dataclasses.replace`` or ``scaled_weights`` either; a
-    bad value raises ValueError.
+    not through ``dataclasses.replace`` or ``scaled_weights`` either.  A
+    bad value raises ValueError naming its field, and so does a wrong type:
+    a float field that is not a real number (``restart_author_prob`` may be
+    None) or an integer field that is not an integer (a bool included).
     """
 
     damping_df: float = 0.15
@@ -114,6 +116,12 @@ class WalkParams:
     def __post_init__(self) -> None:
         if not isinstance(self.mode, WalkMode):
             raise ValueError(f"mode must be a WalkMode, got {self.mode!r}")
+        for name in ("damping_df", "theta", "restarting_weight", "cite_weight",
+                     "wrote_weight", "iswb_weight", "restart_author_prob"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real)
+                    or value is None and name == "restart_author_prob"):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not 0.0 <= self.damping_df <= 1.0:
             raise ValueError(f"damping_df must be in [0, 1], got {self.damping_df}")
         if not 0.0 <= self.theta <= 1.0:
@@ -128,11 +136,9 @@ class WalkParams:
         if all(w == 0 for w in weights):
             raise ValueError("at least one c-weight must be positive")
         for name in ("min_citation_count", "step_budget", "walkers", "seed"):
-            try:
-                operator.index(getattr(self, name))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, "
-                                 f"got {getattr(self, name)!r}") from None
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.min_citation_count < 0:
             raise ValueError("min_citation_count must be non-negative")
         if self.step_budget < 1:
@@ -157,59 +163,54 @@ class ScoreTable:
 
     The table is columnar, one row per node: ``kinds`` (a ``NodeKind`` code
     per row), ``ext_ids``, ``in_dblp`` (a bool array), ``raw`` and
-    ``normalized``.  Tables made from a graph reference its id and flag
-    columns rather than copying them.
+    ``normalized``.  Construction takes the first four as parallel columns
+    and computes ``normalized`` (``normalize``; all-zero raw scores stay
+    zero).  A column of another length, or a raw score that is NaN or
+    infinite, raises ValueError.  Tables made from a graph reference its id
+    and flag columns rather than copying them.
     """
 
     kinds: np.ndarray     # int8 NodeKind code per row
     ext_ids: Sequence[str]
     in_dblp: np.ndarray   # bool
     raw: np.ndarray
-    normalized: np.ndarray
+    normalized: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        n = len(self.ext_ids)
+        for name, dtype in (("raw", float), ("kinds", np.int8), ("in_dblp", bool)):
+            column = np.asarray(getattr(self, name), dtype=dtype)
+            if column.shape != (n,):
+                raise ValueError(f"{name} has shape {column.shape}, expected ({n},): "
+                                 "one value per node")
+            object.__setattr__(self, name, column)
+        raw = self.raw
+        if not np.isfinite(raw).all():
+            raise ValueError("raw scores must be finite, got NaN or infinity")
+        object.__setattr__(self, "normalized", normalize(raw) if raw.sum() > 0 else raw.copy())
 
     def __len__(self) -> int:
         return len(self.ext_ids)
 
     @classmethod
-    def from_raw(cls, kinds, ext_ids: Sequence[str], in_dblp, raw) -> "ScoreTable":
-        """Table with ``normalize``d scores; all-zero raw scores stay zero.
-
-        ``kinds`` (NodeKind codes), ``ext_ids``, ``in_dblp`` and ``raw``
-        are parallel columns, one entry per row.  A column of another
-        length, or a raw score that is NaN or infinite, raises ValueError.
-        """
-        raw = np.asarray(raw, dtype=float)
-        kinds = np.asarray(kinds, dtype=np.int8)
-        in_dblp = np.asarray(in_dblp, dtype=bool)
-        n = len(ext_ids)
-        for name, column in (("raw", raw), ("kinds", kinds), ("in_dblp", in_dblp)):
-            if column.shape != (n,):
-                raise ValueError(f"{name} has shape {column.shape}, expected ({n},): "
-                                 "one value per node")
-        if not np.isfinite(raw).all():
-            raise ValueError("raw scores must be finite, got NaN or infinity")
-        normalized = normalize(raw) if raw.sum() > 0 else raw.copy()
-        return cls(kinds, ext_ids, in_dblp, raw, normalized)
-
-    @classmethod
     def over_authors(cls, graph: CitationGraph, values) -> "ScoreTable":
         """Scores over the graph's authors, in index order."""
-        return cls.from_raw(np.full(graph.n_authors, NodeKind.AUTHOR, dtype=np.int8),
-                            graph.author_ext_ids, graph.author_in_dblp, values)
+        return cls(np.full(graph.n_authors, NodeKind.AUTHOR, dtype=np.int8),
+                   graph.author_ext_ids, graph.author_in_dblp, values)
 
     @classmethod
     def over_papers(cls, graph: CitationGraph, values) -> "ScoreTable":
         """Scores over the graph's papers, in index order."""
-        return cls.from_raw(np.full(graph.n_papers, NodeKind.PAPER, dtype=np.int8),
-                            graph.paper_ext_ids, graph.paper_in_dblp, values)
+        return cls(np.full(graph.n_papers, NodeKind.PAPER, dtype=np.int8),
+                   graph.paper_ext_ids, graph.paper_in_dblp, values)
 
     @classmethod
     def over_all(cls, graph: CitationGraph, raw: np.ndarray) -> "ScoreTable":
         """Scores over authors followed by papers, in index order."""
         kinds = np.repeat(np.array([NodeKind.AUTHOR, NodeKind.PAPER], dtype=np.int8),
                           [graph.n_authors, graph.n_papers])
-        return cls.from_raw(kinds, graph.author_ext_ids + graph.paper_ext_ids,
-                            np.concatenate((graph.author_in_dblp, graph.paper_in_dblp)), raw)
+        return cls(kinds, graph.author_ext_ids + graph.paper_ext_ids,
+                   np.concatenate((graph.author_in_dblp, graph.paper_in_dblp)), raw)
 
 
 def normalize(raw) -> np.ndarray:
@@ -292,8 +293,8 @@ class TransitionSystem:
     CSR matrix, and ``wrote_m``, ``cite_m`` and ``iswb_m``, the link split by
     class and read-only, are built on first read, so the walk never builds
     them.  A literal paper's move to its own copy is a cite link; every
-    other link is an entry of the graph's hop matrices
-    (``graph.hop_matrices``) times its row's share of that hop.
+    other link is an entry of the graph's hop matrices (``graph.to_paper``,
+    ``to_ref``, ``to_author``) times its row's share of that hop.
     """
 
     n_authors: int
@@ -392,8 +393,9 @@ def build_transition_system(graph: CitationGraph, params: WalkParams) -> Transit
 
     This is the package's one definition of the walk's chain: the engine
     samples its rows and the exact oracle solves it.  Its link outcomes are
-    the graph's one-hop matrices (``graph.hop_matrices``), each row scaled
-    by the share of its row's mass that takes that hop.
+    the graph's one-hop matrices (``graph.to_paper``, ``to_ref``,
+    ``to_author``), each row scaled by the share of its row's mass that
+    takes that hop.
     """
     if graph.n_nodes == 0:
         raise ValueError("cannot build a transition system for an empty graph")
@@ -403,7 +405,7 @@ def build_transition_system(graph: CitationGraph, params: WalkParams) -> Transit
     n_states = n + n_p if literal else n
     df, theta = params.damping_df, params.theta
     keep = 1.0 - df
-    to_paper, to_ref, to_author = hop_matrices(graph)
+    to_paper, to_ref, to_author = graph.to_paper, graph.to_ref, graph.to_author
     n_pubs = np.diff(to_paper.indptr)
     n_refs = np.diff(to_ref.indptr)
     n_auth = np.diff(to_author.indptr)

@@ -149,7 +149,7 @@ def test_criterion_7_pagerank_correctness():
 def test_criterion_8_topx_difference_properties():
     """Identical rankings give an all-zero curve; any pair is zero at 100%."""
     def ranking(ids, raw):
-        return rank(ScoreTable.from_raw(np.zeros(len(ids)), ids, np.ones(len(ids)), raw))
+        return rank(ScoreTable(np.zeros(len(ids)), ids, np.ones(len(ids)), raw))
 
     nodes = [f"n{i:02d}" for i in range(40)]
     r1 = ranking(nodes, np.arange(40.0, 0.0, -1.0))

@@ -37,7 +37,7 @@ def _table(pairs, dblp=None):
     raw = np.array([s for _, s in pairs], dtype=float)
     flags = tuple(True for _ in pairs) if dblp is None else tuple(dblp)
     kinds = np.full(len(pairs), NodeKind.AUTHOR)
-    return ScoreTable.from_raw(kinds, ext_ids, flags, raw)
+    return ScoreTable(kinds, ext_ids, flags, raw)
 
 
 # --- rank ---------------------------------------------------------------
@@ -95,9 +95,17 @@ def test_score_table_rejects_a_vector_of_the_wrong_length():
     with pytest.raises(ValueError, match="one value per node"):
         ScoreTable.over_authors(g, np.ones((3, 1)))
     with pytest.raises(ValueError, match=r"kinds has shape \(1,\)"):
-        ScoreTable.from_raw([NodeKind.AUTHOR], ("a", "b"), [True, True], [1.0, 2.0])
+        ScoreTable([NodeKind.AUTHOR], ("a", "b"), [True, True], [1.0, 2.0])
     with pytest.raises(ValueError, match=r"in_dblp has shape \(3,\)"):
-        ScoreTable.from_raw([NodeKind.AUTHOR] * 2, ("a", "b"), [True] * 3, [1.0, 2.0])
+        ScoreTable([NodeKind.AUTHOR] * 2, ("a", "b"), [True] * 3, [1.0, 2.0])
+    with pytest.raises(ValueError, match=r"raw has shape \(3,\), expected \(2,\)"):
+        ScoreTable([NodeKind.AUTHOR] * 2, ("a", "b"), [True] * 2, [1.0, 2.0, 3.0])
+    # the normalized scores are computed, never passed: a table once took
+    # any array there, and rank printed a score of -1
+    with pytest.raises(TypeError):
+        ScoreTable([NodeKind.AUTHOR] * 2, ("a", "b"), [True] * 2, [1.0, 3.0], [5.0, -1.0])
+    table = ScoreTable([NodeKind.AUTHOR] * 2, ("a", "b"), [True] * 2, [1.0, 3.0])
+    assert table.normalized.tolist() == [0.5, 1.5]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -351,8 +359,8 @@ def test_dot_escapes_ids_in_node_and_edge_lines_and_scores_one_kind():
         wrote=[('x"1', 'x"1'), ("b", "p\\2"), ('x"1', "p\\2")],
         cites=[("p\\2", 'x"1')],
     )
-    table = ScoreTable.from_raw([NodeKind.AUTHOR, NodeKind.AUTHOR], ['x"1', "b"], [True, False],
-                                [3.0, 1.0])
+    table = ScoreTable([NodeKind.AUTHOR, NodeKind.AUTHOR], ['x"1', "b"], [True, False],
+                       [3.0, 1.0])
     assert export_dot(g, table) == (
         "digraph citations {\n"
         '  "a:b" [shape=ellipse, label="b\\nCy\\n0.500000"];\n'

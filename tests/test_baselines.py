@@ -16,7 +16,6 @@ from pira.baselines import (
     pub_count,
 )
 from pira.errors import ConvergenceError
-from pira.graph import hop_matrices
 from pira.scenarios import ScenarioKind, ScenarioSpec, generate
 
 from conftest import adjacency, rows, small_graph, small_graphs
@@ -327,7 +326,7 @@ def test_pagerank_of_factors_equals_pagerank_of_their_product():
         {"a": ["p"], "b": ["q", "r"], "c": ["q"], "idle": ["r"]},
         [("p", "q"), ("q", "p"), ("q", "r")],
     )
-    hops = hop_matrices(g)
+    hops = (g.to_paper, g.to_ref, g.to_author)
     to_paper = hops[0].toarray()
     idle = g.author_index["idle"]
     assert to_paper[idle].sum() == 1.0

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from pira import build_graph, neighborhood
 from pira.analysis import StatsReport, dataset_stats, export_dot
 from pira.errors import DanglingEdgeError, GraphBuildError, NodeSpecError
-from pira.graph import EdgeColumns, NodeId, NodeKind, author_id, hop_matrices, paper_id
+from pira.graph import EdgeColumns, NodeColumns, NodeId, NodeKind, author_id, paper_id
 from pira.ingest import save_graph
 
 from conftest import adjacency, rows, small_graph, small_graphs
@@ -123,7 +123,7 @@ def test_p_weight_values():
                ("a0", "solo"),
                ("a0", "four"), ("a1", "four"), ("a2", "four"), ("a3", "four")],
     )
-    to_paper = hop_matrices(g)[0].toarray()
+    to_paper = g.to_paper.toarray()
     three, solo, four = (g.paper_index[p] for p in ("three", "solo", "four"))
     a0 = to_paper[0] / to_paper[0, solo]  # p-weight of the solo paper: 1
     assert a0[three] == pytest.approx(1 / 3)
@@ -140,7 +140,7 @@ def test_p_weight_requires_edge():
         papers=[("p0", "P", True)],
         wrote=[("a0", "p0")],
     )
-    to_paper = hop_matrices(g)[0]
+    to_paper = g.to_paper
     assert rows(to_paper) == ((0,), ())
     assert to_paper.toarray().tolist() == [[1.0], [0.0]]
 
@@ -160,7 +160,7 @@ def test_p_weights_sum_to_one_per_paper():
             if rng.random() < 0.4
         ]
         g = build_graph(authors, papers, wrote)
-        to_author = hop_matrices(g)[2]
+        to_author = g.to_author
         authors_of = rows(g.wrote.T)
         assert rows(to_author) == authors_of
         for p in range(n_p):
@@ -174,7 +174,7 @@ def _assert_hops_keep_their_sources(g):
     """Each hop matrix has its source's stored pattern, with sorted column
     indices, and each of its rows sums to one or is empty."""
     sources = (g.wrote, g.cite, g.wrote.T.tocsr())
-    for hop, source in zip(hop_matrices(g), sources):
+    for hop, source in zip((g.to_paper, g.to_ref, g.to_author), sources):
         assert hop.shape == source.shape
         assert np.array_equal(hop.indptr, source.indptr)
         assert np.array_equal(hop.indices, source.indices)
@@ -188,8 +188,7 @@ def _assert_hops_keep_their_sources(g):
 
 def test_hop_matrices_are_cached_and_read_only(fixture_graphs):
     g = fixture_graphs["mixed"]
-    hops = hop_matrices(g)
-    assert all(a is b for a, b in zip(hops, hop_matrices(g)))
+    hops = (g.to_paper, g.to_ref, g.to_author)
     assert all(a is b for a, b in zip(hops, (g.to_paper, g.to_ref, g.to_author)))
     for hop in hops:
         for array in (hop.data, hop.indices, hop.indptr):
@@ -369,6 +368,22 @@ def test_edge_columns_build_like_pairs_and_dangling_edges_say_where():
         build_graph(authors, papers, wrote, bad_cites)
     assert (err.value.edges, err.value.position) == ("cite", 4)
 
+    # a pair of another size names its edge list and position; it once
+    # raised a bare unpacking ValueError
+    for bad_pair, size in ((("a1",), 1), (("a1", "p1", "p2"), 3)):
+        with pytest.raises(GraphBuildError, match=f"wrote edge 2: .* has length {size}, not 2") as err:
+            build_graph(authors, papers, wrote[:2] + [bad_pair])
+        assert type(err.value) is GraphBuildError
+    # columns of unequal lengths: EdgeColumns(["a", "a"], ["p"]) once built
+    # one edge and counted one dropped duplicate, and a larger gap failed
+    # inside numpy
+    for bad in (EdgeColumns(["a0", "a0"], ["p0"]), EdgeColumns(["a0"], ["p0", "p1", "p2"]),
+                EdgeColumns([], ["p0"])):
+        with pytest.raises(ValueError, match="EdgeColumns columns differ in length"):
+            build_graph(authors, papers, bad)
+    with pytest.raises(ValueError, match="NodeColumns columns differ in length"):
+        build_graph(NodeColumns(["a0", "a1"], ["A", "B"], [True]), papers)
+
 
 
 @pytest.mark.parametrize("authors, papers, kind, position, match", [
@@ -377,7 +392,17 @@ def test_edge_columns_build_like_pairs_and_dangling_edges_say_where():
     ([("a0", "A"), ("a1", "")], [("p0", "")], "author", 1, "empty name"),
     ([], [("p0", "P"), ("p1", "Q\tR")], "paper", 1, "tabs or line breaks"),
     ([], [("p0", "P", True), ("", "Q", True)], "paper", 1, "paper with empty id"),
-], ids=["repeated", "bom", "empty_name", "tab", "empty_id"])
+    # each of these once built a graph or raised an untyped error
+    ([("a0", "A", True), ("a1", "B", "0")], [], "author", 1, "DBLP flag .* got '0'"),
+    ([], [("p0", "P", None)], "paper", 0, "DBLP flag .* got None"),
+    (NodeColumns(["a0", "a1"], ["A", "B"], [1, 2]), [], "author", 1, "DBLP flag .* got 2"),
+    ([("a0", "A"), ("a1",)], [], "author", 1, "has length 1, not 2 or 3"),
+    ([], [("p0", "P", True, "x")], "paper", 0, "has length 4, not 2 or 3"),
+    ([("a0", "A"), (1, "A")], [], "author", 1, "ids and names must be str"),
+    ([(0, "A")], [], "author", 0, "ids and names must be str"),
+    ([], [("p0", None)], "paper", 0, "ids and names must be str"),
+], ids=["repeated", "bom", "empty_name", "tab", "empty_id", "flag_str", "flag_none",
+        "flag_two", "one_field", "four_fields", "int_id", "zero_id", "none_title"])
 def test_a_bad_node_spec_says_which(authors, papers, kind, position, match):
     # a NodeSpecError is a GraphBuildError that names the spec's kind and
     # position, which load_graph turns into a file and line

@@ -17,7 +17,6 @@ from pira import (
 )
 from pira.analysis import rank
 from pira.baselines import h_index
-from pira.graph import hop_matrices
 from pira.oracle import build_transition_system, class_inflows, expected_scores
 import pira.walk as walk
 from pira.walk import ScoreTable, walker_seed
@@ -71,6 +70,14 @@ def test_params_validation():
         WalkParams(cite_weight=-0.5)
     with pytest.raises(ValueError, match="restart_author_prob"):
         WalkParams(restart_author_prob=2.0)
+    # a wrongly typed value names its field: these raised TypeError from a
+    # comparison, and a bool built as the integer 1
+    for name, value in (("theta", "0.5"), ("damping_df", None), ("cite_weight", "1"),
+                        ("restart_author_prob", "0.5"), ("walkers", True),
+                        ("step_budget", True)):
+        with pytest.raises(ValueError, match=name):
+            WalkParams(**{name: value})
+    WalkParams(theta=np.float32(0.5), damping_df=0, restart_author_prob=None, seed=np.int64(2))
 
 
 # --- normalize ------------------------------------------------------------
@@ -447,7 +454,7 @@ def _assert_links_are_scaled_hops(graph, params):
     share."""
     row, target, cls, prob = map(np.array, zip(*outcome_entries(
         build_transition_system(graph, params))))
-    to_paper, to_ref, to_author = hop_matrices(graph)
+    to_paper, to_ref, to_author = graph.to_paper, graph.to_ref, graph.to_author
     n_a, n_p, n = graph.n_authors, graph.n_papers, graph.n_nodes
     keep, theta = 1.0 - params.damping_df, params.theta
     literal = params.mode == WalkMode.LITERAL
