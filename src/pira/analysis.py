@@ -14,8 +14,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ParseError
 from .graph import CitationGraph, NodeKind, edge_columns, gather
+from .ingest import _split_table
 from .walk import ScoreTable
 
 
@@ -55,27 +55,22 @@ class Ranking:
 
     @classmethod
     def from_tsv(cls, text: str, source: str = "<ranking>") -> "Ranking":
-        """Parse `rank<TAB>node_id<TAB>score` lines, skipping blank ones; a
-        malformed line, or a node listed twice, raises ParseError naming
-        `source` and the line (both lines for a repeated node)."""
-        ranks, scores = [], []
-        first_line: dict[str, int] = {}  # node id -> its line, in file order
-        for lineno, line in enumerate(text.split("\n"), start=1):
-            if not line.strip():
-                continue
-            fields = line.split("\t")
+        """Parse `rank<TAB>node_id<TAB>score` lines by the dataset files'
+        line rules (``ingest._split_table``).  A malformed line, or a node
+        listed twice, raises ParseError naming `source` and the line (both
+        lines for a repeated node)."""
+        table = _split_table(text, 3, source, source)
+        ranks, scores, first_row = [], [], {}  # first_row: node id -> its row, in file order
+        for row, (position, node, score) in enumerate(zip(*table.columns)):
             try:
-                if len(fields) != 3:
-                    raise ValueError(f"expected 3 tab-separated fields, got {len(fields)}")
-                position, node, score = int(fields[0]), fields[1], float(fields[2])
-                if node in first_line:
-                    raise ValueError(f"node {node!r} already listed at line {first_line[node]}")
-                first_line[node] = lineno
-                ranks.append(position)
-                scores.append(score)
+                ranks.append(int(position))
+                scores.append(float(score))
             except ValueError as exc:
-                raise ParseError(f"{source}:{lineno}: {exc}", path=source, line=lineno) from None
-        return cls(tuple(first_line), np.array(scores, dtype=float),
+                raise table.error(row, str(exc)) from None
+            if first_row.setdefault(node, row) != row:
+                raise table.error(
+                    row, f"node {node!r} already listed at line {table.line(first_row[node])}")
+        return cls(tuple(first_row), np.array(scores, dtype=float),
                    np.array(ranks, dtype=np.int64))
 
 

@@ -28,7 +28,7 @@ from .analysis import (
 )
 from .errors import ConvergenceError, MissingFileError, PiraError
 from .graph import CitationGraph, NodeId, NodeKind, neighborhood
-from .ingest import load_graph, save_graph, write_idmap
+from .ingest import _read_text, load_graph, save_graph, write_idmap
 from .oracle import expected_scores
 from .scenarios import ScenarioKind, ScenarioSpec, assertions_to_tsv, generate
 from .walk import ScoreTable, WalkMode, WalkParams, pira_rank
@@ -136,8 +136,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for f in (args.rank_a, args.rank_b):
         if not Path(f).is_file():
             raise MissingFileError(f"missing ranking file {f}", path=f)
-    r_a, r_b = (Ranking.from_tsv(Path(f).read_text(encoding="utf-8-sig"), source=f)
-                for f in (args.rank_a, args.rank_b))
+    r_a, r_b = (Ranking.from_tsv(_read_text(f, f), source=f) for f in (args.rank_a, args.rank_b))
     if args.curve:
         try:
             cutoffs = [float(x) for x in args.curve.split(",") if x.strip()]

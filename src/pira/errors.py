@@ -6,8 +6,8 @@ class PiraError(Exception):
 
 
 class GraphBuildError(PiraError):
-    """Raised when a graph cannot be constructed (dangling edge, edge pair of
-    another length, bad node spec)."""
+    """Raised when a graph cannot be constructed (dangling edge, edge pair
+    that is not a sequence of two ids, bad node spec)."""
 
 
 class DanglingEdgeError(GraphBuildError):
@@ -27,8 +27,8 @@ class DanglingEdgeError(GraphBuildError):
 
 
 class NodeSpecError(GraphBuildError):
-    """A node spec fails a check: a length other than 2 or 3, an id or name
-    that is not a str, an empty id or name, a tab or line break, an id
+    """A node spec fails a check: not a sequence of 2 or 3 fields, an id or
+    name that is not a str, an empty id or name, a tab or line break, an id
     starting with U+FEFF, a DBLP flag that is not a bool, 0 or 1, or an id
     listed twice.
 

@@ -35,6 +35,7 @@ PR-P and PR-A share one copy.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import zip_longest
@@ -303,6 +304,19 @@ def _checked_index(ext_ids: Sequence, names: Sequence, flags: Sequence,
     return index
 
 
+def _bad_shape(items: Sequence, sizes: tuple[int, ...]) -> tuple[int, str]:
+    """The position of the first spec or pair whose length is not in
+    `sizes`, and what is wrong with it."""
+    for position, item in enumerate(items):
+        try:
+            if len(item) not in sizes:
+                return position, (f"{item!r} has length {len(item)}, "
+                                  f"not {' or '.join(map(str, sizes))}")
+        except TypeError:  # a value without a length
+            return position, f"{item!r} is not a sequence"
+    raise AssertionError("every item has a right length")
+
+
 def _node_columns(
     nodes: Sequence[NodeSpec] | NodeColumns, kind: str
 ) -> tuple[NodeColumns, dict[str, int]]:
@@ -320,10 +334,13 @@ def _node_columns(
         ext_ids, names, flags = tuple(nodes.ext_ids), tuple(nodes.names), nodes.in_dblp
     else:
         specs = nodes if isinstance(nodes, (list, tuple)) else list(nodes)
-        if not set(map(len, specs)) <= {2, 3}:
-            position, spec = next((i, s) for i, s in enumerate(specs) if len(s) not in (2, 3))
-            raise NodeSpecError(f"{kind} spec {spec!r} has length {len(spec)}, not 2 or 3",
-                                kind, position)
+        try:
+            sizes = set(map(len, specs))
+        except TypeError:  # a spec that is not a sequence
+            sizes = {None}
+        if not sizes <= {2, 3}:
+            position, problem = _bad_shape(specs, (2, 3))
+            raise NodeSpecError(f"{kind} spec {problem}", kind, position)
         columns = list(zip_longest(*specs, fillvalue=True)) or [(), ()]
         if len(columns) == 2:  # 2-field specs only
             columns.append((True,) * len(specs))
@@ -362,19 +379,18 @@ def _edge_indices(
         pairs = edges if isinstance(edges, (list, tuple)) else list(edges)
         try:
             edges = EdgeColumns([s for s, _ in pairs], [d for _, d in pairs])
-        except ValueError:  # a pair of another size
-            position, pair = next((i, e) for i, e in enumerate(pairs) if len(e) != 2)
-            raise GraphBuildError(
-                f"{label} edge {position}: {pair!r} has length {len(pair)}, not 2") from None
+        except (TypeError, ValueError):  # a pair of another size, or not a sequence
+            position, problem = _bad_shape(pairs, (2,))
+            raise GraphBuildError(f"{label} edge {position}: {problem}") from None
     if len(edges.sources) != len(edges.targets):
         raise ValueError("EdgeColumns columns differ in length")
     try:
         return tuple(np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids))
                      for index, ids in ((src_index, edges.sources), (dst_index, edges.targets)))
-    except KeyError:
-        pass  # find the first edge with an unknown id
-    src = list(map(src_index.get, edges.sources))
-    dst = list(map(dst_index.get, edges.targets))
+    except (KeyError, TypeError):  # an unknown or an unhashable id
+        pass  # find the first edge with one; an id that is not a str names no node
+    src, dst = ([index.get(e) if isinstance(e, str) else None for e in ids]
+                for index, ids in ((src_index, edges.sources), (dst_index, edges.targets)))
     pos = min(col.index(None) if None in col else len(col) for col in (src, dst))
     s_ext, d_ext = edges.sources[pos], edges.targets[pos]
     kind, ext = (src_kind, s_ext) if src[pos] is None else ("paper", d_ext)
@@ -438,16 +454,17 @@ def build_graph(
     NodeColumns per kind; edges are (source, target) pairs or one
     EdgeColumns.  Duplicate edges and self-citations are dropped (counted in
     the report); an edge endpoint that names no node raises
-    DanglingEdgeError, a GraphBuildError, and so does an edge pair that is
-    not two ids long, as a plain GraphBuildError.  A bad node raises
-    NodeSpecError, also a GraphBuildError: a spec whose length is not 2 or
-    3, an id or name that is not a str, an empty or repeated id, an empty
-    name, an id, name or title containing a tab or line break (the TSV
-    separators), an id starting with U+FEFF (a saved file starting with it
-    would load without it, as a byte-order mark) and a DBLP flag that is not
-    a bool, 0 or 1.  NodeColumns or EdgeColumns whose columns differ in
-    length raise ValueError.  Authors without papers and papers without
-    authors are permitted and flagged.
+    DanglingEdgeError, a GraphBuildError (so does an id that is not a str,
+    an unhashable one included), and an edge pair that is not a sequence of
+    two ids raises a plain GraphBuildError.  A bad node raises
+    NodeSpecError, also a GraphBuildError: a spec that is not a sequence of
+    2 or 3 fields, an id or name that is not a str, an empty or repeated
+    id, an empty name, an id, name or title containing a tab or line break
+    (the TSV separators), an id starting with U+FEFF (a saved file starting
+    with it would load without it, as a byte-order mark) and a DBLP flag
+    that is not a bool, 0 or 1.  NodeColumns or EdgeColumns whose columns
+    differ in length raise ValueError.  Authors without papers and papers
+    without authors are permitted and flagged.
     """
     a_nodes = _node_columns(authors, "author")
     p_nodes = _node_columns(papers, "paper")
@@ -491,8 +508,13 @@ def neighborhood(graph: CitationGraph, center: NodeId, radius: int) -> CitationG
     in the original order.  The search runs level by level on the CSR
     matrices and their transposes, and the edges are sliced from them; the
     kept nodes' columns are gathered and enter the subgraph the way
-    ``build_graph``'s NodeColumns do.
+    ``build_graph``'s NodeColumns do.  A center whose kind is not a
+    NodeKind, or a radius that is not a non-negative int, raises ValueError.
     """
+    if not isinstance(center.kind, NodeKind):
+        raise ValueError(f"center kind must be a NodeKind, got {center.kind!r}")
+    if isinstance(radius, bool) or not isinstance(radius, numbers.Integral):
+        raise ValueError(f"radius must be an integer, got {radius!r}")
     if radius < 0:
         raise ValueError("radius must be non-negative")
     a, p = NodeKind.AUTHOR, NodeKind.PAPER

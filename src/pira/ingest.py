@@ -15,7 +15,9 @@ checked as a whole: one pass over its UTF-8 bytes finds every tab and line
 end and checks each line's field count and its two leading fields at once,
 then one split makes the columns.  Only when that check fails is the file
 looked at line by line, to name the first bad line; a file that is not
-valid UTF-8 is reported at the line of its first bad byte.  Edge ids are
+valid UTF-8 is reported at the line of its first bad byte.  Ranking files
+and assertion lists are split by the same reader (``_split_table``), so
+they follow the same line rules.  Edge ids are
 checked once, by ``build_graph``'s index lookup, and an unknown one becomes
 a ParseError naming its file and line.  Saving sorts every file, so load ->
 save is a fixed point of the serialization; each file is written from whole
@@ -79,21 +81,25 @@ class LoadReport:
 
 @dataclass(frozen=True)
 class _Table:
-    """The non-blank lines of one dataset file, split into columns."""
+    """The non-blank lines of one tab-separated text, split into columns."""
 
-    path: Path
-    text: str  # the whole file, kept only to number lines in error messages
+    name: str  # starts each error: a dataset file's name, a ranking's source
+    path: str
+    text: str  # the whole text, kept only to number lines in error messages
     columns: list[list[str]]
 
     def __len__(self) -> int:
         return len(self.columns[0])
 
-    def error(self, row: int, message: str) -> ParseError:
-        """ParseError at the `row`-th non-blank line; blank lines count in
-        the line number."""
+    def line(self, row: int) -> int:
+        """The line number of the `row`-th non-blank line; blank lines count."""
         lines = (i for i, line in enumerate(self.text.split("\n"), start=1) if line)
-        lineno = next(islice(lines, row, None))
-        return ParseError(f"{self.path.name}:{lineno}: {message}", path=str(self.path), line=lineno)
+        return next(islice(lines, row, None))
+
+    def error(self, row: int, message: str) -> ParseError:
+        """ParseError at the `row`-th non-blank line."""
+        lineno = self.line(row)
+        return ParseError(f"{self.name}:{lineno}: {message}", path=self.path, line=lineno)
 
 
 def _first_bad_row(rows: list[str], n_cols: int) -> tuple[int, str]:
@@ -130,22 +136,28 @@ def _well_formed(body: str, n_cols: int) -> bool:
     return bool((second_end > tabs[:, 0] + 1).all())
 
 
-def _decode_error(path: Path) -> ParseError:
-    """ParseError at the line of the first byte of `path` that is not UTF-8."""
-    raw = path.read_bytes()
+def _read_text(path: str | Path, name: str) -> str:
+    """The file's text; a byte that is not UTF-8 raises ParseError at its
+    line, the message starting with `name`."""
+    try:
+        # utf-8-sig drops a leading byte-order mark; a U+FEFF elsewhere stays
+        with open(path, encoding="utf-8-sig") as fh:
+            return fh.read()  # text mode reads \r\n and a bare \r as \n
+    except UnicodeDecodeError:  # at a position within one chunk of the file
+        raw = Path(path).read_bytes()
     try:
         raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        head = raw[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        lineno = head.count(b"\n") + 1
-        return ParseError(
-            f"{path.name}:{lineno}: not valid UTF-8: byte 0x{raw[exc.start]:02x} ({exc.reason})",
-            path=str(path), line=lineno)
+        lineno = raw[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
+        raise ParseError(
+            f"{name}:{lineno}: not valid UTF-8: byte 0x{raw[exc.start]:02x} ({exc.reason})",
+            path=str(path), line=lineno) from None
     raise AssertionError("the file decodes")
 
 
-def _read_table(path: Path, n_cols: int) -> _Table:
-    """Read a file once and split it into `n_cols` columns.
+def _split_table(text: str, n_cols: int, name: str, path: str) -> _Table:
+    """Split the ``\\n``-ended lines of a dataset, ranking or assertion text
+    into `n_cols` columns; errors start with `name` and carry `path`.
 
     Every non-blank line must have `n_cols` fields and non-empty first two
     fields (the ids; a node's name).  One check over the text's bytes
@@ -154,24 +166,22 @@ def _read_table(path: Path, n_cols: int) -> _Table:
     checked again.  The first failing line is only looked for when that
     check fails too.
     """
-    if not path.is_file():
-        raise MissingFileError(f"missing dataset file {path.name} in {path.parent}",
-                               path=str(path))
-    try:
-        # utf-8-sig drops a leading byte-order mark; a U+FEFF elsewhere stays
-        with open(path, encoding="utf-8-sig") as fh:
-            text = fh.read()  # text mode reads \r\n and a bare \r as \n
-    except UnicodeDecodeError:
-        raise _decode_error(path) from None
     body = text.strip("\n")
     if not body:
-        return _Table(path, text, [[] for _ in range(n_cols)])
+        return _Table(name, path, text, [[] for _ in range(n_cols)])
     if not _well_formed(body, n_cols):
         body = _BLANK_RUNS.sub("\n", body)  # blank lines fail the check too
         if not _well_formed(body, n_cols):
-            raise _Table(path, text, []).error(*_first_bad_row(body.split("\n"), n_cols))
+            raise _Table(name, path, text, []).error(*_first_bad_row(body.split("\n"), n_cols))
     cells = body.replace("\n", "\t").split("\t")
-    return _Table(path, text, [cells[i::n_cols] for i in range(n_cols)])
+    return _Table(name, path, text, [cells[i::n_cols] for i in range(n_cols)])
+
+
+def _read_table(path: Path, n_cols: int) -> _Table:
+    """The dataset file's text (``_read_text``) split into `n_cols` columns."""
+    if not path.is_file():
+        raise MissingFileError(f"missing dataset file {path.name} in {path.parent}", path=str(path))
+    return _split_table(_read_text(path, path.name), n_cols, path.name, str(path))
 
 
 def _nodes(table: _Table) -> NodeColumns:

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import baselines
 from .graph import CitationGraph, build_graph
+from .ingest import _split_table
 from .oracle import expected_scores
 from .walk import ScoreTable, WalkParams
 
@@ -316,14 +317,11 @@ def assertions_to_tsv(assertions: tuple[Assertion, ...]) -> str:
     return "".join(str(a) + "\n" for a in assertions)
 
 
-def assertions_from_tsv(text: str) -> tuple[Assertion, ...]:
-    out = []
-    for line in text.split("\n"):
-        if not line.strip():
-            continue
-        measure, a, rel, b = line.split("\t")
-        out.append(Assertion(measure, a, rel, b))
-    return tuple(out)
+def assertions_from_tsv(text: str, source: str = "<assertions>") -> tuple[Assertion, ...]:
+    """Parse `measure<TAB>node_a<TAB>relation<TAB>node_b` lines by the
+    dataset files' line rules (``ingest._split_table``); a malformed line
+    raises ParseError naming `source` and the line."""
+    return tuple(map(Assertion, *_split_table(text, 4, source, source).columns))
 
 
 # the measures that score papers; every other measure scores authors

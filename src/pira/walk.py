@@ -165,9 +165,9 @@ class ScoreTable:
     per row), ``ext_ids``, ``in_dblp`` (a bool array), ``raw`` and
     ``normalized``.  Construction takes the first four as parallel columns
     and computes ``normalized`` (``normalize``; all-zero raw scores stay
-    zero).  A column of another length, or a raw score that is NaN or
-    infinite, raises ValueError.  Tables made from a graph reference its id
-    and flag columns rather than copying them.
+    zero).  A column of another length, or a raw score that is NaN,
+    infinite or negative, raises ValueError.  Tables made from a graph
+    reference its id and flag columns rather than copying them.
     """
 
     kinds: np.ndarray     # int8 NodeKind code per row
@@ -187,6 +187,8 @@ class ScoreTable:
         raw = self.raw
         if not np.isfinite(raw).all():
             raise ValueError("raw scores must be finite, got NaN or infinity")
+        if (raw < 0).any():
+            raise ValueError(f"raw scores must not be negative, got {raw.min()}")
         object.__setattr__(self, "normalized", normalize(raw) if raw.sum() > 0 else raw.copy())
 
     def __len__(self) -> int:

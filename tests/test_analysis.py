@@ -117,6 +117,13 @@ def test_score_table_rejects_non_finite_scores(bad):
         _table([("a", 1.0), ("b", bad)])
 
 
+def test_score_table_rejects_a_negative_score():
+    # it once built, and rank printed the author's score as -0.5
+    g = build_graph([("a", "A", True), ("b", "B", True)], [])
+    with pytest.raises(ValueError, match="must not be negative, got -1.0"):
+        ScoreTable.over_authors(g, [-1.0, 5.0])
+
+
 def test_ranking_tsv_round_trip():
     # scores [1.5, 0.5] already average to 1, so normalization keeps them
     r = rank(_table([("a", 1.5), ("b", 0.5)]))
@@ -136,6 +143,10 @@ def test_ranking_from_tsv_names_source_and_line_of_a_bad_line():
         ("2\tb\t0.5\textra\n", r"r\.tsv:4: expected 3 tab-separated fields, got 4"),
         ("two\tb\t0.5\n", r"r\.tsv:4: invalid literal for int"),
         ("2\tb\thigh\n", r"r\.tsv:4: could not convert string to float"),
+        # ranking files follow the dataset files' line rules: an empty node id
+        # was read as the node '', and a line of spaces was skipped
+        ("2\t\t0.5\n", r"r\.tsv:4: empty field"),
+        ("   \n", r"r\.tsv:4: expected 3 tab-separated fields, got 1"),
     ]:
         with pytest.raises(ParseError, match=message) as err:
             Ranking.from_tsv(good + bad, source="r.tsv")

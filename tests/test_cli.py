@@ -242,6 +242,11 @@ def test_compare_malformed_ranking_line_names_file_and_line(tmp_path, capsys):
     assert main(["compare", str(good), str(bad), "--curve", "50"]) == 2
     err = capsys.readouterr().err
     assert f"{bad}:2: expected 3 tab-separated fields, got 2" in err
+    # a byte that is not UTF-8 once failed without its file and line
+    bad.write_bytes(b"1\tx\t1.000000\n2\t\xffy\t0.500000\n")
+    assert main(["compare", str(good), str(bad), "--curve", "50"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:2: not valid UTF-8: byte 0xff ")
 
 
 def test_compare_ranking_listing_a_node_twice_is_an_input_error(tmp_path, capsys):

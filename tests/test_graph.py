@@ -273,6 +273,13 @@ def test_neighborhood_unknown_center():
                          (author_id(3), "author index 3"), (author_id(-1), "author index -1")):
         with pytest.raises(ValueError, match=f"unknown {name}"):
             neighborhood(g, center, 1)
+    # a kind that is not a NodeKind once raised an IndexError, a float radius
+    # a TypeError, and a bool radius built the radius-1 subgraph
+    with pytest.raises(ValueError, match="center kind must be a NodeKind, got 5"):
+        neighborhood(g, NodeId(5, 0), 1)
+    for radius in (1.5, True, "1"):
+        with pytest.raises(ValueError, match="radius must be an integer"):
+            neighborhood(g, author_id(0), radius)
 
 
 def _reference_neighborhood(graph, center, radius):
@@ -374,6 +381,16 @@ def test_edge_columns_build_like_pairs_and_dangling_edges_say_where():
         with pytest.raises(GraphBuildError, match=f"wrote edge 2: .* has length {size}, not 2") as err:
             build_graph(authors, papers, wrote[:2] + [bad_pair])
         assert type(err.value) is GraphBuildError
+    # a pair that is not a sequence, and an unhashable id, once raised a raw
+    # TypeError
+    with pytest.raises(GraphBuildError, match=r"^wrote edge 2: 5 is not a sequence$") as err:
+        build_graph(authors, papers, wrote[:2] + [5])
+    assert type(err.value) is GraphBuildError
+    for bad_pair, unknown in (((["a0"], "p0"), "author ['a0']"), (("a0", ["p0"]), "paper ['p0']")):
+        with pytest.raises(DanglingEdgeError) as err:
+            build_graph(authors, papers, wrote[:2] + [bad_pair])
+        assert str(err.value) == f"wrote edge {bad_pair!r}: unknown {unknown}"
+        assert (err.value.edges, err.value.position) == ("wrote", 2)
     # columns of unequal lengths: EdgeColumns(["a", "a"], ["p"]) once built
     # one edge and counted one dropped duplicate, and a larger gap failed
     # inside numpy
@@ -401,8 +418,11 @@ def test_edge_columns_build_like_pairs_and_dangling_edges_say_where():
     ([("a0", "A"), (1, "A")], [], "author", 1, "ids and names must be str"),
     ([(0, "A")], [], "author", 0, "ids and names must be str"),
     ([], [("p0", None)], "paper", 0, "ids and names must be str"),
+    ([5], [], "author", 0, "^author spec 5 is not a sequence$"),
+    ([], [("p0", "P"), None], "paper", 1, "^paper spec None is not a sequence$"),
 ], ids=["repeated", "bom", "empty_name", "tab", "empty_id", "flag_str", "flag_none",
-        "flag_two", "one_field", "four_fields", "int_id", "zero_id", "none_title"])
+        "flag_two", "one_field", "four_fields", "int_id", "zero_id", "none_title",
+        "int_spec", "none_spec"])
 def test_a_bad_node_spec_says_which(authors, papers, kind, position, match):
     # a NodeSpecError is a GraphBuildError that names the spec's kind and
     # position, which load_graph turns into a file and line

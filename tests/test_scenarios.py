@@ -3,6 +3,7 @@ import pytest
 
 from pira import WalkParams, build_graph, normalize
 from pira.baselines import cit_count, pub_count
+from pira.errors import ParseError
 from pira.ingest import load_graph, save_graph
 from pira.oracle import expected_scores
 from pira import scenarios
@@ -123,6 +124,17 @@ def test_assertion_tsv_round_trip():
     odd = tuple(Assertion("pira", f"a{c}1", ">", f"b{c}2")
                 for c in ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"))
     assert assertions_from_tsv(assertions_to_tsv(odd)) == odd
+
+
+def test_a_malformed_assertion_line_names_its_line():
+    # assertion lists follow the dataset files' line rules; a short line
+    # once raised a bare unpacking ValueError
+    short = "expected 4 tab-separated fields, got 3"
+    with pytest.raises(ParseError, match=rf"^a\.tsv:3: {short}$") as err:
+        assertions_from_tsv("pub\ta0\t>\ta1\n\npub\ta1\t>\n", source="a.tsv")
+    assert (err.value.path, err.value.line) == ("a.tsv", 3)
+    with pytest.raises(ParseError, match=rf"^<assertions>:1: {short}$"):
+        assertions_from_tsv("pub\ta1\t>\n")
 
 
 def test_scenarios_round_trip_through_tsv(tmp_path):
