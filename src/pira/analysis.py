@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .graph import CitationGraph, NodeKind, edge_columns, gather
+from .graph import CitationGraph, NodeKind, _clean, edge_columns, gather
 from .ingest import _split_table
 from .walk import ScoreTable
 
@@ -100,7 +100,8 @@ def rank(
     ``subset`` builds a bool mask with one entry per row of the table
     (``dblp_authors``, ``all_papers``, ...); by default only DBLP-flagged
     nodes are ranked.  The kept rows are ordered by one ``np.lexsort`` on
-    (descending normalized score, ascending external id).
+    (descending normalized score, ascending external id).  A kept id that a
+    graph could not hold (``graph._clean``) raises ValueError.
     """
     mask = np.asarray(scores.in_dblp if subset is None else subset(scores))
     if mask.dtype != bool or mask.shape != (len(scores),):
@@ -115,6 +116,10 @@ def rank(
             "duplicate node ids in ranking input (an author and a paper share "
             "an id?); filter to a single node kind"
         )
+    if not _clean(ids, (), ()):
+        bad = next(i for i in ids if not _clean((i,), (), ()))
+        raise ValueError(f"node id {bad!r} cannot be written to a ranking file: an id must be "
+                         "a non-empty str without tabs or line breaks, not starting with U+FEFF")
     kept = scores.normalized[rows]
     order = np.lexsort((np.array(ids, dtype=object), -kept))
     return Ranking(tuple(map(ids.__getitem__, order.tolist())), kept[order],

@@ -1,31 +1,25 @@
 """Exact stationary-distribution oracle for the walk.
 
 Solves the chain the walk samples, in either mode and at any size: the
-walk's own ``TransitionSystem`` (``walk.build_transition_system``, imported
-here under the same names).  Power iteration gives the stationary arrival
-distribution; its inflow per state and edge class, scored by
-``walk.score_arrivals`` as the walk's counts are, is the limit of the
-Monte Carlo scorer's ``raw`` per step.  In literal mode the states include
-one "pending isWrittenBy" copy per paper, whose arrivals are folded back
-onto its paper, as the walk folds them.  At damping_df = 0 the chain may
-be periodic or reducible, so the oracle iterates the lazy chain
-(link + I) / 2 from the walk's start law instead; it has the same
+walk's own ``TransitionSystem`` (``walk.build_transition_system``).  Power
+iteration gives the stationary arrival distribution; its inflow per state
+and edge class, scored by ``walk.score_arrivals`` as the walk's counts are,
+is the limit of the Monte Carlo scorer's ``raw`` per step.  In literal mode
+the states include one "pending isWrittenBy" copy per paper, whose arrivals
+are folded back onto its paper, as the walk folds them.  At damping_df = 0
+the chain may be periodic or reducible, so the oracle iterates the lazy
+chain (link + I) / 2 from the walk's start law instead; it has the same
 stationary laws (see ``expected_scores``).
 
-The oracle reads that system as one sparse link matrix plus two rank-1
-restart components: reinitialization mass times the restart distribution,
-and fake-citation mass times the uniform paper distribution.  Rows sum to
-one.  ``link`` is derived from the system's rows on first read: their link
-outcomes, the graph's one-hop matrices (``graph.to_paper``, ``to_ref`` and
-``to_author``, one entry per edge of ``CitationGraph.wrote`` and ``cite``)
-scaled per row, plus, in literal mode, one cite entry per copy, so no dense
-matrix is built.
-
-A link's edge class follows from its endpoints (``walk.entry_classes``):
-wrote from an author row, isWrittenBy into an author column, cite
-otherwise.  So ``class_inflows`` splits the arrivals of any per-state
-weights by class with one product of the link's transpose, and no matrix
-per class is built.
+The system is stored as the oracle solves it, and no dense matrix is
+built: one sparse link matrix, the graph's one-hop matrices
+(``graph.to_paper``, ``to_ref`` and ``to_author``) scaled per row plus, in
+literal mode, one cite entry per copy; and two rank-1 jumps,
+reinitialization mass times the restart distribution and fake-citation mass
+times the uniform paper distribution.  A link's edge class follows from its
+endpoints by the package's one class rule (``walk.entry_classes``), so
+``class_inflows`` splits the arrivals of any per-state weights by class
+with one weighted count over the link's entries.
 
 ``stationary_distribution`` is the package's one power-iteration solver and
 its one chain check: the PageRank baselines run through it too, with
@@ -45,9 +39,8 @@ import scipy.sparse as sp
 
 from .errors import ConvergenceError
 from .graph import CitationGraph
-from .walk import (CITE, FAKE, ISWB, N_CLASSES, RESTART, WROTE, ScoreTable,
-                   TransitionSystem, WalkParams, build_transition_system, fold_copies,
-                   score_arrivals)
+from .walk import (FAKE, N_CLASSES, RESTART, ScoreTable, TransitionSystem, WalkParams,
+                   build_transition_system, entry_classes, fold_copies, score_arrivals)
 
 DEFAULT_TOL = 1e-12
 MAX_ITERATIONS = 10**6
@@ -150,27 +143,22 @@ def class_inflows(ts: TransitionSystem, weights) -> np.ndarray:
     gives the stationary inflows).
 
     Columns in class order: the restart and fake jumps' landings, then the
-    link arrivals, classed by their endpoints as ``walk.entry_classes``
-    classes them.  ``link.T`` times the weights kept on author rows is
-    wrote; times those kept on paper and copy rows, it is isWrittenBy in
-    the author columns and cite in the others.  Both come from one product
-    of ``link.T`` with a two-column matrix.
+    link arrivals, one weighted count of each link entry's target and class
+    (``walk.entry_classes``) with weight ``weights[row] * probability``.
     """
     x = np.asarray(weights, dtype=float)
-    n_a, s = ts.n_authors, ts.n_states
+    link, s = ts.link, ts.n_states
     if x.shape != (s,):
         raise ValueError(f"weights must have one entry per state ({s}), got shape {x.shape}")
     if not _finite_non_negative(x):
         raise ValueError("weights must be finite and not negative")
-    by_source = np.zeros((s, 2))
-    by_source[:n_a, 0], by_source[n_a:, 1] = x[:n_a], x[n_a:]
-    by_target = ts.link.T @ by_source
-    out = np.zeros((s, N_CLASSES))
+    code = np.multiply(link.indices, N_CLASSES, dtype=np.intp)
+    code += entry_classes(link.indptr, link.indices, ts.n_authors)
+    carried = np.repeat(x, np.diff(link.indptr)) * link.data
+    out = np.bincount(code, carried, minlength=s * N_CLASSES)  # int when the link is empty
+    out = out.astype(float, copy=False).reshape(s, N_CLASSES)
     for c, (mass, dist) in zip((RESTART, FAKE), ts.jumps):
         out[:, c] = (x @ mass) * dist
-    out[:, WROTE] = by_target[:, 0]
-    out[:n_a, ISWB] = by_target[:n_a, 1]
-    out[n_a:, CITE] = by_target[n_a:, 1]
     return out
 
 
@@ -185,11 +173,10 @@ def expected_scores(
 
     The stationary inflows per state and edge class (``class_inflows`` of
     the transition system's ``pi``), copies folded onto their papers, are
-    scored by ``walk.score_arrivals`` as the walk's counts are.
-    So ``raw`` is the limit of ``pira_rank(graph, params).raw / step_budget``
-    for any c-weights, and sums to 1 when all four are equal.
-    ``max_nodes``, when given, refuses larger graphs; by default any size is
-    solved.
+    scored by ``walk.score_arrivals`` as the walk's counts are.  So ``raw``
+    is the limit of ``pira_rank(graph, params).raw / step_budget`` for any
+    c-weights, and sums to 1 when all four are equal.  ``max_nodes``, when
+    given, refuses larger graphs; by default any size is solved.
 
     At ``damping_df`` > 0 every row restarts with probability at least df, so
     the chain has one aperiodic recurrent class.  At df = 0 it may be

@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import enum
 import inspect
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
 from . import baselines
-from .graph import CitationGraph, build_graph
+from .graph import CitationGraph, _clean, build_graph
 from .ingest import _split_table
 from .oracle import expected_scores
 from .walk import ScoreTable, WalkParams
@@ -48,10 +49,20 @@ REL_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Assertion:
+    """`measure` scores `node_a` `relation` `node_b`.  Every field must be
+    a non-empty str that fits one file line (``graph._clean``'s rule for
+    ids), and the relation ``<``, ``=`` or ``>``; else ValueError."""
+
     measure: str
     node_a: str
     relation: str  # ">", "<" or "="
     node_b: str
+
+    def __post_init__(self) -> None:
+        fields = (self.measure, self.node_a, self.relation, self.node_b)
+        if not _clean(fields, (), ()) or self.relation not in ("<", "=", ">"):
+            raise ValueError(f"invalid assertion {fields}: every field must be a non-empty str "
+                             "without tabs or line breaks, and the relation '<', '=' or '>'")
 
     def __str__(self) -> str:
         return f"{self.measure}\t{self.node_a}\t{self.relation}\t{self.node_b}"
@@ -299,15 +310,18 @@ _GENERATORS = {
 def generate(spec: ScenarioSpec, padding: int = 0) -> Scenario:
     """Build the scenario graph and its expected ordering assertions.
 
-    ``spec.params`` overrides the generator's size defaults; a key the
-    generator does not take raises ValueError.
+    ``spec.params`` overrides the generator's size defaults; an unknown key,
+    or a padding or size that is no integer (or a bool), raises ValueError.
     """
-    if padding < 0:
-        raise ValueError("padding must be non-negative")
     generator = _GENERATORS[spec.kind]
     unknown = set(spec.params) - set(inspect.signature(generator).parameters)
     if unknown:
         raise ValueError(f"unknown parameters for {spec.kind.value}: {sorted(unknown)}")
+    for name, value in (("padding", padding), *spec.params.items()):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if padding < 0:
+        raise ValueError("padding must be non-negative")
     authors, papers, wrote, cites, assertions = generator(**spec.params)
     _pad(authors, papers, wrote, padding)
     return Scenario(spec.kind, build_graph(authors, papers, wrote, cites), assertions)
@@ -319,9 +333,16 @@ def assertions_to_tsv(assertions: tuple[Assertion, ...]) -> str:
 
 def assertions_from_tsv(text: str, source: str = "<assertions>") -> tuple[Assertion, ...]:
     """Parse `measure<TAB>node_a<TAB>relation<TAB>node_b` lines by the
-    dataset files' line rules (``ingest._split_table``); a malformed line
-    raises ParseError naming `source` and the line."""
-    return tuple(map(Assertion, *_split_table(text, 4, source, source).columns))
+    dataset files' line rules (``ingest._split_table``); a malformed line or
+    invalid ``Assertion`` raises ParseError naming `source` and the line."""
+    table = _split_table(text, 4, source, source)
+    assertions = []
+    for row, fields in enumerate(zip(*table.columns)):
+        try:
+            assertions.append(Assertion(*fields))
+        except ValueError as exc:
+            raise table.error(row, str(exc)) from None
+    return tuple(assertions)
 
 
 # the measures that score papers; every other measure scores authors
@@ -392,14 +413,7 @@ def evaluate_assertions(
                 raise ValueError(f"assertion '{a.measure} {a.node_a} {a.relation} {a.node_b}': "
                                  f"measure {a.measure!r} scores no node {node!r}")
         va, vb = float(scores[index[a.node_a]]), float(scores[index[a.node_b]])
-        scale = max(abs(va), abs(vb), 1e-300)
-        if a.relation == "=":
-            ok = abs(va - vb) <= REL_TOL * scale
-        elif a.relation == ">":
-            ok = va - vb > REL_TOL * scale
-        elif a.relation == "<":
-            ok = vb - va > REL_TOL * scale
-        else:
-            raise ValueError(f"unknown relation {a.relation!r}")
+        tol = REL_TOL * max(abs(va), abs(vb), 1e-300)
+        ok = {"=": abs(va - vb) <= tol, ">": va - vb > tol, "<": vb - va > tol}[a.relation]
         results.append(AssertionResult(a, va, vb, ok))
     return results

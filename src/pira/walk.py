@@ -29,14 +29,14 @@ without papers, a citation from a paper without references, an isWrittenBy
 jump from a paper without authors) reinitializes the walk instead.
 
 The walk's chain is one ``TransitionSystem`` (``build_transition_system``):
-a row per walk state listing each move as (next state, probability).  The
-states are the authors, the papers and, in literal mode, one "pending
-isWrittenBy" copy per paper, the state after the 1-theta re-arrival; the
-two modes differ only in how the rows are built.  The link moves are the
-graph's one-hop matrices (``graph.to_paper``, ``to_ref``, ``to_author``)
-scaled per row; restart and fake moves are sentinel outcomes whose landing
-node is drawn by arithmetic.  A move's edge class follows from its row and
-target (``entry_classes``, the one class rule).
+a link matrix over the walk's states, the graph's one-hop matrices
+(``graph.to_paper``, ``to_ref``, ``to_author``) scaled per row, plus the
+restart and fake jumps.  The states are the authors, the papers and, in
+literal mode, one "pending isWrittenBy" copy per paper, the state after the
+1-theta re-arrival.  Only the sampler lists each move as an outcome
+(``_outcome_rows``), a jump as a sentinel whose landing is drawn by
+arithmetic.  A move's edge class follows from its row and target
+(``entry_classes``, the one class rule).
 
 Restarts are regeneration points: the arrivals from one restart outcome up
 to the next form a restart cycle, and one surfer's arrivals are i.i.d.
@@ -49,9 +49,8 @@ counts therefore have exactly the law of one surfer's first ``budget``
 arrivals, whatever its slot count, which is sized for speed only.  The
 slots of consecutive walkers step in lockstep, and the copies' arrivals are
 folded back onto their papers at the end.  The exact oracle
-(``oracle.expected_scores``) solves the same system, through its ``link``
-matrix, and scores its expected arrivals per class with the same
-``score_arrivals``.
+(``oracle.expected_scores``) solves the same system and scores its
+expected arrivals per class with the same ``score_arrivals``.
 """
 
 from __future__ import annotations
@@ -254,8 +253,8 @@ def restart_author_share(graph: CitationGraph, params: WalkParams) -> float:
 # Edge classes of an arrival: the columns of the per-node arrival counts.
 RESTART, FAKE, WROTE, CITE, ISWB = range(5)
 N_CLASSES = 5
-# Sentinel next states of the restart and fake outcomes: their landing node
-# is drawn by arithmetic, never listed in the rows.
+# Sentinel next states of the sampler's restart and fake outcomes
+# (``_outcome_rows``): their landing node is drawn by arithmetic.
 TO_RESTART = -1
 TO_FAKE = -2
 
@@ -275,34 +274,25 @@ _CUT_RISK = 20.0
 
 @dataclass(frozen=True, eq=False)  # holds arrays; compare by identity
 class TransitionSystem:
-    """The walk's chain: every move as (next state, probability), per state.
+    """The walk's chain: a sparse link matrix plus two rank-one jumps.
 
     States are authors [0, A), papers [A, A+P) and, in literal mode only,
     one "pending isWrittenBy" copy per paper [A+P, A+2P): the state between
     the literal 1-theta branch's re-arrival at its paper (counted on the
-    paper) and the jump to one of the paper's authors.  One more row, the
-    entry row ``n_states``, restarts with probability one; slots start there,
-    so their first arrival is a restart.  Row r lists its outcomes in
-    ``[indptr[r], indptr[r + 1])``: restart, fake pick, then the row's links.
-    Restart and fake outcomes have the sentinel targets ``TO_RESTART`` and
-    ``TO_FAKE`` and land by ``restart_dist`` and ``paper_dist``; their
-    per-row probabilities are also ``init_mass`` and ``fake_mass`` (zero
-    where the row has none).  Outcomes of probability zero are left out, so
-    every row's probabilities are positive and sum to one.
+    paper) and the jump to one of the paper's authors.  State r restarts
+    with probability ``init_mass[r]`` (landing by ``restart_dist``), picks a
+    fake citation with ``fake_mass[r]`` (landing by ``paper_dist``) and
+    otherwise takes a link of row r of ``link``, whose entries are positive.
 
-    An outcome's edge class follows from its row and target
-    (``entry_classes``).  ``link``, the link outcomes of the state rows as a
-    CSR matrix, and ``wrote_m``, ``cite_m`` and ``iswb_m``, the link split by
-    class and read-only, are built on first read, so the walk never builds
-    them.  A literal paper's move to its own copy is a cite link; every
-    other link is an entry of the graph's hop matrices (``graph.to_paper``,
-    ``to_ref``, ``to_author``) times its row's share of that hop.
+    A link's edge class follows from its row and target (``entry_classes``);
+    ``wrote_m``, ``cite_m`` and ``iswb_m``, the link split by class and
+    read-only, are built on first read.  A literal paper's move to its own
+    copy is a cite link; every other link is an entry of one of the graph's
+    hop matrices times its row's share of that hop.
     """
 
     n_authors: int
-    indptr: np.ndarray        # n_states + 2 row bounds, the entry row last
-    target: np.ndarray        # next state of each outcome, or a sentinel
-    prob: np.ndarray          # probability of each outcome
+    link: sp.csr_matrix       # the link moves, states x states
     init_mass: np.ndarray     # per-state mass sent through the restart distribution
     fake_mass: np.ndarray     # per-state mass sent to a uniformly random paper
     restart_dist: np.ndarray  # distribution over the nodes, zero on the copies
@@ -310,22 +300,12 @@ class TransitionSystem:
 
     @property
     def n_states(self) -> int:
-        return len(self.indptr) - 2
+        return self.link.shape[0]
 
     @property
     def jumps(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Rank-one terms (per-row mass, landing distribution) of the chain."""
         return ((self.init_mass, self.restart_dist), (self.fake_mass, self.paper_dist))
-
-    @cached_property
-    def link(self) -> sp.csr_matrix:
-        """Every link outcome of the state rows, in row order."""
-        s = self.n_states
-        bounds = self.indptr[:s + 1]
-        target, prob = self.target[:bounds[-1]], self.prob[:bounds[-1]]
-        kept = target >= 0  # the restart and fake sentinels are negative
-        indptr = np.concatenate(([0], np.cumsum(kept)))[bounds]
-        return sp.csr_matrix((prob[kept], target[kept], indptr), shape=(s, s))
 
     @cached_property
     def wrote_m(self) -> sp.csr_matrix:  # author rows -> paper columns
@@ -393,11 +373,11 @@ def _stack_rows(n_rows: int, blocks) -> tuple[np.ndarray, ...]:
 def build_transition_system(graph: CitationGraph, params: WalkParams) -> TransitionSystem:
     """The walk's chain, in either mode, in O(nodes + edges).
 
-    This is the package's one definition of the walk's chain: the engine
-    samples its rows and the exact oracle solves it.  Its link outcomes are
-    the graph's one-hop matrices (``graph.to_paper``, ``to_ref``,
+    This is the package's one definition of the walk's chain: the exact
+    oracle solves it and the engine samples its ``_outcome_rows``.  Its
+    links are the graph's one-hop matrices (``graph.to_paper``, ``to_ref``,
     ``to_author``), each row scaled by the share of its row's mass that
-    takes that hop.
+    takes that hop; links of probability zero are left out.
     """
     if graph.n_nodes == 0:
         raise ValueError("cannot build a transition system for an empty graph")
@@ -432,16 +412,11 @@ def build_transition_system(graph: CitationGraph, params: WalkParams) -> Transit
         copy_restart = 0.0
         iswb_share = keep * (1.0 - theta)
 
-    def rows(author, paper, copy, entry=0):
-        """Per-row values over the author, paper, copy and entry rows."""
+    def rows(author, paper, copy):  # per-row values over the author, paper and copy rows
         return np.concatenate((np.broadcast_to(author, n_a), np.broadcast_to(paper, n_p),
-                               np.broadcast_to(copy, n_states - n), [entry]))
+                               np.broadcast_to(copy, n_states - n)))
 
-    init_mass = rows(df + keep * (n_pubs == 0), paper_restart, copy_restart, 1.0)
-    fake_mass = rows(0.0, paper_fake, 0.0)
     blocks = [
-        (1, TO_RESTART, init_mass),
-        (1, TO_FAKE, fake_mass),
         (rows(n_pubs, 0, 0), n_a + to_paper.indices, keep * to_paper.data),
         (rows(0, n_refs, 0), n_a + to_ref.indices,
          np.repeat(keep * theta * real, n_refs) * to_ref.data),
@@ -450,17 +425,37 @@ def build_transition_system(graph: CitationGraph, params: WalkParams) -> Transit
     ]
     if literal:
         blocks.append((rows(0, 1, 0), np.arange(n, n_states), keep * (1.0 - theta) * real))
-    indptr, target, prob = _stack_rows(n_states + 1, blocks)
+    indptr, target, prob = _stack_rows(n_states, blocks)
+    link = sp.csr_matrix((prob, target, indptr), shape=(n_states, n_states))
+    init_mass = rows(df + keep * (n_pubs == 0), paper_restart, copy_restart)
     p_author = restart_author_share(graph, params)
     restart_dist, paper_dist = np.zeros(n_states), np.zeros(n_states)
     restart_dist[:n_a] = p_author / max(n_a, 1)
     restart_dist[n_a:n] = (1.0 - p_author) / max(n_p, 1)
     paper_dist[n_a:n] = 1.0 / max(n_p, 1)
-    return TransitionSystem(n_a, indptr, target, prob, init_mass[:n_states],
-                            fake_mass[:n_states], restart_dist, paper_dist)
+    return TransitionSystem(n_a, link, init_mass, rows(0.0, paper_fake, 0.0), restart_dist,
+                            paper_dist)
 
 
-def _guide(ts: TransitionSystem) -> tuple[np.ndarray, np.ndarray]:
+def _outcome_rows(ts: TransitionSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(indptr, target, prob) of the sampler's rows: row r lists state r's
+    restart and fake pick (the sentinel targets ``TO_RESTART``, ``TO_FAKE``;
+    left out at mass zero), then its links.  The last row, the entry row
+    where slots start, restarts with probability one."""
+    jumps = ((TO_RESTART, np.append(ts.init_mass, 1.0)), (TO_FAKE, np.append(ts.fake_mass, 0.0)))
+    sizes = np.append(np.diff(ts.link.indptr), 0) + sum(mass > 0 for _, mass in jumps)
+    indptr = np.concatenate(([0], np.cumsum(sizes)))
+    target, prob = np.empty(indptr[-1], np.intp), np.empty(indptr[-1])
+    is_link, slot = np.ones(indptr[-1], bool), indptr[:-1]
+    for sentinel, mass in jumps:  # each row's restart, then its fake pick, in its next slot
+        has = mass > 0
+        target[slot[has]], prob[slot[has]], is_link[slot[has]] = sentinel, mass[has], False
+        slot = slot + has
+    target[is_link], prob[is_link] = ts.link.indices, ts.link.data  # links fill the rest, in order
+    return indptr, target, prob
+
+
+def _guide(indptr: np.ndarray, prob: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(upper, guide): each outcome's row-local running probability, and a
     guide table with one bin per outcome.
 
@@ -470,7 +465,6 @@ def _guide(ts: TransitionSystem) -> tuple[np.ndarray, np.ndarray]:
     ``upper[e] <= u``: O(1) steps expected.  The last outcome of each row
     gets ``upper = 1``, so the advance never leaves its row.
     """
-    indptr, prob = ts.indptr, ts.prob
     size = np.diff(indptr)
     running = np.cumsum(prob)
     before = np.concatenate(([0.0], running))[indptr[:-1]]
@@ -531,25 +525,25 @@ def _walker_groups(params: WalkParams):
     yield group
 
 
-def _sampler(graph: CitationGraph, params: WalkParams, ts: TransitionSystem):
-    """``step(state, u, v) -> (next state, arrival code, restarted)`` over
-    the chain's rows: one outcome per state from the uniforms u (guide
-    table) and v (restart and fake landings), with the arrival code
-    ``node * N_CLASSES + class`` and the indices whose outcome restarted."""
-    upper, guide = _guide(ts)
-    start = ts.indptr[:-1]
-    size = np.diff(ts.indptr).astype(float)
-    target = ts.target
-    # a sentinel's code is its class; its landing node is added per step
-    code = np.maximum(target, 0) * N_CLASSES + entry_classes(ts.indptr, target, ts.n_authors)
+def _sampler(graph: CitationGraph, params: WalkParams):
+    """(step, n_states): ``step(state, u, v) -> (next state, arrival code,
+    restarted)`` over the chain's ``_outcome_rows``, one outcome per state
+    from the uniforms u (guide table) and v (restart and fake landings), with
+    the arrival code ``node * N_CLASSES + class`` and the indices whose
+    outcome restarted.  The chain itself is not kept."""
+    indptr, target, prob = _outcome_rows(build_transition_system(graph, params))
+    upper, guide = _guide(indptr, prob)
+    size = np.diff(indptr).astype(float)
     n_a, n_p = graph.n_authors, graph.n_papers
+    # a sentinel's code is its class; its landing node is added per step
+    code = np.maximum(target, 0) * N_CLASSES + entry_classes(indptr, target, n_a)
     n = n_a + n_p
     # a restart lands on an author with probability p_author, else on a
     # paper; a fake pick lands on a uniform paper (author share 0)
     p_author = restart_author_share(graph, params)
     author_scale = n_a / p_author if p_author > 0 else 0.0
     jumps = [(TO_RESTART, p_author, n_p / (1.0 - p_author) if p_author < 1 else 0.0)]
-    if ts.fake_mass.any():
+    if (target == TO_FAKE).any():
         jumps.append((TO_FAKE, 0.0, n_p))
 
     def land(v: np.ndarray, share: float, paper_scale: float) -> np.ndarray:
@@ -558,7 +552,7 @@ def _sampler(graph: CitationGraph, params: WalkParams, ts: TransitionSystem):
         return np.minimum(x.astype(np.intp), np.where(paper, n - 1, n_a - 1))
 
     def step(s: np.ndarray, u: np.ndarray, v: np.ndarray):
-        e = guide[start[s] + (u * size[s]).astype(np.intp)]
+        e = guide[indptr[s] + (u * size[s]).astype(np.intp)]
         late = (upper[e] <= u).nonzero()[0]
         while late.size:
             e[late] += 1
@@ -574,7 +568,7 @@ def _sampler(graph: CitationGraph, params: WalkParams, ts: TransitionSystem):
                 out[hit] += landing * N_CLASSES
         return nxt, out, restarted
 
-    return step
+    return step, len(indptr) - 2
 
 
 def _group_counts(step, n_states: int, seed: int, group, windows) -> tuple[np.ndarray, np.ndarray]:
@@ -726,20 +720,19 @@ def _arrival_counts(graph: CitationGraph, params: WalkParams) -> np.ndarray:
     walker's every cycle recorded; the draws are the same, so the result is
     too.  Counts of the literal copies are added to their papers.
     """
-    ts = build_transition_system(graph, params)
-    step = _sampler(graph, params, ts)
+    step, n_states = _sampler(graph, params)
     df = params.damping_df
     counts = None
     for group in _walker_groups(params):
         windows = [_window(budget, slots, df) for _, budget, slots in group]
         while True:
-            got, overrun = _group_counts(step, ts.n_states, params.seed, group, windows)
+            got, overrun = _group_counts(step, n_states, params.seed, group, windows)
             if not overrun.size:
                 break
             for i in overrun:
                 windows[i] = group[i][1]
         counts = got if counts is None else np.add(counts, got, out=counts)
-    return fold_copies(counts.reshape(ts.n_states, N_CLASSES), graph)
+    return fold_copies(counts.reshape(n_states, N_CLASSES), graph)
 
 
 def fold_copies(per_state: np.ndarray, graph: CitationGraph) -> np.ndarray:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from pira import EdgeColumns, NodeKind, ScoreTable, WalkParams, build_graph, pira_rank
 from pira.graph import CitationGraph
-from pira.walk import CITE, FAKE, ISWB, RESTART, TO_FAKE, TO_RESTART, WROTE
+from pira.walk import CITE, FAKE, ISWB, RESTART, TO_FAKE, TO_RESTART, WROTE, _outcome_rows
 
 
 def rows(m) -> tuple[tuple[int, ...], ...]:
@@ -29,24 +29,26 @@ def dense_chain(ts) -> np.ndarray:
 
 
 def outcome_entries(ts) -> list[tuple[int, int, int, float]]:
-    """(row, target, class, probability) of each outcome of a
-    ``walk.TransitionSystem``'s rows, the entry row last, one at a time.
+    """(row, target, class, probability) of each outcome of the sampler's
+    rows of a ``walk.TransitionSystem`` (``walk._outcome_rows``), the entry
+    row last, one at a time.
 
     The class is read off the row and the target as the ``walk`` module
     docstring states it, with no code of the package: a sentinel target is
     its jump's class, an author row's move is wrote, and any other row's
     move is isWrittenBy into an author and cite otherwise."""
+    indptr, targets, probs = _outcome_rows(ts)
     out = []
-    for row in range(len(ts.indptr) - 1):
-        for i in range(ts.indptr[row], ts.indptr[row + 1]):
-            target = int(ts.target[i])
+    for row in range(len(indptr) - 1):
+        for i in range(indptr[row], indptr[row + 1]):
+            target = int(targets[i])
             if target < 0:
                 cls = RESTART if target == TO_RESTART else FAKE
             elif row < ts.n_authors:
                 cls = WROTE
             else:
                 cls = ISWB if target < ts.n_authors else CITE
-            out.append((row, target, cls, float(ts.prob[i])))
+            out.append((row, target, cls, float(probs[i])))
     return out
 
 

@@ -1,3 +1,4 @@
+import re
 import tempfile
 from pathlib import Path
 
@@ -130,6 +131,18 @@ def test_ranking_tsv_round_trip():
     text = r.to_tsv()
     assert text == "1\ta\t1.500000\n2\tb\t0.500000\n"
     assert Ranking.from_tsv(text) == r
+
+
+@pytest.mark.parametrize("bad", ["a\tb", "", "x\ny", "x\r", "\t", 5])
+def test_rank_refuses_an_id_a_ranking_file_cannot_hold(bad):
+    # "a\tb" was written as `2\ta\tb\t0.666667`, a line of four fields
+    # that Ranking.from_tsv refused
+    table = _table([("c", 1.0), (bad, 2.0), ("d", 3.0)])
+    with pytest.raises(ValueError, match=re.escape(f"node id {bad!r} cannot be written")):
+        rank(table)
+    # an id that is not kept is never written
+    r = rank(table, subset=lambda t: np.array([True, False, True]))
+    assert Ranking.from_tsv(r.to_tsv()) == r
 
 
 def test_ranking_from_tsv_names_source_and_line_of_a_bad_line():

@@ -16,7 +16,7 @@ from pira.oracle import (
     stationary_distribution,
 )
 from pira.walk import (CITE, ISWB, N_CLASSES, RESTART, TO_FAKE, TO_RESTART, WROTE,
-                       entry_classes)
+                       _outcome_rows, entry_classes)
 
 from conftest import (FIXTURE_BUILDERS, dense_chain, outcome_entries, pair_graph, small_graph,
                       small_graphs, star_graph)
@@ -414,23 +414,30 @@ def _assert_link_classes_follow_the_endpoints(graph, params):
     ts = build_transition_system(graph, params)
     s = ts.n_states
     every = outcome_entries(ts)
+    indptr, target, _ = _outcome_rows(ts)
     # the package's one class rule gives each outcome the reference's class
-    assert entry_classes(ts.indptr, ts.target, ts.n_authors).tolist() == [c for *_, c, _ in every]
+    assert entry_classes(indptr, target, ts.n_authors).tolist() == [c for *_, c, _ in every]
     # the entry row, last, only restarts
     assert [e for e in every if e[0] == s] == [(s, TO_RESTART, RESTART, 1.0)] == every[-1:]
     entries = every[:-1]
-    # the link holds exactly the rows' non-sentinel outcomes, in order
+    # each row lists its restart, then its fake pick, then its links
+    order = {TO_RESTART: 0, TO_FAKE: 1}
+    assert entries == sorted(entries, key=lambda e: (e[0], order.get(e[1], 2)))
+    # the rows' non-sentinel outcomes are exactly the link's entries, in order
     link = ts.link
     got = zip(np.repeat(np.arange(s), np.diff(link.indptr)).tolist(), link.indices.tolist(),
               link.data.tolist())
     assert list(got) == [(r, t, p) for r, t, _, p in entries if t >= 0]
-    # the jump masses are the rows' restart and fake outcomes
+    # the jump masses are the rows' restart and fake outcomes, and those
+    # outcomes are exactly the masses' positive entries
     for mass, sentinel in ((ts.init_mass, TO_RESTART), (ts.fake_mass, TO_FAKE)):
         want = np.zeros(s)
         for r, t, _, p in entries:
             if t == sentinel:
                 want[r] += p
         assert np.array_equal(mass, want), sentinel
+        assert [(r, p) for r, t, _, p in entries if t == sentinel] == [
+            (r, float(mass[r])) for r in np.flatnonzero(mass > 0).tolist()], sentinel
     # the class views of the link hold exactly the rows' entries of their class
     views = {WROTE: ts.wrote_m, CITE: ts.cite_m, ISWB: ts.iswb_m}
     for cls, view in views.items():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,18 @@ def test_invalid_parameters_rejected():
         generate(ScenarioSpec(ScenarioKind.PAPER_QUALITY, {"bogus": 3}))
     with pytest.raises(ValueError):
         generate(ScenarioSpec(ScenarioKind.PAPER_QUALITY), padding=-1)
+    # padding=True built one padding pair and padding=1.5 raised a TypeError;
+    # {"citers": True} built and {"citers": "3"} raised a TypeError
+    for padding in (True, 1.5, "3", None):
+        with pytest.raises(ValueError, match=f"^padding must be an integer, got {padding!r}$"):
+            generate(ScenarioSpec(ScenarioKind.PAPER_QUALITY), padding=padding)
+    for citers in (True, False, 1.5, "3", None):
+        with pytest.raises(ValueError, match=f"^citers must be an integer, got {citers!r}$"):
+            generate(ScenarioSpec(ScenarioKind.PAPER_QUALITY, {"citers": citers}))
+    # a numpy integer is an integer
+    spec = ScenarioSpec(ScenarioKind.PAPER_QUALITY, {"citers": np.int64(3)})
+    assert generate(spec, padding=np.int64(2)).graph == generate(
+        ScenarioSpec(ScenarioKind.PAPER_QUALITY, {"citers": 3}), padding=2).graph
 
 
 def test_citing_quality_distant_citer_counts():
@@ -135,6 +149,28 @@ def test_a_malformed_assertion_line_names_its_line():
     assert (err.value.path, err.value.line) == ("a.tsv", 3)
     with pytest.raises(ParseError, match=rf"^<assertions>:1: {short}$"):
         assertions_from_tsv("pub\ta1\t>\n")
+    # an unknown relation was only reported by evaluate_assertions, after
+    # its measure had been computed
+    relation = re.escape("invalid assertion ('pub', 'a1', '>=', 'a2'): every field")
+    with pytest.raises(ParseError, match=rf"^a\.tsv:3: {relation}") as err:
+        assertions_from_tsv("pub\ta0\t>\ta1\n\npub\ta1\t>=\ta2\n", source="a.tsv")
+    assert (err.value.path, err.value.line) == ("a.tsv", 3)
+
+
+@pytest.mark.parametrize("fields", [
+    ("pub", "x\ny", ">", "z"),
+    ("pub", "x", ">", "z\r"),
+    ("p\tub", "x", ">", "z"),
+    ("", "x", ">", "z"),
+    ("pub", "x", "", "z"),
+    ("pub", "x", ">", 3),
+    ("\ufeffpub", "x", ">", "z"),  # read back as a file's byte-order mark
+])
+def test_an_assertion_a_file_line_cannot_hold_is_refused(fields):
+    # Assertion("pub", "x\ny", ">", "z") was written as a line that
+    # assertions_from_tsv rejected
+    with pytest.raises(ValueError, match=re.escape(f"invalid assertion {fields}: every field")):
+        Assertion(*fields)
 
 
 def test_scenarios_round_trip_through_tsv(tmp_path):

@@ -440,8 +440,9 @@ def _dense_reference_scores(graph, params) -> np.ndarray:
 
 def _assert_rows_sum_to_one(graph, params):
     ts = build_transition_system(graph, params)
-    assert (ts.prob > 0).all()
-    sums = np.bincount(np.repeat(np.arange(len(ts.indptr) - 1), np.diff(ts.indptr)), ts.prob)
+    indptr, _, prob = walk._outcome_rows(ts)
+    assert (prob > 0).all()
+    sums = np.bincount(np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)), prob)
     assert np.abs(sums - 1.0).max() <= 1e-12
     chain = dense_chain(ts)
     assert np.abs(chain.sum(axis=1) - 1.0).max() <= 1e-12
