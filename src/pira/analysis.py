@@ -1,16 +1,19 @@
 """Rankings, comparison curves, scatter data, dataset statistics, DOT export.
 
 Rankings are keyed by external node ids so that rankings written to disk and
-rankings held in memory compare identically.  Ties are broken by ascending
-node id; ranks are dense positions 1..N.
+rankings held in memory compare identically.  A ranking has one order, its
+line order: a node's rank is its place, 1 for the first line.  ``rank``
+breaks ties by ascending node id; the comparisons (``topx_difference``,
+``rank_scatter``) read every node's place from one cached map per ranking.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -19,15 +22,14 @@ from .ingest import _split_table
 from .walk import ScoreTable
 
 
-@dataclass(frozen=True, eq=False)  # holds arrays; __eq__ below
+@dataclass(frozen=True, eq=False)  # holds an array; __eq__ below
 class Ranking:
-    """A ranking as three parallel columns, best first: the external node
-    ids (each listed once), their scores and their ranks (positions 1..N
-    for computed rankings; a parsed file keeps its own numbers)."""
+    """A ranking as two parallel columns, best first: the external node ids
+    (each listed once) and their scores.  A node's rank is its place in
+    ``ids``: 1 for the first."""
 
     ids: tuple[str, ...]
     scores: np.ndarray  # float64
-    ranks: np.ndarray   # int64
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -35,43 +37,55 @@ class Ranking:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Ranking):
             return NotImplemented
-        return (self.ids == other.ids and np.array_equal(self.scores, other.scores)
-                and np.array_equal(self.ranks, other.ranks))
+        return self.ids == other.ids and np.array_equal(self.scores, other.scores)
 
     @cached_property
-    def _rank_of(self) -> dict[str, int]:
-        return dict(zip(self.ids, self.ranks.tolist()))
+    def _place(self) -> dict[str, int]:
+        """Node id -> its rank: the one map every comparison reads."""
+        return dict(zip(self.ids, range(1, len(self.ids) + 1)))
 
     def position_of(self, node: str) -> int:
-        return self._rank_of[node]
+        return self._place[node]
 
     def to_tsv(self) -> str:
-        """`rank<TAB>node_id<TAB>score` lines, scores at 6 decimal places,
-        all formatted by one ``%`` over the interleaved columns."""
+        """`rank<TAB>node_id<TAB>score` lines, the ranks 1..N, scores at 6
+        decimal places, all formatted by one ``%`` over the interleaved
+        columns."""
         fields: list = [None] * (3 * len(self.ids))
-        fields[0::3], fields[1::3] = self.ranks.tolist(), self.ids
+        fields[0::3], fields[1::3] = range(1, len(self.ids) + 1), self.ids
         fields[2::3] = self.scores.tolist()
         return "%d\t%s\t%.6f\n" * len(self.ids) % tuple(fields)
 
     @classmethod
     def from_tsv(cls, text: str, source: str = "<ranking>") -> "Ranking":
-        """Parse `rank<TAB>node_id<TAB>score` lines by the dataset files'
-        line rules (``ingest._split_table``).  A malformed line, or a node
-        listed twice, raises ParseError naming `source` and the line (both
-        lines for a repeated node)."""
+        """Parse what ``to_tsv`` writes: `rank<TAB>node_id<TAB>score` lines,
+        split by the dataset files' line rules (``ingest._split_table``).
+
+        Each rank must be its line's place among the non-blank lines, and
+        each score finite, not negative and not above the score on the line
+        before.  A malformed line, a rank or score that does not parse or
+        breaks those rules, or a node listed twice raises ParseError naming
+        `source` and the line (both lines for a repeated node).
+        """
         table = _split_table(text, 3, source, source)
-        ranks, scores, first_row = [], [], {}  # first_row: node id -> its row, in file order
+        scores, first_row = [], {}  # first_row: node id -> its row, in file order
         for row, (position, node, score) in enumerate(zip(*table.columns)):
             try:
-                ranks.append(int(position))
-                scores.append(float(score))
+                place, value = int(position), float(score)
             except ValueError as exc:
                 raise table.error(row, str(exc)) from None
+            if place != row + 1:
+                raise table.error(row, f"rank {place}, expected {row + 1}: "
+                                       "the ranks number the non-blank lines 1..N")
+            if not (math.isfinite(value) and value >= 0):
+                raise table.error(row, f"score {score!r} is not a finite number >= 0")
+            if scores and value > scores[-1]:
+                raise table.error(row, f"score {score} is above the score on the line before")
             if first_row.setdefault(node, row) != row:
                 raise table.error(
                     row, f"node {node!r} already listed at line {table.line(first_row[node])}")
-        return cls(tuple(first_row), np.array(scores, dtype=float),
-                   np.array(ranks, dtype=np.int64))
+            scores.append(value)
+        return cls(tuple(first_row), np.array(scores, dtype=float))
 
 
 # common subsets for rank(): each builds a row mask of a score table
@@ -122,8 +136,12 @@ def rank(
                          "a non-empty str without tabs or line breaks, not starting with U+FEFF")
     kept = scores.normalized[rows]
     order = np.lexsort((np.array(ids, dtype=object), -kept))
-    return Ranking(tuple(map(ids.__getitem__, order.tolist())), kept[order],
-                   np.arange(1, len(ids) + 1))
+    return Ranking(tuple(map(ids.__getitem__, order.tolist())), kept[order])
+
+
+def _csv(header: str, lines: Iterable[str]) -> str:
+    """The one CSV writer: `header`, then `lines`, each ended by a newline."""
+    return "\n".join([header, *lines]) + "\n"
 
 
 @dataclass(frozen=True)
@@ -131,9 +149,15 @@ class DiffCurve:
     points: tuple[tuple[float, float], ...]  # (x percent, difference percent)
 
     def to_csv(self) -> str:
-        lines = ["x_percent,diff_percent"]
-        lines += [f"{x:g},{d:.6f}" for x, d in self.points]
-        return "\n".join(lines) + "\n"
+        return _csv("x_percent,diff_percent", (f"{x:g},{d:.6f}" for x, d in self.points))
+
+
+def _places_in(r1: Ranking, r2: Ranking) -> np.ndarray:
+    """The rank in r2 of each node of r1, in r1's order; ValueError when
+    the two rankings cover different node sets."""
+    if r1._place.keys() != r2._place.keys():
+        raise ValueError("rankings cover different node sets")
+    return np.fromiter(map(r2._place.__getitem__, r1.ids), dtype=np.int64, count=len(r1))
 
 
 def topx_difference(
@@ -141,22 +165,22 @@ def topx_difference(
 ) -> DiffCurve:
     """Percentage of the top-x% set of r1 that is absent from r2's top-x%.
 
-    Each of r1's ids is looked up once for its place in r2; an id of r1's
-    top ``top`` is absent from r2's top when that place is ``top`` or more.
+    Both top sets are read from the line order: a cutoff x takes the first
+    ceil(x * N / 100) nodes, computed exactly on x's shortest decimal form
+    (so 1.1 % of 3,000 nodes is 33 nodes).  A node of r1's top ``top`` is
+    absent from r2's when its rank in r2 is above ``top``.
     """
-    place = dict(zip(r2.ids, range(len(r2))))
-    if set(r1.ids) != place.keys():
-        raise ValueError("rankings cover different node sets")
+    place_in_r2 = _places_in(r1, r2)
     n = len(r1)
     if n == 0:
         raise ValueError("cannot compare empty rankings")
-    place_in_r2 = np.fromiter(map(place.__getitem__, r1.ids), dtype=np.int64, count=n)
     points = []
     for x in cutoffs:
         if not 0.0 < x <= 100.0:
             raise ValueError(f"cutoff must be in (0, 100], got {x}")
-        top = math.ceil(x * n / 100.0)
-        absent = int(np.count_nonzero(place_in_r2[:top] >= top))
+        # float first: numpy 2 writes repr(np.float64(1.1)) as 'np.float64(1.1)'
+        top = math.ceil(Fraction(repr(float(x))) * n / 100)
+        absent = int(np.count_nonzero(place_in_r2[:top] > top))
         points.append((float(x), 100.0 * absent / top))
     return DiffCurve(tuple(points))
 
@@ -169,21 +193,18 @@ class ScatterPoint:
 
 
 def rank_scatter(r_base: Ranking, r_other: Ranking, top_n: int) -> list[ScatterPoint]:
-    """Rank differences for the first `top_n` nodes of the base ranking."""
-    if set(r_base.ids) != set(r_other.ids):
-        raise ValueError("rankings cover different node sets")
+    """Rank differences for the first `top_n` nodes of the base ranking,
+    each rank a node's place in its ranking's line order."""
+    place_in_other = _places_in(r_base, r_other)
     if not 0 <= top_n <= len(r_base):
         raise ValueError(f"top_n={top_n} is outside [0, {len(r_base)}], the ranking size")
-    return [
-        ScatterPoint(node, rank, rank - r_other.position_of(node))
-        for node, rank in zip(r_base.ids[:top_n], r_base.ranks[:top_n].tolist())
-    ]
+    return [ScatterPoint(node, rank, rank - other) for rank, (node, other)
+            in enumerate(zip(r_base.ids[:top_n], place_in_other[:top_n].tolist()), start=1)]
 
 
 def scatter_to_csv(points: Sequence[ScatterPoint]) -> str:
-    lines = ["node_id,base_rank,rank_difference"]
-    lines += [f"{p.node},{p.base_rank},{p.rank_difference}" for p in points]
-    return "\n".join(lines) + "\n"
+    return _csv("node_id,base_rank,rank_difference",
+                (f"{p.node},{p.base_rank},{p.rank_difference}" for p in points))
 
 
 @dataclass(frozen=True)
@@ -218,26 +239,21 @@ class StatsReport:
             ("citation_edges", self.citation_edges),
             ("citation_edges_dblp_to_dblp", self.citation_edges_dblp_to_dblp),
         ]
-        return "key,value\n" + "\n".join(f"{k},{v}" for k, v in rows) + "\n"
+        return _csv("key,value", (f"{k},{v}" for k, v in rows))
 
     @staticmethod
     def _split_csv(hist: dict[int, tuple[int, int]]) -> str:
-        lines = ["bucket,dblp,external"]
-        lines += [f"{b},{hist[b][0]},{hist[b][1]}" for b in sorted(hist)]
-        return "\n".join(lines) + "\n"
+        return _csv("bucket,dblp,external",
+                    (f"{b},{d},{e}" for b, (d, e) in sorted(hist.items())))
 
     def to_csvs(self) -> dict[str, str]:
-        in_lines = ["bucket,dblp"]
-        in_lines += [
-            f"{b},{self.in_citations_per_paper_dblp[b]}"
-            for b in sorted(self.in_citations_per_paper_dblp)
-        ]
+        in_cits = (f"{b},{n}" for b, n in sorted(self.in_citations_per_paper_dblp.items()))
         return {
             "summary.csv": self.summary_csv(),
             "publications_per_author.csv": self._split_csv(self.pubs_per_author),
             "coauthors_per_paper.csv": self._split_csv(self.coauthors_per_paper),
             "out_citations_per_paper.csv": self._split_csv(self.out_citations_per_paper),
-            "in_citations_per_paper_dblp.csv": "\n".join(in_lines) + "\n",
+            "in_citations_per_paper_dblp.csv": _csv("bucket,dblp", in_cits),
         }
 
 

@@ -74,8 +74,7 @@ def test_criterion_3_scale_invariance(fixture_graphs):
     for name, graph in fixture_graphs.items():
         r1 = rank(pira_rank(graph, base), subset=everything)
         r2 = rank(pira_rank(graph, scaled), subset=everything)
-        assert r1.ids == r2.ids, name
-        assert np.array_equal(r1.ranks, r2.ranks), name
+        assert r1 == r2, name  # the same ids, in the same order, with bit-identical scores
 
 
 def test_criterion_4_comparison_matrix():

@@ -249,6 +249,19 @@ def test_compare_malformed_ranking_line_names_file_and_line(tmp_path, capsys):
     assert err.startswith(f"error: {bad}:2: not valid UTF-8: byte 0xff ")
 
 
+def test_compare_refuses_ranks_out_of_line_order_at_their_line(tmp_path, capsys):
+    # the pair once compared: the curve read 0 % at every cutoff from the
+    # line orders, while the scatter read the ranks and moved x by 2
+    a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+    a.write_text("1\tx\t3.000000\n2\ty\t2.000000\n3\tz\t1.000000\n", encoding="utf-8")
+    b.write_text("3\tx\t3.000000\n1\ty\t2.000000\n2\tz\t1.000000\n", encoding="utf-8")
+    for mode in (["--curve", "34,67,100"], ["--scatter", "3"]):
+        assert main(["compare", str(a), str(b), *mode]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{b}:1: rank 3, expected 1" in captured.err
+
+
 def test_compare_ranking_listing_a_node_twice_is_an_input_error(tmp_path, capsys):
     # before this was checked, both modes exited 0: the curve read 0 % at
     # every cutoff and the scatter listed `a` twice
