@@ -26,10 +26,28 @@ from .walk import ScoreTable
 class Ranking:
     """A ranking as two parallel columns, best first: the external node ids
     (each listed once) and their scores.  A node's rank is its place in
-    ``ids``: 1 for the first."""
+    ``ids``: 1 for the first.
+
+    Construction makes ``scores`` a float64 array and checks what
+    ``from_tsv`` checks: one score per id, no id listed twice, and scores
+    that are finite, not negative and never rising; else ValueError.
+    """
 
     ids: tuple[str, ...]
     scores: np.ndarray  # float64
+
+    def __post_init__(self) -> None:
+        scores = np.asarray(self.scores, dtype=float)
+        if scores.shape != (len(self.ids),):
+            raise ValueError(f"scores have shape {scores.shape}, expected ({len(self.ids)},): "
+                             "one score per id")
+        object.__setattr__(self, "scores", scores)
+        if len(self._place) != len(self.ids):
+            raise ValueError("a node is listed twice: ranking ids must be unique")
+        if not ((0 <= scores) & (scores < math.inf)).all():
+            raise ValueError("ranking scores must be finite and not negative")
+        if (scores[1:] > scores[:-1]).any():
+            raise ValueError("ranking scores must not rise: the best node comes first")
 
     def __len__(self) -> int:
         return len(self.ids)

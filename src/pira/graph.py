@@ -490,31 +490,25 @@ def row_stochastic(m: sp.csr_matrix) -> sp.csr_matrix:
                          shape=m.shape)
 
 
-def _row_entries(m: sp.csr_matrix, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Entry counts of the given rows of `m`, and their column indices in
-    row order."""
-    starts, ends = m.indptr[rows], m.indptr[rows + 1]
-    counts = ends - starts
-    # position of each entry: its row's start plus its offset within the row
-    offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    return counts, m.indices[np.repeat(starts, counts) + offsets]
-
-
 def neighborhood(graph: CitationGraph, center: NodeId, radius: int) -> CitationGraph:
     """Induced subgraph of every node within `radius` hops of `center`.
 
     All edge kinds count as one hop in either direction.  External ids,
     names/titles and DBLP flags are preserved; dense indices are reassigned
-    in the original order.  The search runs level by level on the CSR
-    matrices and their transposes, and the edges are sliced from them; the
-    kept nodes' columns are gathered and enter the subgraph the way
-    ``build_graph``'s NodeColumns do.  A center whose kind is not a
-    NodeKind, or a radius that is not a non-negative int, raises ValueError.
+    in the original order.  The search runs level by level: each level's
+    frontier is the column indices of the last frontier's rows of the CSR
+    matrices and their transposes (scipy row indexing), less the nodes
+    already seen.  The edges are the kept rows' kept paper columns, sliced
+    by scipy; the kept nodes' columns are gathered and enter the subgraph
+    the way ``build_graph``'s NodeColumns do.  A center whose kind is not a
+    NodeKind or whose index is not an int (a bool included), or a radius
+    that is not a non-negative int, raises ValueError.
     """
     if not isinstance(center.kind, NodeKind):
         raise ValueError(f"center kind must be a NodeKind, got {center.kind!r}")
-    if isinstance(radius, bool) or not isinstance(radius, numbers.Integral):
-        raise ValueError(f"radius must be an integer, got {radius!r}")
+    for name, value in (("center index", center.index), ("radius", radius)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if radius < 0:
         raise ValueError("radius must be non-negative")
     a, p = NodeKind.AUTHOR, NodeKind.PAPER
@@ -522,28 +516,21 @@ def neighborhood(graph: CitationGraph, center: NodeId, radius: int) -> CitationG
         raise ValueError(f"unknown {center.kind.name.lower()} index {center.index}")
     seen = [np.zeros(graph.n_authors, dtype=bool), np.zeros(graph.n_papers, dtype=bool)]
     seen[center.kind][center.index] = True
-    front = [np.array([center.index] if center.kind == kind else [], dtype=np.int64)
-             for kind in (a, p)]
+    front = [np.flatnonzero(s) for s in seen]
     hops = ((a, p, graph.wrote), (p, a, graph._wrote_t), (p, p, graph.cite), (p, p, graph._cite_t))
     for _ in range(radius):
-        reached: list[list[np.ndarray]] = [[], []]
+        before = [s.copy() for s in seen]
         for source, target, m in hops:
-            reached[target].append(_row_entries(m, front[source])[1])
-        for kind in (a, p):
-            nodes = np.unique(np.concatenate(reached[kind]))
-            front[kind] = nodes[~seen[kind][nodes]]
-            seen[kind][front[kind]] = True
+            seen[target][m[front[source]].indices] = True
+        front = [np.flatnonzero(s & ~b) for s, b in zip(seen, before)]
         if not (len(front[a]) or len(front[p])):
             break
 
     kept_a, kept_p = np.flatnonzero(seen[a]), np.flatnonzero(seen[p])
-    new_p = np.full(graph.n_papers, -1, dtype=np.int64)
-    new_p[kept_p] = np.arange(len(kept_p))
 
     def induced(m: sp.csr_matrix, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        counts, cols = _row_entries(m, rows)
-        src, dst = np.repeat(np.arange(len(rows)), counts), new_p[cols]
-        return src[dst >= 0], dst[dst >= 0]
+        sub = m[rows][:, kept_p]  # a kept paper's column is its new index
+        return np.repeat(np.arange(len(rows)), np.diff(sub.indptr)), sub.indices
 
     def nodes(kept: np.ndarray, ext_ids: tuple[str, ...], names: tuple[str, ...],
               in_dblp: np.ndarray, kind: str) -> tuple[NodeColumns, dict[str, int]]:

@@ -29,11 +29,13 @@ without papers, a citation from a paper without references, an isWrittenBy
 jump from a paper without authors) reinitializes the walk instead.
 
 The walk's chain is one ``TransitionSystem`` (``build_transition_system``):
-a link matrix over the walk's states, the graph's one-hop matrices
-(``graph.to_paper``, ``to_ref``, ``to_author``) scaled per row, plus the
-restart and fake jumps.  The states are the authors, the papers and, in
-literal mode, one "pending isWrittenBy" copy per paper, the state after the
-1-theta re-arrival.  Only the sampler lists each move as an outcome
+a link matrix over the walk's states, one ``sp.bmat`` of the graph's
+one-hop matrices (``graph.to_paper``, ``to_ref``, ``to_author``) scaled per
+row, plus the restart and fake jumps.  The states are the authors, the
+papers and, in literal mode, one "pending isWrittenBy" copy per paper, the
+state after the 1-theta re-arrival.  A row of the link lists its moves to
+papers, then to authors, then to its copy, each in index order; the seeded
+walk draws in that order.  Only the sampler lists each move as an outcome
 (``_outcome_rows``), a jump as a sentinel whose landing is drawn by
 arithmetic.  A move's edge class follows from its row and target
 (``entry_classes``, the one class rule).
@@ -97,6 +99,8 @@ class WalkParams:
     bad value raises ValueError naming its field, and so does a wrong type:
     a float field that is not a real number (``restart_author_prob`` may be
     None) or an integer field that is not an integer (a bool included).
+    The integer fields are stored as Python ints, so a numpy integer gives
+    the same params.
     """
 
     damping_df: float = 0.15
@@ -138,6 +142,7 @@ class WalkParams:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # a numpy integer too
         if self.min_citation_count < 0:
             raise ValueError("min_citation_count must be non-negative")
         if self.step_budget < 1:
@@ -284,7 +289,10 @@ class TransitionSystem:
     fake citation with ``fake_mass[r]`` (landing by ``paper_dist``) and
     otherwise takes a link of row r of ``link``, whose entries are positive.
 
-    A link's edge class follows from its row and target (``entry_classes``);
+    ``link`` is one block matrix of the graph's scaled hop matrices; each
+    of its rows lists its targets by kind (papers, authors, the row's copy),
+    ascending within a kind, and is unsorted in state numbering.  A link's
+    edge class follows from its row and target (``entry_classes``);
     ``wrote_m``, ``cite_m`` and ``iswb_m``, the link split by class and
     read-only, are built on first read.  A literal paper's move to its own
     copy is a cite link; every other link is an entry of one of the graph's
@@ -347,29 +355,6 @@ def entry_classes(indptr: np.ndarray, target: np.ndarray, n_authors: int) -> np.
     return cls
 
 
-def _stack_rows(n_rows: int, blocks) -> tuple[np.ndarray, ...]:
-    """(indptr, target, prob) of rows made of per-row segments.
-
-    Each block is (sizes, target, prob): row r takes the block's next
-    ``sizes[r]`` entries, after the segments of the blocks before it.
-    Entries of probability zero are dropped.
-    """
-    sizes = [np.broadcast_to(size, n_rows) for size, *_ in blocks]
-    total = np.zeros(n_rows + 1, np.intp)
-    np.cumsum(sum(sizes), out=total[1:])
-    target = np.empty(total[-1], np.intp)
-    prob = np.empty(total[-1])
-    offset = total[:-1].copy()
-    for size, (_, t, p) in zip(sizes, blocks):
-        first = np.cumsum(size) - size  # each row's first entry in the block
-        pos = np.repeat(offset - first, size) + np.arange(size.sum())
-        target[pos], prob[pos] = t, p
-        offset += size
-    kept = prob > 0
-    indptr = np.concatenate(([0], np.cumsum(kept)))[total]
-    return indptr, target[kept], prob[kept]
-
-
 def build_transition_system(graph: CitationGraph, params: WalkParams) -> TransitionSystem:
     """The walk's chain, in either mode, in O(nodes + edges).
 
@@ -377,7 +362,10 @@ def build_transition_system(graph: CitationGraph, params: WalkParams) -> Transit
     oracle solves it and the engine samples its ``_outcome_rows``.  Its
     links are the graph's one-hop matrices (``graph.to_paper``, ``to_ref``,
     ``to_author``), each row scaled by the share of its row's mass that
-    takes that hop; links of probability zero are left out.
+    takes that hop, stacked by one ``sp.bmat``; links of probability zero
+    are left out.  A row of ``link`` lists its moves to papers, then to
+    authors, then to its copy, each in index order, and every seeded walk
+    draws in that order.
     """
     if graph.n_nodes == 0:
         raise ValueError("cannot build a transition system for an empty graph")
@@ -393,8 +381,9 @@ def build_transition_system(graph: CitationGraph, params: WalkParams) -> Transit
     n_auth = np.diff(to_author.indptr)
     # a citation pick is uniform over max(|refs|, K) slots: the real share
     # goes to the references, and a slot beyond them is a fake pick (a
-    # uniform paper)
-    slots = np.maximum(n_refs, params.min_citation_count)
+    # uniform paper; K is taken as a float, since it may not fit the
+    # degrees' int32)
+    slots = np.maximum(n_refs, float(params.min_citation_count))
     real = np.divide(n_refs, slots, out=np.zeros(n_p), where=n_refs > 0)
     fake = keep * np.divide(slots - n_refs, slots, out=np.zeros(n_p), where=n_refs > 0)
     no_refs, no_authors = n_refs == 0, n_auth == 0
@@ -416,17 +405,33 @@ def build_transition_system(graph: CitationGraph, params: WalkParams) -> Transit
         return np.concatenate((np.broadcast_to(author, n_a), np.broadcast_to(paper, n_p),
                                np.broadcast_to(copy, n_states - n)))
 
-    blocks = [
-        (rows(n_pubs, 0, 0), n_a + to_paper.indices, keep * to_paper.data),
-        (rows(0, n_refs, 0), n_a + to_ref.indices,
-         np.repeat(keep * theta * real, n_refs) * to_ref.data),
-        (rows(0, 0, n_auth) if literal else rows(0, n_auth, 0), to_author.indices,
-         iswb_share * to_author.data),
-    ]
+    def scaled(m: sp.csr_matrix, data: np.ndarray) -> sp.csr_matrix:  # m's entries, new data
+        return sp.csr_matrix((data, m.indices, m.indptr), shape=m.shape)
+
+    # block rows are the states' authors, papers and copies, block columns
+    # the papers, authors and copies; explicit empty blocks, not None, keep
+    # scipy on its all-CSR stacking path
+    wrote = scaled(to_paper, keep * to_paper.data)
+    refs = scaled(to_ref, np.repeat(keep * theta * real, n_refs) * to_ref.data)
+    iswb = scaled(to_author, iswb_share * to_author.data)
+    a_a = sp.csr_matrix((n_a, n_a))
     if literal:
-        blocks.append((rows(0, 1, 0), np.arange(n, n_states), keep * (1.0 - theta) * real))
-    indptr, target, prob = _stack_rows(n_states, blocks)
-    link = sp.csr_matrix((prob, target, indptr), shape=(n_states, n_states))
+        copy = sp.csr_matrix((keep * (1.0 - theta) * real, np.arange(n_p), np.arange(n_p + 1)),
+                             shape=(n_p, n_p))
+        p_p = sp.csr_matrix((n_p, n_p))
+        blocks = [[wrote, a_a, sp.csr_matrix((n_a, n_p))],
+                  [refs, sp.csr_matrix((n_p, n_a)), copy],
+                  [p_p, iswb, p_p]]
+    else:
+        blocks = [[wrote, a_a], [refs, iswb]]
+    link = sp.bmat(blocks, format="csr")
+    link.sort_indices()  # the row order above, whichever stacking path ran
+    link.eliminate_zeros()
+    # into states, which leaves the rows unsorted; the shift keeps the index
+    # dtype, since a wider one costs several times more
+    c = link.indices
+    link.indices = np.where(c < n_p, c + n_a, c - (c < n) * c.dtype.type(n_p))
+    link.has_sorted_indices = False
     init_mass = rows(df + keep * (n_pubs == 0), paper_restart, copy_restart)
     p_author = restart_author_share(graph, params)
     restart_dist, paper_dist = np.zeros(n_states), np.zeros(n_states)

@@ -258,6 +258,19 @@ FIXTURE_BUILDERS = {
     "communities": communities_graph,
 }
 
+
+def edge_case_graphs() -> list[CitationGraph]:
+    """Graphs whose chains stack zero-size or one-entry blocks: authors
+    only and papers only (``small_graphs`` never draws either), both kinds
+    without edges, and one author-paper pair."""
+    return [
+        build_graph([("a0", "A"), ("a1", "B")], []),
+        build_graph([], [("p0", "P"), ("p1", "Q")], (), [("p0", "p1")]),
+        build_graph([("a0", "A")], [("p0", "P"), ("p1", "Q")]),
+        build_graph([("a0", "A")], [("p0", "P")], [("a0", "p0")]),
+    ]
+
+
 ACCEPTANCE_STEPS = 10_000_000
 ACCEPTANCE_SEED = 42
 

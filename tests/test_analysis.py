@@ -180,6 +180,28 @@ def test_ranking_from_tsv_rejects_a_node_listed_twice():
     assert (err.value.path, err.value.line) == ("r.tsv", 4)
 
 
+def test_a_ranking_built_directly_checks_what_from_tsv_checks():
+    # each was once built: a repeated node read as a 0 % curve while the
+    # scatter listed it twice, a rising score wrote a file from_tsv refuses,
+    # a short score column failed in to_tsv and a list of scores lacked
+    # .tolist()
+    for ids, scores, message in [
+        (("x", "x", "y"), [3, 2, 1], "listed twice"),
+        (("x", "y"), np.array([1.0, 5.0]), "must not rise"),
+        (("x", "y"), np.array([2.0]), r"shape \(1,\), expected \(2,\)"),
+        (("x", "y"), np.array([[2.0, 1.0]]), r"shape \(1, 2\), expected \(2,\)"),
+        (("x", "y"), [2.0, np.nan], "finite and not negative"),
+        (("x", "y"), [np.inf, 1.0], "finite and not negative"),
+        (("x", "y"), [1.0, -1.0], "finite and not negative"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            Ranking(ids, scores)
+    r = Ranking(("x", "y"), [2, 1])
+    assert r == Ranking(("x", "y"), np.array([2.0, 1.0]))
+    assert r.scores.dtype == np.float64
+    assert Ranking.from_tsv(r.to_tsv()) == r
+
+
 # --- topx_difference -------------------------------------------------------
 
 def _ranking(nodes):

@@ -280,6 +280,10 @@ def test_neighborhood_unknown_center():
     for radius in (1.5, True, "1"):
         with pytest.raises(ValueError, match="radius must be an integer"):
             neighborhood(g, author_id(0), radius)
+    # a float index raised an IndexError, and a bool was taken as paper 1
+    for index in (0.5, True):
+        with pytest.raises(ValueError, match="center index must be an integer"):
+            neighborhood(g, NodeId(NodeKind.PAPER, index), 1)
 
 
 def _reference_neighborhood(graph, center, radius):

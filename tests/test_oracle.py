@@ -18,8 +18,8 @@ from pira.oracle import (
 from pira.walk import (CITE, ISWB, N_CLASSES, RESTART, TO_FAKE, TO_RESTART, WROTE,
                        _outcome_rows, entry_classes)
 
-from conftest import (FIXTURE_BUILDERS, dense_chain, outcome_entries, pair_graph, small_graph,
-                      small_graphs, star_graph)
+from conftest import (FIXTURE_BUILDERS, dense_chain, edge_case_graphs, outcome_entries,
+                      pair_graph, small_graph, small_graphs, star_graph)
 
 
 def _solve_stationary_directly(matrix: np.ndarray) -> np.ndarray:
@@ -428,6 +428,12 @@ def _assert_link_classes_follow_the_endpoints(graph, params):
     got = zip(np.repeat(np.arange(s), np.diff(link.indptr)).tolist(), link.indices.tolist(),
               link.data.tolist())
     assert list(got) == [(r, t, p) for r, t, _, p in entries if t >= 0]
+    # each row lists its moves to papers, then to authors, then to its copy,
+    # each in index order: every seeded walk draws in this order
+    n_a, n = graph.n_authors, graph.n_nodes
+    for r in range(s):
+        targets = link.indices[link.indptr[r]:link.indptr[r + 1]].tolist()
+        assert targets == sorted(set(targets), key=lambda t: (t >= n, t < n_a, t)), r
     # the jump masses are the rows' restart and fake outcomes, and those
     # outcomes are exactly the masses' positive entries
     for mass, sentinel in ((ts.init_mass, TO_RESTART), (ts.fake_mass, TO_FAKE)):
@@ -450,7 +456,7 @@ def _assert_link_classes_follow_the_endpoints(graph, params):
 
 @pytest.mark.parametrize("k", [0, 3])
 def test_each_link_outcome_has_the_class_its_endpoints_imply(fixture_graphs, k):
-    for g in fixture_graphs.values():
+    for g in [*fixture_graphs.values(), *edge_case_graphs()]:
         for mode in WalkMode:
             _assert_link_classes_follow_the_endpoints(
                 g, WalkParams(mode=mode, min_citation_count=k))

@@ -22,8 +22,8 @@ import pira.walk as walk
 from pira.walk import ScoreTable, walker_seed
 
 from conftest import (ACCEPTANCE_SEED, ACCEPTANCE_STEPS, FIXTURE_BUILDERS, adjacency,
-                      communities_graph, dense_chain, mixed_graph, outcome_entries, pair_graph,
-                      ring_graph, small_graph, small_graphs)
+                      communities_graph, dense_chain, edge_case_graphs, mixed_graph,
+                      outcome_entries, pair_graph, ring_graph, small_graph, small_graphs)
 
 
 def test_params_validation():
@@ -482,7 +482,7 @@ def _assert_links_are_scaled_hops(graph, params):
 
 @pytest.mark.parametrize("k", [0, 3])
 def test_chain_links_are_scaled_hops(fixture_graphs, k):
-    for g in fixture_graphs.values():
+    for g in [*fixture_graphs.values(), *edge_case_graphs()]:
         for mode in WalkMode:
             _assert_links_are_scaled_hops(g, WalkParams(mode=mode, min_citation_count=k))
 
@@ -555,6 +555,31 @@ def test_min_citation_below_out_degree_is_identity():
     base = WalkParams(step_budget=150_000, seed=13)
     with_k = replace(base, min_citation_count=1)
     assert np.array_equal(pira_rank(g, base).raw, pira_rank(g, with_k).raw)
+
+
+def test_numpy_integer_params_walk_like_python_ints():
+    # a numpy seed once built, then raised OverflowError in walker_seed
+    ints = dict(seed=3, step_budget=1000, walkers=2, min_citation_count=4)
+    python = WalkParams(**ints)
+    numpy = WalkParams(**{name: np.int64(v) for name, v in ints.items()})
+    assert numpy == python
+    assert all(type(getattr(numpy, name)) is int for name in ints)
+    g = mixed_graph()
+    for mode in WalkMode:
+        assert np.array_equal(pira_rank(g, replace(numpy, mode=mode)).raw,
+                              pira_rank(g, replace(python, mode=mode)).raw), mode
+
+
+@pytest.mark.parametrize("k", [2**31, 10**18])
+@pytest.mark.parametrize("mode", list(WalkMode))
+def test_min_citation_count_beyond_int32_builds_and_scores(k, mode):
+    # a K above the int32 degree array once raised OverflowError in the
+    # chain build; every reference list is then diluted to almost nothing
+    params = WalkParams(min_citation_count=k, mode=mode, step_budget=5000, seed=5,
+                        restarting_weight=1.0, wrote_weight=1.0)
+    g = mixed_graph()
+    assert expected_scores(g, params).raw.sum() == pytest.approx(1.0, abs=1e-12)
+    assert pira_rank(g, params).raw.sum() == params.step_budget
 
 
 def test_pair_graph_matches_oracle():
