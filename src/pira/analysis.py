@@ -10,6 +10,7 @@ breaks ties by ascending node id; the comparisons (``topx_difference``,
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -186,7 +187,9 @@ def topx_difference(
     Both top sets are read from the line order: a cutoff x takes the first
     ceil(x * N / 100) nodes, computed exactly on x's shortest decimal form
     (so 1.1 % of 3,000 nodes is 33 nodes).  A node of r1's top ``top`` is
-    absent from r2's when its rank in r2 is above ``top``.
+    absent from r2's when its rank in r2 is above ``top``.  A cutoff that is
+    not a real number (a bool included) or lies outside (0, 100] raises
+    ValueError.
     """
     place_in_r2 = _places_in(r1, r2)
     n = len(r1)
@@ -194,6 +197,8 @@ def topx_difference(
         raise ValueError("cannot compare empty rankings")
     points = []
     for x in cutoffs:
+        if isinstance(x, bool) or not isinstance(x, numbers.Real):
+            raise ValueError(f"cutoff must be a real number, got {x!r}")
         if not 0.0 < x <= 100.0:
             raise ValueError(f"cutoff must be in (0, 100], got {x}")
         # float first: numpy 2 writes repr(np.float64(1.1)) as 'np.float64(1.1)'
@@ -212,7 +217,11 @@ class ScatterPoint:
 
 def rank_scatter(r_base: Ranking, r_other: Ranking, top_n: int) -> list[ScatterPoint]:
     """Rank differences for the first `top_n` nodes of the base ranking,
-    each rank a node's place in its ranking's line order."""
+    each rank a node's place in its ranking's line order.  A `top_n` that is
+    not an int (a bool included) or lies outside [0, ranking size] raises
+    ValueError, as do rankings of different node sets."""
+    if isinstance(top_n, bool) or not isinstance(top_n, numbers.Integral):
+        raise ValueError(f"top_n must be an integer, got {top_n!r}")
     place_in_other = _places_in(r_base, r_other)
     if not 0 <= top_n <= len(r_base):
         raise ValueError(f"top_n={top_n} is outside [0, {len(r_base)}], the ranking size")

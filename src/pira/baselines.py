@@ -1,5 +1,11 @@
 """Comparison measures: Pub, Cit, H-index, PR-P and PR-A.
 
+``MEASURES`` is the one table of these baselines by name, the names of
+assertion files: a name that ends in ``_paper`` scores papers, any other
+name scores authors.  ``measure`` looks a name up and returns its scores
+as a ``ScoreTable``; ``pira rank`` and the scenario checker reach every
+baseline through it.
+
 PR-P runs PageRank on the paper citation graph and splits each paper's score
 evenly among its co-authors.  PR-A runs PageRank on an author graph whose
 edge weights are the exact one-citation-hop path probabilities of the
@@ -25,6 +31,7 @@ import scipy.sparse as sp
 
 from .graph import CitationGraph
 from .oracle import DEFAULT_TOL, MAX_ITERATIONS, link_factors, stationary_distribution
+from .walk import ScoreTable
 
 DEFAULT_DAMPING = 0.15
 
@@ -130,3 +137,32 @@ def pr_a(graph: CitationGraph, damping: float = DEFAULT_DAMPING) -> np.ndarray:
     if graph.n_authors == 0 and 0.0 < damping < 1.0:  # a bad damping fails in pagerank
         return np.zeros(0)
     return pagerank((graph.to_paper, graph.to_ref, graph.to_author), damping=damping)
+
+
+# each baseline's raw scores by measure name, one entry a lambda of
+# (graph, damping).  An entry looks its function up in this module's
+# namespace when it runs, so a wrapper that replaces a module attribute
+# (bench/workloads.py::instrument sets a traced span on pr_a, pr_p, the
+# counts, ... with setattr) still sees the call; a table of the function
+# objects themselves would bypass it.
+MEASURES = {
+    "pub": lambda graph, damping: pub_count(graph),
+    "cit": lambda graph, damping: cit_count(graph),
+    "hindex": lambda graph, damping: h_index(graph),
+    "pr_p": lambda graph, damping: pr_p(graph, damping=damping),
+    "pr_a": lambda graph, damping: pr_a(graph, damping=damping),
+    "pr_p_paper": lambda graph, damping: paper_pagerank(graph, damping=damping),
+    "cit_paper": lambda graph, damping: paper_citation_counts(graph),
+}
+
+
+def measure(graph: CitationGraph, name: str, damping: float = DEFAULT_DAMPING) -> ScoreTable:
+    """The scores of the baseline ``MEASURES[name]`` over the papers when
+    `name` ends in ``_paper``, else over the authors.  ``damping`` is the
+    restart probability of the PageRank measures; the counts ignore it.  A
+    name not in the table raises ValueError.
+    """
+    if name not in MEASURES:
+        raise ValueError(f"unknown measure {name!r}")
+    over = ScoreTable.over_papers if name.endswith("_paper") else ScoreTable.over_authors
+    return over(graph, MEASURES[name](graph, damping))

@@ -33,10 +33,6 @@ from .oracle import expected_scores
 from .scenarios import ScenarioKind, ScenarioSpec, assertions_to_tsv, generate
 from .walk import ScoreTable, WalkMode, WalkParams, pira_rank
 
-AUTHOR_METHODS = {"pira", "prp", "pra", "cit", "pub", "hindex", "oracle"}
-PAPER_CAPABLE = {"pira", "oracle", "prp", "cit"}
-
-
 # the --weights names and the WalkParams fields they set
 WEIGHT_FIELDS = {"cite": "cite_weight", "wrote": "wrote_weight",
                  "iswb": "iswb_weight", "restart": "restarting_weight"}
@@ -92,33 +88,24 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
+def _measure_name(args: argparse.Namespace) -> str:
+    """The ``baselines.MEASURES`` name of a baseline --method and --papers."""
+    name = {"prp": "pr_p", "pra": "pr_a"}.get(args.method, args.method)
+    return name + "_paper" if args.papers else name
+
+
 def _method_scores(
     graph: CitationGraph, args: argparse.Namespace, params: WalkParams
 ) -> ScoreTable:
-    method = args.method
-    if method == "pira":
+    if args.method == "pira":
         return pira_rank(graph, params)
-    if method == "oracle":
+    if args.method == "oracle":
         return expected_scores(graph, params)
-    if method == "prp":
-        if args.papers:
-            return ScoreTable.over_papers(graph, baselines.paper_pagerank(graph, damping=args.df))
-        return ScoreTable.over_authors(graph, baselines.pr_p(graph, damping=args.df))
-    if method == "pra":
-        return ScoreTable.over_authors(graph, baselines.pr_a(graph, damping=args.df))
-    if method == "cit":
-        if args.papers:
-            return ScoreTable.over_papers(graph, baselines.paper_citation_counts(graph))
-        return ScoreTable.over_authors(graph, baselines.cit_count(graph))
-    if method == "pub":
-        return ScoreTable.over_authors(graph, baselines.pub_count(graph))
-    if method == "hindex":
-        return ScoreTable.over_authors(graph, baselines.h_index(graph))
-    raise ValueError(f"unknown method {method!r}")
+    return baselines.measure(graph, _measure_name(args), damping=args.df)
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
-    if args.papers and args.method not in PAPER_CAPABLE:
+    if args.method not in ("pira", "oracle") and _measure_name(args) not in baselines.MEASURES:
         raise ValueError(f"method {args.method!r} ranks authors only")
     params = _walk_params(args)  # flag validation happens before any work
     graph, _ = load_graph(args.directory)
@@ -133,15 +120,17 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    for f in (args.rank_a, args.rank_b):
-        if not Path(f).is_file():
-            raise MissingFileError(f"missing ranking file {f}", path=f)
-    r_a, r_b = (Ranking.from_tsv(_read_text(f, f), source=f) for f in (args.rank_a, args.rank_b))
-    if args.curve:
+    cutoffs = None
+    if args.curve is not None:  # flag validation happens before any file is read
         try:
             cutoffs = [float(x) for x in args.curve.split(",") if x.strip()]
         except ValueError:
             raise ValueError(f"bad cutoff list {args.curve!r}") from None
+    for f in (args.rank_a, args.rank_b):
+        if not Path(f).is_file():
+            raise MissingFileError(f"missing ranking file {f}", path=f)
+    r_a, r_b = (Ranking.from_tsv(_read_text(f, f), source=f) for f in (args.rank_a, args.rank_b))
+    if cutoffs is not None:
         text = topx_difference(r_a, r_b, cutoffs).to_csv()
     else:
         text = scatter_to_csv(rank_scatter(r_a, r_b, args.scatter))
@@ -150,21 +139,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
+    prefix, colon, ext = args.node.partition(":")
+    kind = {"a": NodeKind.AUTHOR, "p": NodeKind.PAPER}.get(prefix) if colon else None
+    if kind is None:  # the node spec is checked before the dataset is read
+        raise ValueError("node must be given as a:AUTHOR_ID or p:PAPER_ID")
     graph, _ = load_graph(args.directory)
-    node_spec = args.node
-    if ":" not in node_spec:
-        raise ValueError("node must be given as a:AUTHOR_ID or p:PAPER_ID")
-    prefix, ext = node_spec.split(":", 1)
-    if prefix == "a":
-        index = graph.author_index.get(ext)
-        kind = NodeKind.AUTHOR
-    elif prefix == "p":
-        index = graph.paper_index.get(ext)
-        kind = NodeKind.PAPER
-    else:
-        raise ValueError("node must be given as a:AUTHOR_ID or p:PAPER_ID")
+    index = (graph.author_index, graph.paper_index)[kind].get(ext)
     if index is None:
-        raise ValueError(f"unknown node {node_spec!r}")
+        raise ValueError(f"unknown node {args.node!r}")
     sub = neighborhood(graph, NodeId(kind, index), args.radius)
     _write_or_print(export_dot(sub), args.dot)
     return 0
@@ -256,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank = sub.add_parser("rank", help="rank authors or papers by one method")
     p_rank.add_argument("directory")
     p_rank.add_argument("--method", required=True,
-                        choices=sorted(AUTHOR_METHODS))
+                        choices=["cit", "hindex", "oracle", "pira", "pra", "prp", "pub"])
     p_rank.add_argument("--out", default=None, help="ranking file (default stdout)")
     p_rank.add_argument("--papers", action="store_true",
                         help="rank papers instead of authors")

@@ -70,8 +70,18 @@ class Assertion:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
+    """A scenario kind and the generator sizes it overrides.  A kind that
+    is not a ``ScenarioKind`` (its value string included), or params that
+    are not a Mapping, raise ValueError naming the field."""
+
     kind: ScenarioKind
     params: Mapping[str, int] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.kind, ScenarioKind):
+            raise ValueError(f"kind must be a ScenarioKind, got {self.kind!r}")
+        if not isinstance(self.params, Mapping):
+            raise ValueError(f"params must be a Mapping, got {self.params!r}")
 
 
 @dataclass(frozen=True)
@@ -345,40 +355,27 @@ def assertions_from_tsv(text: str, source: str = "<assertions>") -> tuple[Assert
     return tuple(assertions)
 
 
-# the measures that score papers; every other measure scores authors
-PAPER_MEASURES = frozenset({"pira_paper", "pr_p_paper"})
 # the measures read from the oracle's one solve of a graph
 PIRA_MEASURES = frozenset({"pira", "pira_paper"})
 
 
 def measure_scores(graph: CitationGraph, measure: str,
                    oracle_raw: np.ndarray | None = None) -> ScoreTable:
-    """Score table for one measure name.
+    """Score table for one measure name: ``pira``, ``pira_paper`` or a
+    baseline of the ``baselines.MEASURES`` table at its default damping.
 
-    ``pira_paper`` and ``pr_p_paper`` score the papers, every other measure
-    the authors.  The PIRA measures are the exact stationary oracle's
-    scores at the default walk parameters, at any size, renormalized over
-    their node kind; ``oracle_raw``, when given, is that oracle's ``raw``
-    for `graph`, so it is not solved again.
+    A name that ends in ``_paper`` scores the papers, every other name the
+    authors.  The PIRA measures are the exact stationary oracle's scores at
+    the default walk parameters, at any size, renormalized over their node
+    kind; ``oracle_raw``, when given, is that oracle's ``raw`` for `graph`,
+    so it is not solved again.  An unknown name raises ValueError.
     """
-    if measure == "pub":
-        return ScoreTable.over_authors(graph, baselines.pub_count(graph))
-    if measure == "cit":
-        return ScoreTable.over_authors(graph, baselines.cit_count(graph))
-    if measure == "hindex":
-        return ScoreTable.over_authors(graph, baselines.h_index(graph))
-    if measure == "pr_a":
-        return ScoreTable.over_authors(graph, baselines.pr_a(graph))
-    if measure == "pr_p":
-        return ScoreTable.over_authors(graph, baselines.pr_p(graph))
-    if measure == "pr_p_paper":
-        return ScoreTable.over_papers(graph, baselines.paper_pagerank(graph))
-    if measure in PIRA_MEASURES:
-        raw = expected_scores(graph, WalkParams()).raw if oracle_raw is None else oracle_raw
-        if measure == "pira":
-            return ScoreTable.over_authors(graph, raw[:graph.n_authors])
-        return ScoreTable.over_papers(graph, raw[graph.n_authors:])
-    raise ValueError(f"unknown measure {measure!r}")
+    if measure not in PIRA_MEASURES:
+        return baselines.measure(graph, measure)
+    raw = expected_scores(graph, WalkParams()).raw if oracle_raw is None else oracle_raw
+    if measure == "pira":
+        return ScoreTable.over_authors(graph, raw[:graph.n_authors])
+    return ScoreTable.over_papers(graph, raw[graph.n_authors:])
 
 
 @dataclass(frozen=True)
@@ -395,8 +392,9 @@ def evaluate_assertions(
     """Check each assertion against freshly computed measure scores.
 
     Each measure is computed once, and the oracle is solved once for both
-    PIRA measures.  A node that the assertion's measure does not score (see
-    ``measure_scores`` for the node kind of each) raises ValueError.
+    PIRA measures.  A measure whose name ends in ``_paper`` scores papers,
+    any other measure authors; a node that the assertion's measure does not
+    score, or a measure ``measure_scores`` does not know, raises ValueError.
     """
     cache: dict[str, np.ndarray] = {}
     oracle_raw = None
@@ -407,7 +405,7 @@ def evaluate_assertions(
                 oracle_raw = expected_scores(graph, WalkParams()).raw
             cache[a.measure] = measure_scores(graph, a.measure, oracle_raw).normalized
         scores = cache[a.measure]
-        index = graph.paper_index if a.measure in PAPER_MEASURES else graph.author_index
+        index = graph.paper_index if a.measure.endswith("_paper") else graph.author_index
         for node in (a.node_a, a.node_b):
             if node not in index:
                 raise ValueError(f"assertion '{a.measure} {a.node_a} {a.relation} {a.node_b}': "

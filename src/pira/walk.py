@@ -193,7 +193,7 @@ class ScoreTable:
             raise ValueError("raw scores must be finite, got NaN or infinity")
         if (raw < 0).any():
             raise ValueError(f"raw scores must not be negative, got {raw.min()}")
-        object.__setattr__(self, "normalized", normalize(raw) if raw.sum() > 0 else raw.copy())
+        object.__setattr__(self, "normalized", normalize(raw) if raw.any() else raw.copy())
 
     def __len__(self) -> int:
         return len(self.ext_ids)
@@ -220,8 +220,18 @@ class ScoreTable:
 
 
 def normalize(raw) -> np.ndarray:
-    """Scale raw counters so their mean is 1.0."""
+    """Scale raw counters so their mean is 1.0; all-zero counters raise
+    ValueError.
+
+    The counters are first scaled by the exact power of two that brings the
+    largest into [0.5, 1), so a total that would overflow to infinity or
+    underflow to a subnormal still gives mean 1.  Where the total and its
+    reciprocal stay normal floats, the result is bit for bit the plain
+    ``raw * (len(raw) / raw.sum())``, unless an entry lies below about
+    2**-1022 times the largest.
+    """
     raw = np.asarray(raw, dtype=float)
+    raw = np.ldexp(raw, -np.frexp(raw.max(initial=0.0))[1])
     total = raw.sum()
     if total <= 0:
         raise ValueError("cannot normalize all-zero counters")

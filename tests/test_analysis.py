@@ -132,6 +132,22 @@ def test_ranking_tsv_round_trip():
     assert Ranking.from_tsv(text) == r
 
 
+def test_rank_refuses_a_subset_mask_of_another_shape_or_dtype():
+    table = _table([("a", 1.0), ("b", 2.0), ("c", 3.0)])
+    message = re.escape("subset must give a bool mask of shape (3,)")
+    for mask in (np.array([True, False]), np.array([1, 0, 1])):
+        with pytest.raises(ValueError, match=message):
+            rank(table, subset=lambda t: mask)
+
+
+def test_rank_refuses_an_author_and_a_paper_that_share_an_id_ranked_together():
+    g = build_graph([("x", "Author X", True)], [("x", "Paper X", True)], [("x", "x")])
+    table = ScoreTable.over_all(g, [1.0, 3.0])
+    with pytest.raises(ValueError, match="duplicate node ids in ranking input"):
+        rank(table, subset=lambda t: np.ones(len(t), dtype=bool))
+    assert rank(table, subset=all_papers).ids == ("x",)
+
+
 @pytest.mark.parametrize("bad", ["a\tb", "", "x\ny", "x\r", "\t", 5])
 def test_rank_refuses_an_id_a_ranking_file_cannot_hold(bad):
     # "a\tb" was written as `2\ta\tb\t0.666667`, a line of four fields
@@ -253,6 +269,11 @@ def test_topx_rejects_mismatched_sets_and_bad_cutoffs():
         topx_difference(r1, r1, [0])
     with pytest.raises(ValueError):
         topx_difference(r1, r1, [101])
+    # a string cutoff raised a TypeError from the comparison, and True was taken as 1
+    for cutoff in ("50", True, None):
+        message = re.escape(f"cutoff must be a real number, got {cutoff!r}")
+        with pytest.raises(ValueError, match=message):
+            topx_difference(r1, r1, [cutoff])
 
 
 def test_topx_rejects_empty_rankings():
@@ -314,6 +335,16 @@ def test_scatter_rejects_negative_top_n():
     assert rank_scatter(r, r, 0) == []
     with pytest.raises(ValueError, match="top_n=-1"):
         rank_scatter(r, r, -1)
+
+
+def test_scatter_rejects_a_top_n_that_is_no_integer():
+    # 1.5 raised a TypeError from the slice, and True was taken as 1
+    r = _ranking(["a", "b"])
+    for top_n in (1.5, True, "1", None):
+        message = re.escape(f"top_n must be an integer, got {top_n!r}")
+        with pytest.raises(ValueError, match=message):
+            rank_scatter(r, r, top_n)
+    assert len(rank_scatter(r, r, np.int64(2))) == 2
 
 
 # --- dataset_stats ----------------------------------------------------------

@@ -16,7 +16,8 @@ from pira.baselines import (
     pub_count,
 )
 from pira.errors import ConvergenceError
-from pira.scenarios import ScenarioKind, ScenarioSpec, generate
+from pira.scenarios import Assertion, ScenarioKind, ScenarioSpec, evaluate_assertions, generate
+from pira.walk import ScoreTable
 
 from conftest import adjacency, rows, small_graph, small_graphs
 
@@ -374,3 +375,38 @@ def test_pagerank_rejects_non_finite_weights_at_once(bad):
         pagerank([[0, 1], [bad, 0]])
     with pytest.raises(ValueError, match="finite"):
         pagerank([np.array([[1.0, bad]]), np.ones((2, 1))])
+
+
+# the function behind each name of the measure table
+TABLE_FUNCTIONS = {"pub": pub_count, "cit": cit_count, "hindex": h_index, "pr_p": pr_p,
+                   "pr_a": pr_a, "pr_p_paper": paper_pagerank, "cit_paper": paper_citation_counts}
+
+
+def test_every_measure_of_the_table_is_its_function_and_an_assertion_measure():
+    assert baselines.MEASURES.keys() == TABLE_FUNCTIONS.keys()
+    g = generate(ScenarioSpec(ScenarioKind.SELF_CITATION), padding=3).graph
+    for name, function in TABLE_FUNCTIONS.items():
+        papers = name.endswith("_paper")
+        over, index = ((ScoreTable.over_papers, g.paper_index) if papers
+                       else (ScoreTable.over_authors, g.author_index))
+        expected = over(g, function(g))
+        table = baselines.measure(g, name)
+        for column in ("kinds", "raw", "normalized"):
+            assert getattr(table, column).tobytes() == getattr(expected, column).tobytes(), name
+        assert table.ext_ids == expected.ext_ids, name
+        a, b = ("q", "s01") if papers else ("a1", "a2")
+        (result,) = evaluate_assertions(g, (Assertion(name, a, "=", b),))
+        assert (result.value_a, result.value_b) == (
+            expected.normalized[index[a]], expected.normalized[index[b]]), name
+    with pytest.raises(ValueError, match="unknown measure 'nope'"):
+        baselines.measure(g, "nope")
+
+
+def test_the_table_runs_each_function_through_the_module_namespace(monkeypatch):
+    # a wrapper set on the module, as a traced benchmark run sets one, sees the call
+    g = generate(ScenarioSpec(ScenarioKind.SELF_CITATION)).graph
+    calls = []
+    monkeypatch.setattr(baselines, "pr_a", lambda graph, damping: calls.append(damping) or
+                        np.ones(graph.n_authors))
+    assert baselines.measure(g, "pr_a", damping=0.3).normalized.tolist() == [1.0] * g.n_authors
+    assert calls == [0.3]

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from pira import WalkMode, WalkParams, build_graph, cli
+from pira import WalkMode, WalkParams, baselines, build_graph, cli
 from pira.analysis import all_authors, dblp_authors, dblp_papers, rank
 from pira.cli import main
 from pira.errors import ConvergenceError
@@ -123,6 +123,24 @@ def test_rank_validates_flags(dataset, capsys):
     assert main(["rank", str(dataset), "--method", "pub", "--papers"]) == 2
 
 
+@pytest.mark.parametrize("papers", [False, True], ids=["authors", "papers"])
+@pytest.mark.parametrize("method", ["cit", "hindex", "oracle", "pira", "pra", "prp", "pub"])
+def test_a_method_ranks_exactly_the_node_kinds_the_measure_table_scores(
+        dataset, capsys, method, papers):
+    flags = ["--papers"] if papers else []
+    name = {"prp": "pr_p", "pra": "pr_a"}.get(method, method) + ("_paper" if papers else "")
+    code = main(["rank", str(dataset), "--method", method, "--steps", "20000", *flags])
+    out, err = capsys.readouterr()
+    if method not in ("pira", "oracle") and name not in baselines.MEASURES:
+        assert (code, out, err) == (2, "", f"error: method {method!r} ranks authors only\n")
+        return
+    assert code == 0 and err == ""
+    if name in baselines.MEASURES:
+        graph, _ = load_graph(dataset)
+        subset = dblp_papers if papers else dblp_authors
+        assert out == rank(baselines.measure(graph, name), subset=subset).to_tsv()
+
+
 def test_walk_flags_default_to_walk_params_and_weights_set_their_fields():
     def walk_params(*flags):
         return cli._walk_params(cli.build_parser().parse_args(
@@ -188,6 +206,15 @@ def test_compare_reads_a_ranking_with_a_byte_order_mark_like_the_plain_one(
         expected = capsys.readouterr().out
         assert main(["compare", str(bom), str(plain), *mode]) == 0
         assert capsys.readouterr().out == expected
+
+
+def test_compare_an_empty_cutoff_list_gives_an_empty_curve(tmp_path, capsys):
+    # --curve "" fell through to the scatter branch, whose top_n was None
+    r = tmp_path / "r.tsv"
+    r.write_text("1\tx\t1.000000\n", encoding="utf-8")
+    for curve in ("", ","):
+        assert main(["compare", str(r), str(r), "--curve", curve]) == 0
+        assert capsys.readouterr().out == "x_percent,diff_percent\n"
 
 
 def test_compare_scatter_row_count(dataset, tmp_path, capsys):
@@ -310,6 +337,41 @@ def test_solver_non_convergence_exits_4(dataset, capsys, monkeypatch):
     monkeypatch.setattr(cli, "expected_scores", stall)
     assert main(["rank", str(dataset), "--method", "oracle"]) == 4
     assert capsys.readouterr().err == "error: power iteration did not reach tol\n"
+
+
+def _not_called(*args, **kwargs):
+    raise AssertionError("the input was read before the flags were checked")
+
+
+NODE_SPEC = "node must be given as a:AUTHOR_ID or p:PAPER_ID"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["rank", "ds", "--method", "pira", "--weights", "cite"],
+     "bad weight spec 'cite', expected name=value"),
+    (["rank", "ds", "--method", "pira", "--weights", "foo=1"],
+     "unknown weight 'foo' (use cite, wrote, iswb, restart)"),
+    (["rank", "ds", "--method", "hindex", "--papers"], "method 'hindex' ranks authors only"),
+    (["compare", "a.tsv", "bad.tsv", "--curve", "1,x"], "bad cutoff list '1,x'"),
+    (["compare", "a.tsv", "absent.tsv", "--curve", "1,x"], "bad cutoff list '1,x'"),
+    (["inspect", "ds", "q:x"], NODE_SPEC),
+    (["inspect", "ds", "nocolon"], NODE_SPEC),
+    (["inspect", "ds", "a"], NODE_SPEC),
+    (["synth", "paper-quality", "out", "--param", "citers"],
+     "bad --param 'citers', expected key=value"),
+], ids=["weight_without_value", "unknown_weight", "authors_only_method", "bad_cutoff",
+        "bad_cutoff_missing_file", "bad_prefix", "no_colon", "bare_prefix", "param_without_value"])
+def test_a_bad_flag_exits_2_before_any_input_is_read(tmp_path, monkeypatch, capsys, argv,
+                                                     message):
+    # the dataset "ds" does not exist, and neither dataset nor ranking file is read
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "load_graph", _not_called)
+    monkeypatch.setattr(cli, "_read_text", _not_called)
+    Path("a.tsv").write_text("1\tx\t1.000000\n", encoding="utf-8")
+    Path("bad.tsv").write_text("not a ranking\n", encoding="utf-8")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not Path("out").exists()
 
 
 def test_inspect_radius_zero(dataset, capsys):

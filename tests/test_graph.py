@@ -280,6 +280,8 @@ def test_neighborhood_unknown_center():
     for radius in (1.5, True, "1"):
         with pytest.raises(ValueError, match="radius must be an integer"):
             neighborhood(g, author_id(0), radius)
+    with pytest.raises(ValueError, match="radius must be non-negative"):
+        neighborhood(g, author_id(0), -1)
     # a float index raised an IndexError, and a bool was taken as paper 1
     for index in (0.5, True):
         with pytest.raises(ValueError, match="center index must be an integer"):

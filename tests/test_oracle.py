@@ -155,6 +155,12 @@ def test_zero_wrote_weight_starves_papers():
     assert by_ext["a0"] > 0
 
 
+def test_expected_scores_of_an_empty_graph_is_refused():
+    for mode in WalkMode:
+        with pytest.raises(ValueError, match="transition system for an empty graph"):
+            expected_scores(build_graph([], []), WalkParams(mode=mode))
+
+
 def test_zero_score_mass_rejected():
     # theta=1 on a graph without citations: every arrival is a restart or a
     # wrote move, and both carry zero weight; both estimators score through

@@ -54,6 +54,17 @@ def test_invalid_parameters_rejected():
         ScenarioSpec(ScenarioKind.PAPER_QUALITY, {"citers": 3}), padding=2).graph
 
 
+@pytest.mark.parametrize("kind, params, message", [
+    ("paper-quality", {}, "kind must be a ScenarioKind, got 'paper-quality'"),
+    (ScenarioKind.PAPER_QUALITY, None, "params must be a Mapping, got None"),
+    (ScenarioKind.PAPER_QUALITY, [("citers", 3)], "params must be a Mapping"),
+], ids=["kind_value_string", "params_none", "params_pairs"])
+def test_a_scenario_spec_refuses_a_field_of_the_wrong_type(kind, params, message):
+    # the kind's value string raised a KeyError in generate, and None params a TypeError
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ScenarioSpec(kind, params)
+
+
 def test_citing_quality_distant_citer_counts():
     g = generate(ScenarioSpec(ScenarioKind.CITING_QUALITY)).graph
     strong_citer = g.paper_index["c1"]
@@ -189,8 +200,18 @@ def test_scenarios_round_trip_through_tsv(tmp_path):
 
 def test_measure_scores_unknown_measure():
     g = generate(ScenarioSpec(ScenarioKind.PAPER_QUALITY)).graph
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown measure 'nope'"):
         measure_scores(g, "nope")
+
+
+def test_cit_paper_scores_papers_by_their_citations():
+    g = generate(ScenarioSpec(ScenarioKind.CITATION_LOOP)).graph
+    # z has 25 citers, x and y 7 each plus each other
+    results = evaluate_assertions(g, (Assertion("cit_paper", "z", ">", "x"),
+                                      Assertion("cit_paper", "x", "=", "y")))
+    assert all(r.passed for r in results)
+    with pytest.raises(ValueError, match="measure 'cit_paper' scores no node 'ax'"):
+        evaluate_assertions(g, (Assertion("cit_paper", "ax", "=", "x"),))
 
 
 def test_pira_measures_score_one_node_kind_when_an_author_and_a_paper_share_an_id():

@@ -90,6 +90,32 @@ def test_normalize_cases():
         normalize([0.0, 0.0])
 
 
+def test_normalize_gives_mean_one_when_the_total_overflows_or_underflows():
+    # a total of 2e308 overflowed to inf and every score read 0; a total of
+    # 2e-320 is subnormal, and its reciprocal overflowed to inf
+    for raw in ([1e308, 1e308, 1.0], [1e-320, 1e-320]):
+        out = normalize(raw)
+        assert np.isfinite(out).all() and math.isclose(out.mean(), 1.0), raw
+    g = build_graph([(f"a{i}", f"A{i}", True) for i in range(3)], [])
+    ranking = rank(ScoreTable.over_authors(g, [1e308, 1e308, 1.0]), subset=lambda t: t.in_dblp)
+    assert ranking.to_tsv() == "1\ta0\t1.500000\n2\ta1\t1.500000\n3\ta2\t0.000000\n"
+
+
+# non-negative counters, at least one positive, whose positive entries lie
+# between 2**-500 and 2**500: neither their total nor its reciprocal leaves
+# the normal float range
+_scaled_counters = st.lists(
+    st.one_of(st.just(0.0), st.floats(2.0 ** -500, 2.0 ** 500)), min_size=1, max_size=40
+).filter(any)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_scaled_counters)
+def test_normalize_is_the_plain_product_while_the_total_stays_in_range(raw):
+    raw = np.array(raw)
+    assert normalize(raw).tobytes() == (raw * (len(raw) / raw.sum())).tobytes()
+
+
 def test_score_table_normalization_and_ext_id_lookup():
     # an author and a paper may share an external id
     g = build_graph(authors=[("x", "Author X", True)], papers=[("x", "Paper X", True)],
