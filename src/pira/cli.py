@@ -126,6 +126,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
             cutoffs = [float(x) for x in args.curve.split(",") if x.strip()]
         except ValueError:
             raise ValueError(f"bad cutoff list {args.curve!r}") from None
+    elif args.scatter < 0:
+        raise ValueError(f"--scatter top_n={args.scatter} must be non-negative")
     for f in (args.rank_a, args.rank_b):
         if not Path(f).is_file():
             raise MissingFileError(f"missing ranking file {f}", path=f)
@@ -141,8 +143,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_inspect(args: argparse.Namespace) -> int:
     prefix, colon, ext = args.node.partition(":")
     kind = {"a": NodeKind.AUTHOR, "p": NodeKind.PAPER}.get(prefix) if colon else None
-    if kind is None:  # the node spec is checked before the dataset is read
+    if kind is None:  # the flags are checked before the dataset is read
         raise ValueError("node must be given as a:AUTHOR_ID or p:PAPER_ID")
+    if args.radius < 0:
+        raise ValueError("radius must be non-negative")
     graph, _ = load_graph(args.directory)
     index = (graph.author_index, graph.paper_index)[kind].get(ext)
     if index is None:

@@ -4,7 +4,8 @@ Each generator builds a small citation graph around a designated pair of
 nodes together with the ordering assertions the structure is meant to
 produce, so a test suite can check which measures separate the pair and
 which cannot.  Generation is purely structural: the same spec always yields
-the same graph.
+the same graph.  A generator describes its graph paper by paper, each paper
+added together with its authors and the papers it cites.
 
 The four pair-comparison scenarios (paper quality, co-author count, citing
 quality, self-citation) assert one ordering of their pair for each of
@@ -98,213 +99,193 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
-# a generator takes its sizes as keyword-only parameters, each with its
-# default, and returns its node and edge lists (authors, papers, wrote,
-# cites) and its assertions; ``generate`` pads the lists, builds the graph
-# and wraps both
-_Parts = tuple[list, list, list, list, tuple[Assertion, ...]]
+@dataclass
+class _Parts:
+    """A scenario's node specs and edge pairs.  Each kind's nodes keep the
+    order they are added in, which is their dense index order; the edge
+    order does not matter, since ``build_graph`` sorts the edges."""
+
+    authors: list = field(default_factory=list)
+    papers: list = field(default_factory=list)
+    wrote: list = field(default_factory=list)
+    cites: list = field(default_factory=list)
+
+    def author(self, aid: str, name: str, dblp: bool = True) -> str:
+        self.authors.append((aid, name, dblp))
+        return aid
+
+    def paper(self, pid: str, title: str, dblp: bool = True, by=(), cites=()) -> str:
+        """Add a paper written by the authors `by` that cites `cites`."""
+        self.papers.append((pid, title, dblp))
+        for a in by:
+            self.wrote.append((a, pid))
+        for c in cites:
+            self.cites.append((pid, c))
+        return pid
 
 
-def _pad(authors, papers, wrote, padding: int) -> None:
+def _pad(parts: _Parts, padding: int) -> None:
+    # appends to the lists, not author and paper calls: padding is most of a
+    # large scenario's nodes
     for i in range(padding):
         a, p = f"pad_a_{i:03d}", f"pad_p_{i:03d}"
-        authors.append((a, f"Padding Author {i}", True))
-        papers.append((p, f"Padding Paper {i}", True))
-        wrote.append((a, p))
+        parts.authors.append((a, f"Padding Author {i}", True))
+        parts.papers.append((p, f"Padding Paper {i}", True))
+        parts.wrote.append((a, p))
 
 
-def _paper_quality(*, citers: int = 10, other_papers: int = 2) -> _Parts:
+# a generator takes its sizes as keyword-only parameters, each with its
+# default, and returns its parts and its assertions; ``generate`` pads the
+# parts, builds the graph and wraps both
+def _paper_quality(*, citers: int = 10,
+                   other_papers: int = 2) -> tuple[_Parts, tuple[Assertion, ...]]:
     _require(citers >= 1, "citers must be at least 1")
     _require(other_papers >= 2, "other_papers must be at least 2")
 
-    authors = [("a1", "Single Strong Paper", True), ("a2", "Many Quiet Papers", True)]
-    papers = [("pa1", "The Referential Paper", True)]
-    wrote = [("a1", "pa1")]
-    cites = []
-    for i in range(other_papers):
-        papers.append((f"q{i + 1}", f"Quiet Paper {i + 1}", True))
-        wrote.append(("a2", f"q{i + 1}"))
-    for i in range(citers):
-        pid, aid = f"e{i + 1:02d}", f"ea{i + 1:02d}"
-        papers.append((pid, f"Citing Paper {i + 1}", False))
-        authors.append((aid, f"Citing Author {i + 1}", False))
-        wrote.append((aid, pid))
-        cites.append((pid, "pa1"))
+    g = _Parts()
+    g.paper("pa1", "The Referential Paper", by=[g.author("a1", "Single Strong Paper")])
+    a2 = g.author("a2", "Many Quiet Papers")
+    for i in range(1, other_papers + 1):
+        g.paper(f"q{i}", f"Quiet Paper {i}", by=[a2])
+    for i in range(1, citers + 1):
+        g.paper(f"e{i:02d}", f"Citing Paper {i}", False,
+                by=[g.author(f"ea{i:02d}", f"Citing Author {i}", False)], cites=["pa1"])
     assertions = (
         Assertion("pub", "a1", "<", "a2"),
         Assertion("cit", "a1", ">", "a2"),
         Assertion("pr_a", "a1", ">", "a2"),
         Assertion("pira", "a1", ">", "a2"),
     )
-    return authors, papers, wrote, cites, assertions
+    return g, assertions
 
 
-def _coauthor_count(*, citations: int = 5, coauthors: int = 10) -> _Parts:
+def _coauthor_count(*, citations: int = 5,
+                    coauthors: int = 10) -> tuple[_Parts, tuple[Assertion, ...]]:
     _require(citations >= 1, "citations must be at least 1")
     _require(coauthors >= 2, "coauthors must be at least 2")
 
-    authors = [("a1", "Solo Author", True), ("a4", "Crowd Author", True)]
-    papers = [("p1", "Solo Paper", True), ("p4", "Crowd Paper", True)]
-    wrote = [("a1", "p1"), ("a4", "p4")]
-    cites = []
-    for i in range(coauthors - 1):
-        aid = f"co{i + 1:02d}"
-        authors.append((aid, f"Co-author {i + 1}", True))
-        wrote.append((aid, "p4"))
+    g = _Parts()
+    g.paper("p1", "Solo Paper", by=[g.author("a1", "Solo Author")])
+    crowd = [g.author("a4", "Crowd Author")]
+    crowd += [g.author(f"co{i:02d}", f"Co-author {i}") for i in range(1, coauthors)]
+    g.paper("p4", "Crowd Paper", by=crowd)
     for target, tag in (("p1", "x"), ("p4", "y")):
-        for i in range(citations):
-            pid, aid = f"e{tag}{i + 1:02d}", f"ea{tag}{i + 1:02d}"
-            papers.append((pid, f"Citer {tag}{i + 1}", False))
-            authors.append((aid, f"Citer Author {tag}{i + 1}", False))
-            wrote.append((aid, pid))
-            cites.append((pid, target))
+        for i in range(1, citations + 1):
+            g.paper(f"e{tag}{i:02d}", f"Citer {tag}{i}", False,
+                    by=[g.author(f"ea{tag}{i:02d}", f"Citer Author {tag}{i}", False)],
+                    cites=[target])
     assertions = (
         Assertion("pub", "a1", "=", "a4"),
         Assertion("cit", "a1", "=", "a4"),
         Assertion("pr_a", "a1", ">", "a4"),
         Assertion("pira", "a1", ">", "a4"),
     )
-    return authors, papers, wrote, cites, assertions
+    return g, assertions
 
 
-def _citing_quality(*, strong_citations: int = 16, weak_citations: int = 1) -> _Parts:
+def _citing_quality(*, strong_citations: int = 16,
+                    weak_citations: int = 1) -> tuple[_Parts, tuple[Assertion, ...]]:
     _require(strong_citations > weak_citations >= 1,
              "need strong_citations > weak_citations >= 1")
 
     # the second-hop citers carry no authors: the one-hop author graph then
     # sees perfectly symmetric inflow for b1 and b2, while the walk on the
     # bipartite graph still funnels through the well-cited citer
-    authors = [
-        ("b1", "Cited By Quality", True),
-        ("b2", "Cited By Obscurity", True),
-        ("c1a", "Strong Citer Author", False),
-        ("c2a", "Weak Citer Author", False),
-    ]
-    papers = [
-        ("pb1", "Quality-cited Paper", True),
-        ("pb2", "Obscurity-cited Paper", True),
-        ("c1", "Strong Citing Paper", False),
-        ("c2", "Weak Citing Paper", False),
-    ]
-    wrote = [("b1", "pb1"), ("b2", "pb2"), ("c1a", "c1"), ("c2a", "c2")]
-    cites = [("c1", "pb1"), ("c2", "pb2")]
-    for i in range(strong_citations):
-        pid = f"d1_{i + 1:02d}"
-        papers.append((pid, f"Distant Citer of Strong {i + 1}", False))
-        cites.append((pid, "c1"))
-    for i in range(weak_citations):
-        pid = f"d2_{i + 1:02d}"
-        papers.append((pid, f"Distant Citer of Weak {i + 1}", False))
-        cites.append((pid, "c2"))
+    g = _Parts()
+    pb1 = g.paper("pb1", "Quality-cited Paper", by=[g.author("b1", "Cited By Quality")])
+    pb2 = g.paper("pb2", "Obscurity-cited Paper", by=[g.author("b2", "Cited By Obscurity")])
+    c1 = g.paper("c1", "Strong Citing Paper", False,
+                 by=[g.author("c1a", "Strong Citer Author", False)], cites=[pb1])
+    c2 = g.paper("c2", "Weak Citing Paper", False,
+                 by=[g.author("c2a", "Weak Citer Author", False)], cites=[pb2])
+    for n, target, label, count in ((1, c1, "Strong", strong_citations),
+                                    (2, c2, "Weak", weak_citations)):
+        for i in range(1, count + 1):
+            g.paper(f"d{n}_{i:02d}", f"Distant Citer of {label} {i}", False, cites=[target])
     assertions = (
         Assertion("pub", "b1", "=", "b2"),
         Assertion("cit", "b1", "=", "b2"),
         Assertion("pr_a", "b1", "=", "b2"),
         Assertion("pira", "b1", ">", "b2"),
     )
-    return authors, papers, wrote, cites, assertions
+    return g, assertions
 
 
 def _self_citation(*, pubs: int = 10, external_citations: int = 3,
-                   citer_quality: int = 25) -> _Parts:
+                   citer_quality: int = 25) -> tuple[_Parts, tuple[Assertion, ...]]:
     _require(pubs >= 2, "pubs must be at least 2")
     _require(external_citations >= 1, "external_citations must be at least 1")
     _require(citer_quality >= 1, "citer_quality must be at least 1")
 
-    authors = [("a1", "Self Citer", True), ("a2", "Externally Cited", True)]
-    papers = [("q", "Externally Cited Paper", True)]
-    wrote = [("a2", "q")]
-    cites = []
+    g = _Parts()
+    a1 = g.author("a1", "Self Citer")
+    g.paper("q", "Externally Cited Paper", by=[g.author("a2", "Externally Cited")])
     # a1: pubs papers, each citing the previous one (pubs - 1 self citations)
-    for i in range(pubs):
-        pid = f"s{i + 1:02d}"
-        papers.append((pid, f"Serial Paper {i + 1}", True))
-        wrote.append(("a1", pid))
-        if i:
-            cites.append((pid, f"s{i:02d}"))
+    previous = []
+    for i in range(1, pubs + 1):
+        previous = [g.paper(f"s{i:02d}", f"Serial Paper {i}", by=[a1], cites=previous)]
     # a2: external_citations citers, each well cited by citer_quality papers
-    for j in range(external_citations):
-        cid, caid = f"e{j + 1}", f"ea{j + 1}"
-        papers.append((cid, f"External Citer {j + 1}", False))
-        authors.append((caid, f"External Citer Author {j + 1}", False))
-        wrote.append((caid, cid))
-        cites.append((cid, "q"))
-        for k in range(citer_quality):
-            bid, baid = f"bg{j + 1}_{k + 1:02d}", f"bga{j + 1}_{k + 1:02d}"
-            papers.append((bid, f"Background Citer {j + 1}.{k + 1}", False))
-            authors.append((baid, f"Background Author {j + 1}.{k + 1}", False))
-            wrote.append((baid, bid))
-            cites.append((bid, cid))
+    for j in range(1, external_citations + 1):
+        cid = g.paper(f"e{j}", f"External Citer {j}", False,
+                      by=[g.author(f"ea{j}", f"External Citer Author {j}", False)], cites=["q"])
+        for k in range(1, citer_quality + 1):
+            g.paper(f"bg{j}_{k:02d}", f"Background Citer {j}.{k}", False,
+                    by=[g.author(f"bga{j}_{k:02d}", f"Background Author {j}.{k}", False)],
+                    cites=[cid])
     assertions = (
         Assertion("pub", "a1", ">", "a2"),
         Assertion("cit", "a1", ">", "a2"),
         Assertion("pr_a", "a2", ">", "a1"),
         Assertion("pira", "a2", ">", "a1"),
     )
-    return authors, papers, wrote, cites, assertions
+    return g, assertions
 
 
 def _citation_loop(*, loop_citers: int = 7, author_pubs: int = 30,
-                   control_citers: int = 25) -> _Parts:
+                   control_citers: int = 25) -> tuple[_Parts, tuple[Assertion, ...]]:
     _require(loop_citers >= 1, "loop_citers must be at least 1")
     _require(author_pubs >= 1, "author_pubs must be at least 1")
     _require(control_citers >= 1, "control_citers must be at least 1")
 
-    authors = [
-        ("ax", "Author of X", True),
-        ("ay", "Author of Y", True),
-        ("az", "Author of Control", True),
-    ]
-    papers = [
-        ("x", "Loop Paper X", True),
-        ("y", "Loop Paper Y", True),
-        ("z", "Well Cited Control", True),
-    ]
-    wrote = [("ax", "x"), ("ay", "y"), ("az", "z")]
-    cites = [("x", "y"), ("y", "x")]
+    g = _Parts()
+    ax, ay = g.author("ax", "Author of X"), g.author("ay", "Author of Y")
+    g.paper("x", "Loop Paper X", by=[ax], cites=["y"])
+    g.paper("y", "Loop Paper Y", by=[ay], cites=["x"])
+    g.paper("z", "Well Cited Control", by=[g.author("az", "Author of Control")])
     # the loop authors are prolific: the walk escapes through them
-    for owner, tag in (("ax", "x"), ("ay", "y")):
-        for i in range(author_pubs):
-            pid = f"{tag}p{i + 1:02d}"
-            papers.append((pid, f"Other Paper {tag}{i + 1}", True))
-            wrote.append((owner, pid))
+    for owner, tag in ((ax, "x"), (ay, "y")):
+        for i in range(1, author_pubs + 1):
+            g.paper(f"{tag}p{i:02d}", f"Other Paper {tag}{i}", by=[owner])
     for target, tag, count in (("x", "ex", loop_citers), ("y", "ey", loop_citers),
                                ("z", "ez", control_citers)):
-        for i in range(count):
-            pid = f"{tag}{i + 1:02d}"
-            papers.append((pid, f"Citer {tag}{i + 1}", False))
-            cites.append((pid, target))
+        for i in range(1, count + 1):
+            g.paper(f"{tag}{i:02d}", f"Citer {tag}{i}", False, cites=[target])
     assertions = (
         Assertion("pr_p_paper", "x", ">", "z"),
         Assertion("pr_p_paper", "y", ">", "z"),
         Assertion("pira_paper", "z", ">", "x"),
         Assertion("pira_paper", "z", ">", "y"),
     )
-    return authors, papers, wrote, cites, assertions
+    return g, assertions
 
 
-def _single_ref_chain(*, length: int = 5, bracket_pubs: int = 7) -> _Parts:
+def _single_ref_chain(*, length: int = 5,
+                      bracket_pubs: int = 7) -> tuple[_Parts, tuple[Assertion, ...]]:
     _require(length >= 2, "length must be at least 2")
     _require(bracket_pubs >= 1, "bracket_pubs must be at least 1")
 
-    authors = [("chain_author", "Chain Author", True), ("bracket_author", "Bracket Author", True)]
-    papers = []
-    wrote = []
-    cites = []
-    for i in range(length):
-        pid = f"ch{i + 1:02d}"
-        papers.append((pid, f"Chain Paper {i + 1}", True))
-        wrote.append(("chain_author", pid))
-        if i:
-            cites.append((pid, f"ch{i:02d}"))
+    g = _Parts()
+    chain = g.author("chain_author", "Chain Author")
+    bracket = g.author("bracket_author", "Bracket Author")
+    previous = []
+    for i in range(1, length + 1):
+        previous = [g.paper(f"ch{i:02d}", f"Chain Paper {i}", by=[chain], cites=previous)]
     # the bracket author sits between the chain author's diluted and
     # undiluted scores, so a minimum citation count changes their order
-    for i in range(bracket_pubs):
-        pid = f"bp{i + 1:02d}"
-        papers.append((pid, f"Bracket Paper {i + 1}", True))
-        wrote.append(("bracket_author", pid))
+    for i in range(1, bracket_pubs + 1):
+        g.paper(f"bp{i:02d}", f"Bracket Paper {i}", by=[bracket])
     assertions = (Assertion("pira", "chain_author", ">", "bracket_author"),)
-    return authors, papers, wrote, cites, assertions
+    return g, assertions
 
 
 _GENERATORS = {
@@ -332,9 +313,10 @@ def generate(spec: ScenarioSpec, padding: int = 0) -> Scenario:
             raise ValueError(f"{name} must be an integer, got {value!r}")
     if padding < 0:
         raise ValueError("padding must be non-negative")
-    authors, papers, wrote, cites, assertions = generator(**spec.params)
-    _pad(authors, papers, wrote, padding)
-    return Scenario(spec.kind, build_graph(authors, papers, wrote, cites), assertions)
+    parts, assertions = generator(**spec.params)
+    _pad(parts, padding)
+    return Scenario(spec.kind, build_graph(parts.authors, parts.papers, parts.wrote, parts.cites),
+                    assertions)
 
 
 def assertions_to_tsv(assertions: tuple[Assertion, ...]) -> str:

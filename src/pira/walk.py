@@ -188,11 +188,9 @@ class ScoreTable:
                 raise ValueError(f"{name} has shape {column.shape}, expected ({n},): "
                                  "one value per node")
             object.__setattr__(self, name, column)
+        # a NaN, infinite or negative score makes raw.any() true, and
+        # normalize refuses it
         raw = self.raw
-        if not np.isfinite(raw).all():
-            raise ValueError("raw scores must be finite, got NaN or infinity")
-        if (raw < 0).any():
-            raise ValueError(f"raw scores must not be negative, got {raw.min()}")
         object.__setattr__(self, "normalized", normalize(raw) if raw.any() else raw.copy())
 
     def __len__(self) -> int:
@@ -220,8 +218,9 @@ class ScoreTable:
 
 
 def normalize(raw) -> np.ndarray:
-    """Scale raw counters so their mean is 1.0; all-zero counters raise
-    ValueError.
+    """Scale raw counters so their mean is 1.0.  A NaN, infinite or
+    negative counter raises ValueError (finiteness is checked first), and
+    so do all-zero counters.
 
     The counters are first scaled by the exact power of two that brings the
     largest into [0.5, 1), so a total that would overflow to infinity or
@@ -231,6 +230,10 @@ def normalize(raw) -> np.ndarray:
     2**-1022 times the largest.
     """
     raw = np.asarray(raw, dtype=float)
+    if not np.isfinite(raw).all():
+        raise ValueError("raw scores must be finite, got NaN or infinity")
+    if (raw < 0).any():
+        raise ValueError(f"raw scores must not be negative, got {raw.min()}")
     raw = np.ldexp(raw, -np.frexp(raw.max(initial=0.0))[1])
     total = raw.sum()
     if total <= 0:

@@ -357,10 +357,13 @@ NODE_SPEC = "node must be given as a:AUTHOR_ID or p:PAPER_ID"
     (["inspect", "ds", "q:x"], NODE_SPEC),
     (["inspect", "ds", "nocolon"], NODE_SPEC),
     (["inspect", "ds", "a"], NODE_SPEC),
+    (["inspect", "ds", "a:x", "--radius", "-1"], "radius must be non-negative"),
+    (["compare", "a.tsv", "bad.tsv", "--scatter", "-1"], "--scatter top_n=-1 must be non-negative"),
     (["synth", "paper-quality", "out", "--param", "citers"],
      "bad --param 'citers', expected key=value"),
 ], ids=["weight_without_value", "unknown_weight", "authors_only_method", "bad_cutoff",
-        "bad_cutoff_missing_file", "bad_prefix", "no_colon", "bare_prefix", "param_without_value"])
+        "bad_cutoff_missing_file", "bad_prefix", "no_colon", "bare_prefix", "negative_radius",
+        "negative_scatter", "param_without_value"])
 def test_a_bad_flag_exits_2_before_any_input_is_read(tmp_path, monkeypatch, capsys, argv,
                                                      message):
     # the dataset "ds" does not exist, and neither dataset nor ranking file is read

@@ -118,6 +118,61 @@ def test_padding_adds_isolated_pairs():
     assert len(rows(padded.wrote)[pad_author]) == 1
 
 
+# each kind at its generator's minimum sizes, padding 1: node ids and DBLP
+# flags in dense index order (seeded walks depend on it), then the sorted
+# wrote and cite pairs
+@pytest.mark.parametrize("kind, params, authors, author_dblp, papers, paper_dblp, wrote, cites", [
+    (ScenarioKind.PAPER_QUALITY, {"citers": 1, "other_papers": 2},
+     ["a1", "a2", "ea01", "pad_a_000"], [1, 1, 0, 1],
+     ["pa1", "q1", "q2", "e01", "pad_p_000"], [1, 1, 1, 0, 1],
+     [("a1", "pa1"), ("a2", "q1"), ("a2", "q2"), ("ea01", "e01"), ("pad_a_000", "pad_p_000")],
+     [("e01", "pa1")]),
+    (ScenarioKind.COAUTHOR_COUNT, {"citations": 1, "coauthors": 2},
+     ["a1", "a4", "co01", "eax01", "eay01", "pad_a_000"], [1, 1, 1, 0, 0, 1],
+     ["p1", "p4", "ex01", "ey01", "pad_p_000"], [1, 1, 0, 0, 1],
+     [("a1", "p1"), ("a4", "p4"), ("co01", "p4"), ("eax01", "ex01"), ("eay01", "ey01"),
+      ("pad_a_000", "pad_p_000")],
+     [("ex01", "p1"), ("ey01", "p4")]),
+    (ScenarioKind.CITING_QUALITY, {"strong_citations": 2, "weak_citations": 1},
+     ["b1", "b2", "c1a", "c2a", "pad_a_000"], [1, 1, 0, 0, 1],
+     ["pb1", "pb2", "c1", "c2", "d1_01", "d1_02", "d2_01", "pad_p_000"], [1, 1, 0, 0, 0, 0, 0, 1],
+     [("b1", "pb1"), ("b2", "pb2"), ("c1a", "c1"), ("c2a", "c2"), ("pad_a_000", "pad_p_000")],
+     [("c1", "pb1"), ("c2", "pb2"), ("d1_01", "c1"), ("d1_02", "c1"), ("d2_01", "c2")]),
+    (ScenarioKind.SELF_CITATION, {"pubs": 2, "external_citations": 1, "citer_quality": 1},
+     ["a1", "a2", "ea1", "bga1_01", "pad_a_000"], [1, 1, 0, 0, 1],
+     ["q", "s01", "s02", "e1", "bg1_01", "pad_p_000"], [1, 1, 1, 0, 0, 1],
+     [("a1", "s01"), ("a1", "s02"), ("a2", "q"), ("bga1_01", "bg1_01"), ("ea1", "e1"),
+      ("pad_a_000", "pad_p_000")],
+     [("bg1_01", "e1"), ("e1", "q"), ("s02", "s01")]),
+    (ScenarioKind.CITATION_LOOP, {"loop_citers": 1, "author_pubs": 1, "control_citers": 1},
+     ["ax", "ay", "az", "pad_a_000"], [1, 1, 1, 1],
+     ["x", "y", "z", "xp01", "yp01", "ex01", "ey01", "ez01", "pad_p_000"],
+     [1, 1, 1, 1, 1, 0, 0, 0, 1],
+     [("ax", "x"), ("ax", "xp01"), ("ay", "y"), ("ay", "yp01"), ("az", "z"),
+      ("pad_a_000", "pad_p_000")],
+     [("ex01", "x"), ("ey01", "y"), ("ez01", "z"), ("x", "y"), ("y", "x")]),
+    (ScenarioKind.SINGLE_REF_CHAIN, {"length": 2, "bracket_pubs": 1},
+     ["chain_author", "bracket_author", "pad_a_000"], [1, 1, 1],
+     ["ch01", "ch02", "bp01", "pad_p_000"], [1, 1, 1, 1],
+     [("bracket_author", "bp01"), ("chain_author", "ch01"), ("chain_author", "ch02"),
+      ("pad_a_000", "pad_p_000")],
+     [("ch02", "ch01")]),
+], ids=[kind.value for kind in ScenarioKind])
+def test_generated_nodes_come_in_a_fixed_index_order(kind, params, authors, author_dblp, papers,
+                                                     paper_dblp, wrote, cites):
+    g = generate(ScenarioSpec(kind, params), padding=1).graph
+
+    def pairs(m, sources, targets):
+        return sorted((sources[i], targets[j]) for i, row in enumerate(rows(m)) for j in row)
+
+    assert list(g.author_ext_ids) == authors
+    assert g.author_in_dblp.astype(int).tolist() == author_dblp
+    assert list(g.paper_ext_ids) == papers
+    assert g.paper_in_dblp.astype(int).tolist() == paper_dblp
+    assert pairs(g.wrote, g.author_ext_ids, g.paper_ext_ids) == wrote
+    assert pairs(g.cite, g.paper_ext_ids, g.paper_ext_ids) == cites
+
+
 @pytest.mark.parametrize("kind", list(ScenarioKind))
 def test_expected_assertions_hold_at_oracle_precision(kind):
     scenario = generate(ScenarioSpec(kind), padding=20)

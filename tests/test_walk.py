@@ -90,6 +90,18 @@ def test_normalize_cases():
         normalize([0.0, 0.0])
 
 
+@pytest.mark.parametrize("raw, message", [
+    ([math.nan, 1.0], "must be finite"),
+    ([math.inf, 1.0], "must be finite"),
+    ([-1.0, 2.0], "must not be negative, got -1.0"),
+    ([1.0, -1.0], "must not be negative, got -1.0"),
+], ids=["nan", "inf", "negative", "negative_with_zero_total"])
+def test_normalize_refuses_a_nan_infinite_or_negative_counter(raw, message):
+    # these gave [nan, nan], [nan, 0.], [-2., 4.] and "all-zero counters"
+    with pytest.raises(ValueError, match=message):
+        normalize(raw)
+
+
 def test_normalize_gives_mean_one_when_the_total_overflows_or_underflows():
     # a total of 2e308 overflowed to inf and every score read 0; a total of
     # 2e-320 is subnormal, and its reciprocal overflowed to inf
